@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import ConvergenceFailure, IntegrationSpec, integrate_1d
+from .quadrature import IntegrationSpec, integrate_1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,11 +115,7 @@ def quad_form_vacuum(kernel: CorrelatorKernel, window: WindowProfile,
 
     spec = IntegrationSpec(bounds=((0.0, k_max),), rel_tol=rel_tol,
                            max_subdivisions=2000)
-    try:
-        res = integrate_1d(integrand, spec)
-    except ConvergenceFailure:
-        raise
-    return res.value
+    return integrate_1d(integrand, spec).value
 
 
 def quad_form_vacuum_position_space(kernel: CorrelatorKernel,

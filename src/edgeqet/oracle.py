@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import params as P
 from .detector import delta_v, detector_from_params, sense_window
@@ -311,6 +310,14 @@ def free_propagator(grid: ModeGrid, params: P.ExperimentParams,
         prop[base + n + idx, base + idx] = -sn
         prop[base + n + idx, base + n + idx] = cs
     return prop
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential.  scipy.linalg is imported on the first call,
+    so importing the package does not pay for it."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def evolve(state: GaussianState, hamiltonian: np.ndarray, t: float,

@@ -1,11 +1,9 @@
-"""Adaptive quadrature: embedded Gauss-Kronrod rules in 1-D and a
-tensorized adaptive subdivision scheme for 2-4 dimensions.
+"""Adaptive 1-D quadrature with the embedded Gauss-Kronrod G7/K15 pair.
 
-Integrands must be pure, vectorized callables: ``f(x)`` over a 1-D node
-array, or ``f(points)`` over an ``(n, dim)`` array for the
-multidimensional integrator.  Subdivision order is deterministic for a
-fixed spec, and the final accumulation runs in cell-creation order, so
-results are bit-reproducible regardless of how cells were prioritized.
+Integrands must be pure, vectorized callables ``f(x)`` over a 1-D node
+array.  Subdivision order is deterministic for a fixed spec, and the
+final accumulation runs in interval order, so results are bit-reproducible
+regardless of how cells were prioritized.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ _WG = np.array([
 
 
 class ConvergenceFailure(RuntimeError):
-    """Adaptive subdivision exhausted its budget before reaching tolerance."""
+    """A quadrature exhausted its budget before reaching tolerance."""
 
     def __init__(self, message, result=None):
         super().__init__(message)
@@ -49,9 +47,9 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Domain and tolerances for one integration task."""
+    """Interval and tolerances for one integration task."""
 
-    bounds: tuple              # per-axis (lo, hi)
+    bounds: tuple              # ((lo, hi),)
     rel_tol: float = 1e-8
     abs_tol: float = 0.0
     max_subdivisions: int = 2000
@@ -59,17 +57,14 @@ class IntegrationSpec:
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", bounds)
-        if not 1 <= len(bounds) <= 4:
-            raise ValueError(f"dimension must be 1..4, got {len(bounds)}")
-        for lo, hi in bounds:
-            if not lo < hi:
-                raise ValueError(f"need lo < hi per axis, got ({lo}, {hi})")
+        if len(bounds) != 1:
+            raise ValueError(
+                f"need exactly one (lo, hi) pair, got {len(bounds)}")
+        (lo, hi), = bounds
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got ({lo}, {hi})")
         if self.rel_tol <= 0 or self.abs_tol < 0:
             raise ValueError("tolerances must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -85,20 +80,6 @@ def _tolerance(spec, value):
     return max(spec.rel_tol * abs(value), spec.abs_tol)
 
 
-def regularized_power_kernel(u, n: int = 5, eps: float = None):
-    """Re[1/(u + i*eps)^n]: the finite stand-in for the 1/u^n pole.
-
-    Odd in u for odd n, identically finite, and within O(n*eps/u) of
-    1/u^n once |u| >> eps.
-    """
-    if eps is None or eps <= 0:
-        raise ValueError("eps must be positive")
-    u = np.asarray(u, dtype=float)
-    return ((u + 1j * eps) ** (-n)).real
-
-
-# 1-D ------------------------------------------------------------------
-
 def _gk_panel(f, lo, hi):
     """One G7/K15 evaluation on [lo, hi]: (kronrod, |kronrod - gauss|)."""
     half = 0.5 * (hi - lo)
@@ -111,8 +92,6 @@ def _gk_panel(f, lo, hi):
 
 def integrate_1d(f, spec: IntegrationSpec) -> QuadResult:
     """Adaptive bisection with the embedded G7/K15 pair."""
-    if spec.dimension != 1:
-        raise ValueError("integrate_1d needs a 1-D spec")
     (lo, hi), = spec.bounds
     value, err = _gk_panel(f, lo, hi)
     # (-error, creation_index) heap: deterministic worst-cell-first order
@@ -145,87 +124,3 @@ def integrate_1d(f, spec: IntegrationSpec) -> QuadResult:
         n_evals += 30
         subdivisions += 1
 
-
-# n-D ------------------------------------------------------------------
-
-class _NdCell:
-    __slots__ = ("lo", "hi", "value", "error", "axis_errors", "index")
-
-    def __init__(self, lo, hi, value, error, axis_errors, index):
-        self.lo, self.hi = lo, hi
-        self.value, self.error = value, error
-        self.axis_errors = axis_errors
-        self.index = index
-
-
-def _nd_panel(f, lo, hi):
-    """Tensor G7/K15 on a box; returns (value, error, per-axis errors)."""
-    dim = len(lo)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    axes = [mid[i] + half[i] * _XK for i in range(dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.asarray(f(pts), dtype=float).reshape((15,) * dim)
-
-    scale = float(np.prod(half))
-    full = vals
-    for _ in range(dim):
-        full = np.tensordot(full, _WK, axes=([0], [0]))
-    kron = scale * float(full)
-
-    axis_errors = np.empty(dim)
-    for axis in range(dim):
-        sub = np.take(vals, _GAUSS_IDX, axis=axis)
-        sub = np.tensordot(sub, _WG, axes=([axis], [0]))
-        for other in range(dim - 1):
-            w = _WK
-            sub = np.tensordot(sub, w, axes=([0], [0]))
-        axis_errors[axis] = abs(kron - scale * float(sub))
-    return kron, float(axis_errors.sum()), axis_errors
-
-
-def integrate_nd(f, spec: IntegrationSpec) -> QuadResult:
-    """Adaptive subdivision of boxes, splitting the axis that dominates
-    the embedded-rule error of the worst cell."""
-    dim = spec.dimension
-    if dim == 1:
-        return integrate_1d(lambda x: f(x[:, None] if x.ndim == 1 else x), spec)
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
-    value, err, axis_errs = _nd_panel(f, lo, hi)
-    cells = {0: _NdCell(lo, hi, value, err, axis_errs, 0)}
-    heap = [(-err, 0)]
-    counter = 1
-    n_evals = 15 ** dim
-    subdivisions = 0
-    while True:
-        ordered = sorted(cells.values(), key=lambda c: c.index)
-        total = sum(c.value for c in ordered)
-        total_err = sum(c.error for c in ordered)
-        if total_err <= _tolerance(spec, total):
-            return QuadResult(total, total_err, subdivisions, True, n_evals)
-        if subdivisions >= spec.max_subdivisions:
-            raise ConvergenceFailure(
-                f"{dim}-D quadrature: error {total_err:.3g} above tolerance "
-                f"{_tolerance(spec, total):.3g} after {subdivisions} subdivisions",
-                QuadResult(total, total_err, subdivisions, False, n_evals))
-        while True:
-            neg_err, idx = heapq.heappop(heap)
-            if idx in cells and -neg_err == cells[idx].error:
-                break
-        cell = cells.pop(idx)
-        axis = int(np.argmax(cell.axis_errors))
-        mid = 0.5 * (cell.lo[axis] + cell.hi[axis])
-        for side in range(2):
-            slo, shi = cell.lo.copy(), cell.hi.copy()
-            if side == 0:
-                shi[axis] = mid
-            else:
-                slo[axis] = mid
-            v, e, ax = _nd_panel(f, slo, shi)
-            cells[counter] = _NdCell(slo, shi, v, e, ax, counter)
-            heapq.heappush(heap, (-e, counter))
-            counter += 1
-        n_evals += 2 * 15 ** dim
-        subdivisions += 1

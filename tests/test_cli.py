@@ -1,10 +1,15 @@
 """Command-line interface: artifacts, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from edgeqet import cli
+import edgeqet
+from edgeqet import cli, energetics
 
 
 def run(argv):
@@ -37,6 +42,18 @@ def test_validate_rejects_bad_override(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert run(["teleport"]) == 1
+
+
+def test_import_loads_no_scipy_submodules():
+    """scipy.linalg and scipy.special load at first use, not at import."""
+    src = str(Path(edgeqet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, edgeqet.cli; "
+            "print([m for m in ('scipy.linalg', 'scipy.special') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # budget -----------------------------------------------------------------
@@ -99,6 +116,16 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert run(["sweep", "--out", str(tmp_path), "--sweep", "L",
                 "--values", "4e-5,fast"]) == 1
     capsys.readouterr()
+
+
+def test_sweep_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # at L = 30l, 32 x 32 x 64 nodes are not enough: the capped E_B
+    # quadrature fails and the sweep reports a numerical failure
+    monkeypatch.setattr(energetics, "_EB_MAX_NODES",
+                        2 * energetics._EB_START_NODES)
+    assert run(["sweep", "--out", str(tmp_path), "--sweep", "L",
+                "--values", "3e-4,3.1e-4"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 # simulate ---------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Analytic energy pipeline: E_A, E_1, E_B and its cross-checks.
 
-The extracted-energy integral is validated against an independent exact
-reduction: for Gaussian profiles the two convolution integrals against
-the regularized power kernel collapse onto derivatives of the Faddeeva
+The extracted-energy integral is validated two ways: against the slow
+4-D form in which every convolution is done by adaptive quadrature
+(nd_reference.py), and, on the unrestricted window, against a further
+exact reduction in which both convolution integrals against the
+regularized power kernel collapse onto derivatives of the Faddeeva
 function w(z), leaving a smooth 2-D integral that Gauss-Legendre nails.
 """
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
+from edgeqet import energetics as E
 from edgeqet import params as P
 from edgeqet.chiral_field import window_derivative_l2
 from edgeqet.detector import delta_v, detector_from_params, sense_window
@@ -22,7 +25,9 @@ from edgeqet.energetics import (EnergyBudget, SingularityWarning, compute_EA,
                                 eb_order_estimate, energy_budget,
                                 energy_density_from_current, feedback_window,
                                 fit_scaling_exponent, gs_squared)
-from edgeqet.quadrature import IntegrationSpec, integrate_1d
+from edgeqet.quadrature import ConvergenceFailure, IntegrationSpec, \
+    integrate_1d
+from nd_reference import eb_integral_4d
 
 UEV = 1e6 / P.E_CHARGE  # J -> micro-eV
 
@@ -148,6 +153,41 @@ def test_EB_causal_window_effect(params):
     at_5l = compute_EB(p5, rel_tol=1e-4)
     full_5l = compute_EB(p5, rel_tol=1e-4, causal=False)
     assert full_5l == pytest.approx(at_5l, rel=0.005)
+
+
+def test_EB_matches_4d_reference(params):
+    """The 3-D Faddeeva form against the 4-D all-quadrature form."""
+    for mult, causal in ((2, True), (4, False)):
+        p = params.replace(L=mult * params.l)
+        reference = eb_integral_4d(p, 1e-7, p.eps_uv, causal=causal)
+        assert reference.converged
+        production = compute_EB(p, rel_tol=1e-8, causal=causal)
+        assert production == pytest.approx(
+            -E._eb_prefactor(p) * reference.value, rel=1e-6), f"L={mult}l"
+
+
+def test_EB_node_doubling_at_long_separation(params):
+    """At L = 30l the first rule is far off; doubling converges, and the
+    result agrees with the next doubling to rel_tol."""
+    p = params.replace(L=30 * params.l)
+    res = E._eb_integral(p, 1e-4, p.eps_uv)
+    assert res.converged and res.subdivisions_used >= 2
+    assert res.error_estimate <= 1e-4 * abs(res.value)
+    n = E._EB_START_NODES * 2 ** res.subdivisions_used
+    finer = E._eb_rule(p, p.eps_uv, True, 2 * n)
+    assert res.value == pytest.approx(finer, rel=1e-4)
+    assert compute_EB(p) == -E._eb_prefactor(p) * res.value
+
+
+def test_EB_node_cap_raises_with_partial_result(params, monkeypatch):
+    monkeypatch.setattr(E, "_EB_MAX_NODES", 2 * E._EB_START_NODES)
+    p = params.replace(L=30 * params.l)
+    with pytest.raises(ConvergenceFailure) as exc:
+        E._eb_integral(p, 1e-4, p.eps_uv)
+    partial = exc.value.result
+    assert partial.converged is False
+    assert partial.subdivisions_used == 1
+    assert partial.error_estimate > 1e-4 * abs(partial.value)
 
 
 def test_EB_linearity_in_feedback_amplitude(params, eb_default):
