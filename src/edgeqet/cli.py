@@ -109,9 +109,11 @@ def _clean(v):
 
 
 def _write_json(path: Path, payload: dict):
+    """Write ``payload`` as JSON; a NaN or infinity raises ValueError
+    before the file is opened."""
+    text = json.dumps(payload, indent=2, default=_clean, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=_clean)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -271,6 +273,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 2:
+        raise UsageError(f"--shots must be at least 2 (the standard error "
+                         f"needs two shots), got {args.shots}")
     params = _load(args)
     out = _out_dir(args)
     t0 = time.perf_counter()
@@ -291,8 +296,9 @@ def cmd_simulate(args) -> int:
                 for i, x in enumerate(result.profile_x)])
 
     stderr = float(result.E_B_stderr)
+    # zero spread (e.g. no coupling and no feedback): not computable
     significance = (float(result.E_B_oracle) / stderr if stderr > 0
-                    else math.inf)
+                    else None)
     summary = {
         "feedback_mode": result.feedback_mode,
         "n_shots": args.shots, "n_modes": args.modes, "seed": args.seed,
@@ -320,7 +326,8 @@ def cmd_simulate(args) -> int:
     ue = 1e6 / P.E_CHARGE
     print(f"{args.feedback} feedback, {args.shots} shots: "
           f"E_B = {result.E_B_oracle * ue:.4f} +- {stderr * ue:.4f} ueV "
-          f"({significance:.1f} sigma)")
+          + (f"({significance:.1f} sigma)" if significance is not None
+             else "(significance not computable)"))
     return 0
 
 

@@ -28,7 +28,7 @@ from .energetics import feedback_window
 TWO_PI = 2.0 * math.pi
 
 
-class DegenerateObservable(ValueError):
+class DegenerateObservable(RuntimeError):
     """Measured observable has (numerically) no variance."""
 
 
@@ -101,6 +101,19 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _omega_times(a: np.ndarray) -> np.ndarray:
+    """symplectic_form(n) @ a by row moves: x rows take +p, p rows -x.
+
+    ``a`` is a vector or a matrix with the 4N rows of R.
+    """
+    n = a.shape[0] // 4
+    out = np.empty_like(a)
+    for base in (0, 2 * n):
+        out[base:base + n] = a[base + n:base + 2 * n]
+        out[base + n:base + 2 * n] = -a[base:base + n]
+    return out
+
+
 def validate_state(state: GaussianState, tol_sym: float = 1e-12,
                    tol_heis: float = 1e-9) -> None:
     """Symmetry and uncertainty-relation checks; raises on violation."""
@@ -170,14 +183,11 @@ def local_energy_density(state: GaussianState, x_grid,
     sl, chirality = _channel_slice(grid, channel)
     nu = params.nu_S if channel == "S" else params.nu_U
     u = density_basis(grid, nu, x_grid, chirality)
-    dcov = state.cov[sl, sl] - 0.5 * np.eye(2 * grid.n_modes)
-    quad = np.einsum("xi,ij,xj->x", u, dcov, u)
     if mean_second_moment is None:
-        mm = u @ state.mean[sl]
-        mean_part = mm * mm
-    else:
-        mean_part = np.einsum("xi,ij,xj->x", u, mean_second_moment, u)
-    return math.pi * P.HBAR * params.v_g / nu * (quad + mean_part)
+        mean_second_moment = np.outer(state.mean[sl], state.mean[sl])
+    moment = (state.cov[sl, sl] - 0.5 * np.eye(2 * grid.n_modes)
+              + mean_second_moment)
+    return math.pi * P.HBAR * params.v_g / nu * ((u @ moment) * u).sum(1)
 
 
 # Hamiltonians ---------------------------------------------------------
@@ -237,6 +247,21 @@ def measurement_observable(params: P.ExperimentParams,
     return o
 
 
+def _conditioning(cov: np.ndarray, o: np.ndarray, pointer_sd: float):
+    """Rank-2 factors (sigma, s, kick) of a Gaussian pointer measurement.
+
+    sigma = Cov.o is the observable's covariance column, s = o.Cov.o +
+    pointer_sd^2 the predictive variance of the outcome and kick =
+    Omega.o the pointer's back-action direction; the posterior
+    covariance is Cov - sigma sigma^T / s + kick kick^T / (4 pointer_sd^2).
+    """
+    sigma = cov @ o
+    var_o = float(o @ sigma)
+    if not np.isfinite(var_o) or var_o <= 0.0:
+        raise DegenerateObservable(f"observable variance {var_o!r}")
+    return sigma, var_o + pointer_sd ** 2, _omega_times(o)
+
+
 def measure_gaussian(state: GaussianState, observable: np.ndarray,
                      pointer_sd: float, rng=None, outcome: float | None = None):
     """One Gaussian pointer measurement of O = observable . R.
@@ -247,11 +272,7 @@ def measure_gaussian(state: GaussianState, observable: np.ndarray,
     back-action term along Omega.o.
     """
     o = np.asarray(observable, dtype=float)
-    sigma_o = state.cov @ o
-    var_o = float(o @ sigma_o)
-    if not np.isfinite(var_o) or var_o <= 0.0:
-        raise DegenerateObservable(f"observable variance {var_o!r}")
-    s = var_o + pointer_sd ** 2
+    sigma_o, s, kick = _conditioning(state.cov, o, pointer_sd)
     prior_mean = float(o @ state.mean)
     if outcome is None:
         if rng is None:
@@ -260,7 +281,6 @@ def measure_gaussian(state: GaussianState, observable: np.ndarray,
     mean = state.mean + sigma_o * ((outcome - prior_mean) / s)
     cov = state.cov - np.outer(sigma_o, sigma_o) / s
     if np.isfinite(pointer_sd):
-        kick = symplectic_form(state.n_modes) @ o
         cov = cov + np.outer(kick, kick) / (4.0 * pointer_sd ** 2)
     cov = 0.5 * (cov + cov.T)
     return float(outcome), GaussianState(mean, cov)
@@ -296,20 +316,25 @@ def displace_feedback(state: GaussianState, outcome: float,
         state.cov.copy())
 
 
-def free_propagator(grid: ModeGrid, params: P.ExperimentParams,
-                    t: float) -> np.ndarray:
-    """Exact free evolution: per-mode phase rotation, both channels."""
+def free_rotate(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
+                t: float) -> np.ndarray:
+    """Exact free evolution of the rows of ``a`` over time t.
+
+    Each mode's (x, p) pair turns by the angle v_g k t, the same on both
+    channels: the free propagator applied without building it.  ``a``
+    is a vector or a matrix with the 4N rows of R, or the 2N rows of
+    one channel.
+    """
     n = grid.n_modes
     angle = params.v_g * grid.k * t
-    cs, sn = np.cos(angle), np.sin(angle)
-    prop = np.zeros((4 * n, 4 * n))
-    for base in (0, 2 * n):
-        idx = np.arange(n)
-        prop[base + idx, base + idx] = cs
-        prop[base + idx, base + n + idx] = sn
-        prop[base + n + idx, base + idx] = -sn
-        prop[base + n + idx, base + n + idx] = cs
-    return prop
+    shape = (n,) + (1,) * (a.ndim - 1)
+    cs, sn = np.cos(angle).reshape(shape), np.sin(angle).reshape(shape)
+    out = np.empty_like(a)
+    for base in range(0, a.shape[0], 2 * n):
+        x, p = a[base:base + n], a[base + n:base + 2 * n]
+        out[base:base + n] = cs * x + sn * p
+        out[base + n:base + 2 * n] = cs * p - sn * x
+    return out
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -328,7 +353,7 @@ def evolve(state: GaussianState, hamiltonian: np.ndarray, t: float,
     time-stepping error enters.  ``check`` re-validates the uncertainty
     invariant afterwards (O(N^3) eigenvalue cost).
     """
-    prop = expm((t / P.HBAR) * (symplectic_form(state.n_modes) @ hamiltonian))
+    prop = expm((t / P.HBAR) * _omega_times(hamiltonian))
     out = GaussianState(prop @ state.mean, prop @ state.cov @ prop.T)
     out.cov = 0.5 * (out.cov + out.cov.T)
     if check:
@@ -370,20 +395,6 @@ def interaction_window(params: P.ExperimentParams):
     return t_i, t_f
 
 
-def _ramp_segments(t_i: float, t_f: float, ramp_fraction: float,
-                   n_ramp: int):
-    """Piecewise-constant coupling schedule [(duration, scale), ...]."""
-    span = t_f - t_i
-    ramp = ramp_fraction * span
-    segments = []
-    for j in range(n_ramp):          # up
-        segments.append((ramp / n_ramp, (j + 0.5) / n_ramp))
-    segments.append((span - 2.0 * ramp, 1.0))
-    for j in reversed(range(n_ramp)):  # down
-        segments.append((ramp / n_ramp, (j + 0.5) / n_ramp))
-    return segments
-
-
 def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
                  feedback_mode: str = "correlated", n_shots: int = 1000,
                  seed: int = 0, coupling_scale: float = 1.0,
@@ -396,16 +407,43 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     free flight to T, feedback displacement (mode ``correlated`` uses
     the shot's own outcome, ``scrambled`` a seeded permutation of the
     outcomes across shots, ``off`` zero), then evolution through the
-    ramped interaction window.  All shot dependence is linear in
-    (outcome, feedback value), so propagators and covariances are
-    computed once and shots reduce to vector algebra.
+    interaction window [t_i, t_f].  There the coupling rises in
+    ``n_ramp`` equal steps (scales (j + 1/2)/n_ramp) over the first
+    ``ramp_fraction`` of the window, holds, and falls through the same
+    steps in reverse; ``ramp_fraction`` 0 switches it suddenly.  All
+    shot dependence is linear in (outcome, feedback value), so
+    propagators and covariances are computed once and shots reduce to
+    vector algebra.
+
+    The propagation is exact and uses the problem's structure:
+
+    * the schedule is palindromic, so the window propagator M is built
+      from the plateau outwards, M <- E_s M E_s, with one ``expm`` per
+      distinct (duration, scale) step and none for a zero-length step;
+    * free flight is a per-mode rotation (``free_rotate``) of vectors
+      and covariance blocks, never a dense matrix product;
+    * the post-measurement covariance is I/2 minus one and plus one
+      rank-1 term (``_conditioning``); rotations leave I/2 alone, so at
+      t_f it is M M^T/2 plus two rank-1 terms, and only the blocks that
+      are used are formed: the U diagonal for E_B and the 2N x 2N S
+      block for the profile.
 
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
     of channel S at the requested times (>= t_f, default exactly t_f).
+    ``check_invariants`` validates the full covariance just after the
+    measurement and at t_f (O(N^3) each).  Raises ValueError for an
+    unknown feedback mode, a ``ramp_fraction`` outside [0, 0.5],
+    ``n_ramp`` < 1 with a ramp, or a profile time before t_f.
     """
     if feedback_mode not in ("correlated", "scrambled", "off"):
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
+    if not 0.0 <= ramp_fraction <= 0.5:
+        raise ValueError(
+            f"ramp_fraction must lie in [0, 0.5], got {ramp_fraction!r}")
+    if ramp_fraction > 0.0 and n_ramp < 1:
+        raise ValueError(f"n_ramp must be >= 1 for a ramped coupling, "
+                         f"got {n_ramp!r}")
     if grid is None:
         grid = default_grid(params)
     rng = np.random.default_rng(seed)
@@ -418,21 +456,16 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     # measurement conditioning at t = 0 (vacuum prior)
     o = measurement_observable(params, grid)
     dv = delta_v(detector_from_params(params))
-    vac = vacuum_state(grid)
-    var_o = float(o @ (vac.cov @ o))
-    if var_o <= 0.0:
-        raise DegenerateObservable("sense observable has zero variance")
-    s_pred = var_o + dv ** 2
-    gain = (vac.cov @ o) / s_pred            # posterior mean per unit outcome
-    kick = symplectic_form(n) @ o
-    cov_post = (vac.cov - np.outer(vac.cov @ o, vac.cov @ o) / s_pred
-                + np.outer(kick, kick) / (4.0 * dv ** 2))
-    cov_post = 0.5 * (cov_post + cov_post.T)
+    sigma, s_pred, kick = _conditioning(vacuum_state(grid).cov, o, dv)
+    back = 1.0 / (4.0 * dv ** 2)             # weight of the back-action term
+    gain = sigma / s_pred                    # posterior mean per unit outcome
     if check_invariants:
-        validate_state(GaussianState(np.zeros(4 * n), cov_post))
+        validate_state(GaussianState(
+            np.zeros(4 * n), 0.5 * np.eye(4 * n)
+            - np.outer(sigma, sigma) / s_pred + back * np.outer(kick, kick)))
 
     # shot-independent energy pieces
-    cov_diag = np.diag(cov_post)
+    cov_diag = 0.5 - sigma * sigma / s_pred + back * kick * kick
     # S-channel covariance part of the post-measurement energy
     e_a_const = 0.5 * float(hw @ (cov_diag[:n] + cov_diag[n:2 * n] - 1.0))
     q_a = 0.5 * float(hw2 @ (gain[s_sl] ** 2))  # E_A mean part per outcome^2
@@ -440,23 +473,40 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     d_unit = feedback_displacement(params, grid)
     q_1 = 0.5 * float(hw2 @ (d_unit[u_sl] ** 2))  # E_1 per feedback^2
 
-    # propagators
+    # window propagator: ramp up, plateau, the same steps back down
     t_i, t_f = interaction_window(params)
     g_s, g_u, g_int = build_hamiltonians(params, grid)
     g_free = g_s + g_u
-    omega = symplectic_form(n)
-    prop = free_propagator(grid, params, t_i - params.T_delay)
-    for dt, scale in _ramp_segments(t_i, t_f, ramp_fraction, n_ramp):
+
+    def step(dt, scale):
         g_seg = g_free + (coupling_scale * scale) * g_int
-        prop = expm((dt / P.HBAR) * (omega @ g_seg)) @ prop
-    # vectors reaching t_f: measurement response also crosses the delay T
-    free_t = free_propagator(grid, params, params.T_delay)
-    a_vec = prop @ (free_t @ gain)     # per unit outcome
-    b_vec = prop @ d_unit              # per unit feedback value
-    cov_after = prop @ (free_t @ cov_post @ free_t.T) @ prop.T
-    cov_after = 0.5 * (cov_after + cov_after.T)
+        return expm((dt / P.HBAR) * _omega_times(g_seg))
+
+    ramp = ramp_fraction * (t_f - t_i)
+    plateau = (t_f - t_i) - 2.0 * ramp
+    m = step(plateau, 1.0) if plateau > 0.0 else np.eye(4 * n)
+    if ramp > 0.0:
+        for j in reversed(range(n_ramp)):
+            e = step(ramp / n_ramp, (j + 0.5) / n_ramp)
+            m = e @ m @ e
+    # the measurement response turns freely from t = 0 to t_i, the
+    # feedback displacement from T to t_i; M carries both on to t_f
+    a_vec = m @ free_rotate(gain, grid, params, t_i)   # per unit outcome
+    b_vec = m @ free_rotate(d_unit, grid, params,      # per unit feedback
+                            t_i - params.T_delay)
+    kick_f = m @ free_rotate(kick, grid, params, t_i)
+
+    def cov_after(rows):
+        """rows x rows block of the covariance at t_f (sigma carried to
+        t_f is s_pred * a_vec)."""
+        return (0.5 * (m[rows] @ m[rows].T)
+                - s_pred * np.outer(a_vec[rows], a_vec[rows])
+                + back * np.outer(kick_f[rows], kick_f[rows]))
+
     if check_invariants:
-        validate_state(GaussianState(np.zeros(4 * n), cov_after))
+        cov_t = cov_after(slice(None))
+        validate_state(GaussianState(np.zeros(4 * n),
+                                     0.5 * (cov_t + cov_t.T)))
 
     # shots
     upsilon = math.sqrt(s_pred) * rng.standard_normal(n_shots)
@@ -469,9 +519,10 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
 
     e_a_samples = e_a_const + q_a * upsilon ** 2
     # U-channel energy at t_f, mean part quadratic in (outcome, feedback)
-    cov_d = np.diag(cov_after)
-    e_u_cov = 0.5 * float(
-        hw @ (cov_d[2 * n:3 * n] + cov_d[3 * n:] - 1.0))
+    m_u = m[u_sl]
+    cov_d = (0.5 * np.einsum("ij,ij->i", m_u, m_u)
+             - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
+    e_u_cov = 0.5 * float(hw @ (cov_d[:n] + cov_d[n:] - 1.0))
     au, bu = a_vec[u_sl], b_vec[u_sl]
     qaa = 0.5 * float(hw2 @ (au * au))
     qbb = 0.5 * float(hw2 @ (bu * bu))
@@ -493,17 +544,20 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     m2_u = float(np.mean(upsilon * upsilon))
     m2_f = float(np.mean(fb * fb))
     m2_x = float(np.mean(upsilon * fb))
-    mm_after = (m2_u * np.outer(a_vec, a_vec) + m2_f * np.outer(b_vec, b_vec)
-                + m2_x * (np.outer(a_vec, b_vec) + np.outer(b_vec, a_vec)))
+    cov_s = cov_after(s_sl)
+    # local_energy_density reads only the S block of the snapshot
+    snap = GaussianState(np.zeros(4 * n), np.zeros((4 * n, 4 * n)))
     profiles = np.empty((profile_times.size, n_profile))
     for i, t_snap in enumerate(profile_times):
-        rot = free_propagator(grid, params, t_snap - t_f)
-        cov_t = rot @ cov_after @ rot.T
-        mm_t = rot @ mm_after @ rot.T
-        snap = GaussianState(np.zeros(4 * n), 0.5 * (cov_t + cov_t.T))
+        dt = t_snap - t_f
+        snap.cov[s_sl, s_sl] = free_rotate(
+            free_rotate(cov_s, grid, params, dt).T, grid, params, dt).T
+        a_t = free_rotate(a_vec[s_sl], grid, params, dt)
+        b_t = free_rotate(b_vec[s_sl], grid, params, dt)
+        mm_t = (m2_u * np.outer(a_t, a_t) + m2_f * np.outer(b_t, b_t)
+                + m2_x * (np.outer(a_t, b_t) + np.outer(b_t, a_t)))
         profiles[i] = local_energy_density(
-            snap, x_grid, grid, params, channel="S",
-            mean_second_moment=mm_t[s_sl, s_sl])
+            snap, x_grid, grid, params, channel="S", mean_second_moment=mm_t)
 
     return ProtocolResult(
         E_A_oracle=float(np.mean(e_a_samples)),

@@ -1,15 +1,17 @@
 """Command-line interface: artifacts, exit codes, and reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edgeqet
-from edgeqet import cli, energetics
+from edgeqet import cli, energetics, oracle
 
 
 def run(argv):
@@ -164,6 +166,49 @@ def test_simulate_byte_determinism(tmp_path):
 
 def test_simulate_feedback_choice_errors():
     assert run(["simulate", "--feedback", "telepathic"]) == 1
+
+
+def test_simulate_rejects_ramp_past_half_window(tmp_path, capsys):
+    # ramps longer than half the window would leave a negative plateau
+    assert run(["simulate", "--ramp-fraction", "0.6", "--modes", "16",
+                "--out", str(tmp_path)]) == 1
+    assert "ramp_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("shots", ["0", "1"])
+def test_simulate_needs_two_shots(tmp_path, capsys, shots):
+    assert run(["simulate", "--shots", shots, "--modes", "16",
+                "--out", str(tmp_path)]) == 1
+    assert "--shots" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_simulate_zero_spread_significance_is_null(tmp_path, capsys):
+    # no coupling and no feedback: every shot has the same E_B
+    assert run(["simulate", "--shots", "20", "--modes", "16",
+                "--feedback", "off", "--coupling-scale", "0",
+                "--ramp-fraction", "0", "--profile-points", "16",
+                "--tol", "1e-3", "--out", str(tmp_path)]) == 0
+    assert "not computable" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["E_B_stderr_J"] == 0.0
+    assert summary["E_B_significance_sigma"] is None
+
+
+def test_simulate_degenerate_observable_exit_code(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.setattr(oracle, "measurement_observable",
+                        lambda params, grid: np.zeros(4 * grid.n_modes))
+    assert run(["simulate", "--modes", "16", "--out", str(tmp_path)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "x.json", {"v": bad})
+    assert not (tmp_path / "x.json").exists()
 
 
 # convert ----------------------------------------------------------------

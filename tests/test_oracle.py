@@ -12,6 +12,8 @@ from edgeqet.detector import (delta_v, detector_from_params,
                               measurement_model, outcome_distribution)
 from edgeqet.energetics import compute_EA, compute_E1
 
+from dense_reference import run_protocol_dense
+
 
 @pytest.fixture(scope="module")
 def grid(params):
@@ -57,6 +59,10 @@ def test_symplectic_form_properties(grid):
     n = 4 * grid.n_modes
     assert np.array_equal(omega @ omega, -np.eye(n))
     assert np.array_equal(omega.T, -omega)
+    # the row-move product is the dense one, for vectors and matrices
+    a = np.random.default_rng(0).standard_normal((n, 3))
+    assert np.array_equal(O._omega_times(a), omega @ a)
+    assert np.array_equal(O._omega_times(a[:, 0]), omega @ a[:, 0])
 
 
 def test_vacuum_energies_are_zero(params, grid):
@@ -140,9 +146,9 @@ def test_free_evolution_conserves_energy(params, grid):
     after = (O.channel_energy(evolved, grid, params, "S")
              + O.channel_energy(evolved, grid, params, "U"))
     assert abs(after - before) < 1e-6 * abs(before)
-    # and the exact rotation propagator agrees with the expm route
-    rot = O.free_propagator(grid, params, t_f)
-    assert rot @ state.mean == pytest.approx(evolved.mean, abs=1e-12)
+    # and the exact per-mode rotation agrees with the expm route
+    assert O.free_rotate(state.mean, grid, params, t_f) == pytest.approx(
+        evolved.mean, abs=1e-12)
 
 
 def test_packet_moves_chirally_at_vg(params, grid):
@@ -196,6 +202,14 @@ def test_run_protocol_controls(params, grid):
         O.run_protocol(params, grid, feedback_mode="telepathic")
     with pytest.raises(ValueError, match="after t_f"):
         O.run_protocol(params, grid, n_shots=2, profile_times=[0.0])
+    # the ramps must fit in the window, in at least one step
+    for ramp_fraction in (-0.1, 0.6, math.nan):
+        with pytest.raises(ValueError, match="ramp_fraction"):
+            O.run_protocol(params, grid, n_shots=2,
+                           ramp_fraction=ramp_fraction)
+    with pytest.raises(ValueError, match="n_ramp"):
+        O.run_protocol(params, grid, n_shots=2, ramp_fraction=0.05,
+                       n_ramp=0)
 
 
 def test_run_protocol_deterministic(params, grid):
@@ -235,3 +249,48 @@ def test_invariants_hold_through_protocol(params, grid):
     O.run_protocol(params, grid, feedback_mode="correlated", n_shots=10,
                    seed=0, coupling_scale=0.01, n_profile=32,
                    check_invariants=True)
+
+
+# (ramp_fraction, n_ramp, feedback_mode): sudden, short and long ramps
+# and a ramp with no plateau, across all three feedback modes
+DENSE_CASES = [(0.0, 3, "correlated"), (0.05, 3, "scrambled"),
+               (0.2, 3, "off"), (0.5, 3, "correlated")]
+
+
+@pytest.mark.parametrize("n_modes", [64, 128])
+@pytest.mark.parametrize("ramp_fraction,n_ramp,feedback_mode", DENSE_CASES)
+def test_run_protocol_matches_dense_reference(params, n_modes, ramp_fraction,
+                                              n_ramp, feedback_mode):
+    """The structured propagation reproduces the dense one: a segment-by-
+    segment expm product, dense rotations and a dense covariance."""
+    grid = O.default_grid(params, n_modes=n_modes)
+    _, t_f = O.interaction_window(params)
+    kwargs = dict(feedback_mode=feedback_mode, n_shots=200, seed=11,
+                  coupling_scale=1.0, ramp_fraction=ramp_fraction,
+                  n_ramp=n_ramp, n_profile=128,
+                  profile_times=[t_f, t_f + 3 * params.l / params.v_g])
+    fast = O.run_protocol(params, grid, check_invariants=True, **kwargs)
+    ref = run_protocol_dense(params, grid, **kwargs)
+    assert np.array_equal(fast.outcome_samples, ref["outcome_samples"])
+    for name in ("E_A_oracle", "E_1_oracle", "e_b_samples",
+                 "energy_density_profile"):
+        want = np.asarray(ref[name])
+        err = np.max(np.abs(np.asarray(getattr(fast, name)) - want))
+        assert err <= 1e-10 * np.max(np.abs(want)), name
+    e_b_scale = np.max(np.abs(ref["e_b_samples"]))
+    assert abs(fast.E_B_oracle - ref["E_B_oracle"]) <= 1e-10 * e_b_scale
+
+
+@pytest.mark.parametrize("ramp_fraction,n_ramp,calls",
+                         [(0.05, 5, 6), (0.2, 3, 4), (0.0, 5, 1),
+                          (0.5, 3, 3)])
+def test_run_protocol_one_expm_per_distinct_step(params, monkeypatch,
+                                                 ramp_fraction, n_ramp,
+                                                 calls):
+    """Ramp up and down share their steps; zero-length steps need none."""
+    seen = []
+    expm = O.expm
+    monkeypatch.setattr(O, "expm", lambda a: seen.append(a) or expm(a))
+    O.run_protocol(params, O.default_grid(params, n_modes=16), n_shots=2,
+                   ramp_fraction=ramp_fraction, n_ramp=n_ramp, n_profile=16)
+    assert len(seen) == calls
