@@ -13,10 +13,9 @@ The package has two independent computational routes:
 The command-line interface (``edgeqet``) wraps both.
 """
 
-from .params import (CONSTANTS, ExperimentParams, FastDetectorWarning,
-                     ParamFileError, RegimeWarning, ValidationError,
-                     default_paper_params, load_params, thermal_energy,
-                     validate)
+from .params import (ExperimentParams, FastDetectorWarning, ParamFileError,
+                     RegimeWarning, ValidationError, default_paper_params,
+                     load_params, thermal_energy, validate)
 from .chiral_field import CorrelatorKernel, WindowProfile
 from .detector import (GaussianLaw, MeasurementModel, RCDetector, delta_v,
                        measurement_model, outcome_distribution, signal_rms)
@@ -31,7 +30,7 @@ from .quadrature import ConvergenceFailure, IntegrationSpec, QuadResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS", "ConvergenceFailure", "CorrelatorKernel", "EnergyBudget",
+    "ConvergenceFailure", "CorrelatorKernel", "EnergyBudget",
     "ExperimentParams", "FastDetectorWarning", "GaussianLaw",
     "GaussianState", "IntegrationSpec", "MeasurementModel", "ModeGrid",
     "ParamFileError", "ProtocolResult", "QuadResult", "RCDetector",

@@ -138,18 +138,11 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _load(args) -> P.ExperimentParams:
-    overrides = _parse_overrides(getattr(args, "set", None))
-    if getattr(args, "params", None):
-        params = P.load_params(args.params, overrides=overrides)
-    else:
-        params = P.default_paper_params()
-        if overrides:
-            unknown = set(overrides) - set(params.as_dict())
-            if unknown:
-                raise UsageError(f"unknown parameter(s): {sorted(unknown)}")
-            params = params.replace(**overrides)
-    return P.validate(params)
+def _load(args, **point) -> P.ExperimentParams:
+    """Validated parameters from ``--params`` and ``--set``, with ``point``
+    (one sweep point) applied last."""
+    overrides = _parse_overrides(args.set)
+    return P.validate(P.load_params(args.params, {**overrides, **point}))
 
 
 def _out_dir(args) -> Path:
@@ -221,8 +214,6 @@ def cmd_sweep(args) -> int:
     params = _load(args)
     out = _out_dir(args)
     key = args.sweep
-    if key not in params.as_dict():
-        raise UsageError(f"unknown sweep key {key!r}")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -237,7 +228,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     rows = []
     for v in values:
-        p = P.validate(params.replace(**{key: v}))
+        p = _load(args, **{key: v})
         e_b = compute_EB(p, rel_tol=args.tol)
         # the quadrature is converged to rel_tol, so that bounds the error
         rows.append([float(v), float(e_b), float(abs(e_b) * args.tol),
@@ -353,6 +344,14 @@ def cmd_convert(args) -> int:
 
 # Parser ----------------------------------------------------------------
 
+def _rel_tol(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie in the open interval (0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", metavar="FILE",
@@ -361,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override one parameter (repeatable)")
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: .)")
-    common.add_argument("--tol", type=float, default=1e-4,
-                        help="quadrature relative tolerance (default 1e-4)")
+    common.add_argument("--tol", type=_rel_tol, default=1e-4,
+                        help="quadrature relative tolerance, in (0, 1) "
+                             "(default 1e-4)")
 
     parser = argparse.ArgumentParser(
         prog="edgeqet",

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import params as P
 from .chiral_field import CorrelatorKernel, WindowProfile, quad_form_vacuum
 
@@ -85,14 +83,6 @@ class GaussianLaw:
     def std(self):
         return math.sqrt(self.var)
 
-    def pdf(self, v):
-        v = np.asarray(v, dtype=float)
-        return (np.exp(-0.5 * (v - self.mean) ** 2 / self.var)
-                / math.sqrt(2.0 * math.pi * self.var))
-
-    def sample(self, rng, n):
-        return self.mean + self.std * rng.standard_normal(n)
-
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -101,11 +91,6 @@ class MeasurementModel:
     delta_v: float        # pointer standard deviation, V
     signal_rms: float     # RMS of the measured observable, V
     coupling: float       # e v_g R / (2 dV), m
-
-    def signal_kernel(self, params: P.ExperimentParams, x):
-        """-e v_g R dw(x): volts per unit charge density."""
-        w = sense_window(params)
-        return -P.E_CHARGE * params.v_g * params.R * w.derivative(x, order=1)
 
 
 def measurement_model(params: P.ExperimentParams) -> MeasurementModel:

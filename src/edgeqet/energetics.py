@@ -195,8 +195,11 @@ def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
     stable) unless ``allow_short_separation``.  With ``check_regulator``
     the integral is re-evaluated at twice the regulator width and a
     :class:`SingularityWarning` is emitted if the two differ by > 5%.
-    Raises :class:`ConvergenceFailure` if node doubling hits its cap.
+    Raises ValueError unless 0 < ``rel_tol`` < 1, and
+    :class:`ConvergenceFailure` if node doubling hits its cap.
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     if params.L < 2.0 * params.l and not allow_short_separation:
         raise ValueError(
             f"L = {params.L:.3g} < 2l = {2 * params.l:.3g}: regularization "

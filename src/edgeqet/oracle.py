@@ -82,9 +82,6 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.size // 4
 
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.mean.copy(), self.cov.copy())
-
 
 def vacuum_state(grid: ModeGrid) -> GaussianState:
     n = 4 * grid.n_modes
@@ -433,11 +430,16 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     of channel S at the requested times (>= t_f, default exactly t_f).
     ``check_invariants`` validates the full covariance just after the
     measurement and at t_f (O(N^3) each).  Raises ValueError for an
-    unknown feedback mode, a ``ramp_fraction`` outside [0, 0.5],
-    ``n_ramp`` < 1 with a ramp, or a profile time before t_f.
+    unknown feedback mode, ``n_shots`` < 2 (the standard error needs
+    two shots), ``n_profile`` < 1, a ``ramp_fraction`` outside
+    [0, 0.5], ``n_ramp`` < 1 with a ramp, or a profile time before t_f.
     """
     if feedback_mode not in ("correlated", "scrambled", "off"):
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
+    if n_shots < 2:
+        raise ValueError(f"n_shots must be >= 2, got {n_shots!r}")
+    if n_profile < 1:
+        raise ValueError(f"n_profile must be >= 1, got {n_profile!r}")
     if not 0.0 <= ramp_fraction <= 0.5:
         raise ValueError(
             f"ramp_fraction must lie in [0, 0.5], got {ramp_fraction!r}")
@@ -530,8 +532,7 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     e_b_samples = (e_u_cov + qaa * upsilon ** 2 + qbb * fb ** 2
                    + qab * upsilon * fb) - q_1 * fb ** 2
     e_b_mean = float(np.mean(e_b_samples))
-    e_b_stderr = float(np.std(e_b_samples, ddof=1) / math.sqrt(n_shots)) \
-        if n_shots > 1 else float("nan")
+    e_b_stderr = float(np.std(e_b_samples, ddof=1) / math.sqrt(n_shots))
 
     # shot-averaged S-channel energy density at the requested times
     if profile_times is None:

@@ -1,9 +1,13 @@
 """Physical constants, experiment parameters, unit handling and validation.
 
 Every other module takes its numerical inputs from here; nothing else
-hard-codes a physical value.  Internally everything is SI; helpers are
-provided to render results in the display units used for comparison
-(micro-volts, meV / micro-eV, nA, micro-m).
+hard-codes a physical value.  Internally everything is SI.
+
+One rule resolves the two derived knobs: eps_uv and omega_c follow l
+and R*C (eps_uv = l/100, omega_c = 100/(R*C)) unless given explicitly,
+whether the input comes from a file, ``--set``, a sweep point or the
+constructor.  :class:`ExperimentParams` applies it itself, so every
+route that builds a parameter set gets the same answer.
 """
 
 from __future__ import annotations
@@ -19,17 +23,6 @@ HBAR = 1.054571817e-34      # J s
 E_CHARGE = 1.602176634e-19  # C
 EPS0 = 8.8541878128e-12     # F/m
 KB = 1.380649e-23           # J/K
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float = HBAR
-    e_charge: float = E_CHARGE
-    eps0: float = EPS0
-    kB: float = KB
-
-
-CONSTANTS = PhysicalConstants()
 
 
 class ValidationError(ValueError):
@@ -51,14 +44,6 @@ class RegimeWarning(UserWarning):
     """Parameters are outside the regime the regularized formulas assume."""
 
 
-def joule_to_ev(energy: float) -> float:
-    return energy / E_CHARGE
-
-
-def ev_to_joule(energy_ev: float) -> float:
-    return energy_ev * E_CHARGE
-
-
 def thermal_energy(temperature: float) -> float:
     """kB*T in joules; the scale extracted energy must beat."""
     if temperature < 0:
@@ -75,6 +60,13 @@ class ExperimentParams:
     separation inside the coupling region; L the distance from the
     feedback region to the coupling region.  The elapsed time T before
     the feedback packet exists is stored as the ratio v_g*T/L.
+
+    ``ExperimentParams()`` is the parameter set quoted for the proposed
+    experiment.  eps_uv and omega_c left at None are derived from the
+    other fields on construction: eps_uv = l/100 (far below every window
+    width) and omega_c = 100/(R*C), which lands the detector noise on
+    the expected ~10 micro-volt order; both are knobs, not measured
+    quantities.  A value given explicitly is kept.
     """
 
     v_g: float = 1.0e6            # m/s, edge magnetoplasmon group velocity
@@ -90,8 +82,16 @@ class ExperimentParams:
     lambda_amp: float = 10.0      # dimensionless feedback window amplitude
     eps_r: float = 10.0           # relative permittivity of the host
     temperature: float = 0.01     # K
-    eps_uv: float = 1.0e-7        # m, short-distance regulator (default l/100)
-    omega_c: float = 1.0e12       # rad/s, detector frequency cutoff (default 100/RC)
+    eps_uv: float | None = None   # m, short-distance regulator (None: l/100)
+    omega_c: float | None = None  # rad/s, detector frequency cutoff (None: 100/RC)
+
+    def __post_init__(self):
+        if self.eps_uv is None:
+            object.__setattr__(self, "eps_uv", self.l / 100.0)
+        if self.omega_c is None:
+            # R*C = 0 is left for validate() to report, not ZeroDivisionError
+            rc = self.rc_time
+            object.__setattr__(self, "omega_c", 100.0 / rc if rc else math.inf)
 
     # Derived quantities -------------------------------------------------
 
@@ -120,6 +120,12 @@ class ExperimentParams:
         return self.L + self.v_g * self.T_delay
 
     def replace(self, **changes) -> "ExperimentParams":
+        """Copy with ``changes`` applied field by field.
+
+        eps_uv and omega_c are copied as they are, not re-derived; build
+        through ``ExperimentParams(**inputs)`` or
+        ``load_params(overrides=...)`` to have them follow l and R*C.
+        """
         return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> dict:
@@ -141,14 +147,9 @@ _POSITIVE_FIELDS = (
 
 
 def default_paper_params() -> ExperimentParams:
-    """Parameter set quoted for the proposed experiment.
-
-    eps_uv defaults to l/100 (far below every window width) and omega_c
-    to 100/(RC), which lands the detector noise on the expected
-    ~10 micro-volt order; both are knobs, not measured quantities.
-    """
-    p = ExperimentParams()
-    return p.replace(eps_uv=p.l / 100.0, omega_c=100.0 / (p.R * p.C))
+    """Parameter set quoted for the proposed experiment, the same as
+    ``ExperimentParams()``: eps_uv = l/100 and omega_c = 100/(R*C)."""
+    return ExperimentParams()
 
 
 def validate(params: ExperimentParams) -> ExperimentParams:
@@ -191,7 +192,8 @@ def validate(params: ExperimentParams) -> ExperimentParams:
 # Parameter files ------------------------------------------------------
 
 class ParamFileError(ValueError):
-    """Malformed parameter file; message carries the line number."""
+    """Malformed parameter file (the message carries the line number) or
+    unknown parameter key."""
 
 
 def parse_param_line(line: str):
@@ -220,32 +222,29 @@ def parse_param_line(line: str):
     return key, value
 
 
-def load_params(path, overrides=None) -> ExperimentParams:
-    """Load an ExperimentParams from a UTF-8 ``key = value [unit]`` file.
+def load_params(path=None, overrides=None) -> ExperimentParams:
+    """Resolve a parameter set from an optional file and overrides.
 
-    Keys absent from the file keep their quoted-experiment defaults.
-    ``overrides`` is an optional mapping applied on top of the file.
+    ``path`` is a UTF-8 file of ``key = value [unit]`` lines;
+    ``overrides`` is a mapping applied on top of it.  Keys given by
+    neither keep their quoted-experiment defaults, and eps_uv and
+    omega_c follow l and R*C unless given explicitly
+    (see :class:`ExperimentParams`).  ``load_params()`` is the quoted
+    experiment.  Raises :class:`ParamFileError` for a malformed line
+    (with its line number) or an unknown key.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                parsed = parse_param_line(line)
-            except ValueError as exc:
-                raise ParamFileError(f"{path}:{lineno}: {exc}") from exc
-            if parsed is not None:
-                values[parsed[0]] = parsed[1]
-    if overrides:
-        for key, value in overrides.items():
-            if key not in PARAM_UNITS:
-                raise ParamFileError(f"unknown override key {key!r}")
-            values[key] = float(value)
-    base = default_paper_params()
-    # recompute dependent defaults only when their drivers change and the
-    # regulator/cutoff were not given explicitly
-    params = base.replace(**values)
-    if "eps_uv" not in values:
-        params = params.replace(eps_uv=params.l / 100.0)
-    if "omega_c" not in values:
-        params = params.replace(omega_c=100.0 / (params.R * params.C))
-    return params
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    parsed = parse_param_line(line)
+                except ValueError as exc:
+                    raise ParamFileError(f"{path}:{lineno}: {exc}") from exc
+                if parsed is not None:
+                    values[parsed[0]] = parsed[1]
+    for key, value in (overrides or {}).items():
+        if key not in PARAM_UNITS:
+            raise ParamFileError(f"unknown override key {key!r}")
+        values[key] = float(value)
+    return ExperimentParams(**values)

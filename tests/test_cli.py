@@ -12,6 +12,7 @@ import pytest
 
 import edgeqet
 from edgeqet import cli, energetics, oracle
+from edgeqet import params as P
 
 
 def run(argv):
@@ -32,10 +33,15 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     f.write_text("v_g = snail\n", encoding="utf-8")
     assert run(["validate", "--params", str(f)]) == 1
     assert "1" in capsys.readouterr().err  # line number surfaced
+    # R = 0 leaves omega_c = 100/(R*C) undefined: a validation error
+    f.write_text("R = 0 ohm\n", encoding="utf-8")
+    assert run(["validate", "--params", str(f)]) == 1
+    assert "R = 0.0" in capsys.readouterr().err
 
 
 def test_validate_rejects_bad_override(capsys):
     assert run(["validate", "--set", "v_g=-1"]) == 1
+    assert run(["validate", "--set", "R=0"]) == 1
     assert run(["validate", "--set", "warp=9"]) == 1
     assert run(["validate", "--set", "v_g"]) == 1
     err = capsys.readouterr().err
@@ -88,6 +94,18 @@ def test_budget_set_override_and_zero_amplitude(tmp_path, capsys):
     assert "-0" not in out.split("E_B")[1].splitlines()[0]
 
 
+def test_budget_set_route_matches_file_route(tmp_path):
+    # eps_uv = l/100 is derived the same way from a file and from --set
+    par = tmp_path / "run.par"
+    par.write_text("l = 1.5e-5 m\nL = 6e-5 m\n", encoding="utf-8")
+    via_file, via_set = tmp_path / "file", tmp_path / "set"
+    assert run(["budget", "--params", str(par), "--out", str(via_file)]) == 0
+    assert run(["budget", "--set", "l=1.5e-5", "--set", "L=6e-5",
+                "--out", str(via_set)]) == 0
+    for name in ("budget.json", "budget.csv"):
+        assert (via_file / name).read_bytes() == (via_set / name).read_bytes()
+
+
 # sweep ------------------------------------------------------------------
 
 def test_sweep_artifacts_and_fit(tmp_path, capsys):
@@ -118,6 +136,26 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert run(["sweep", "--out", str(tmp_path), "--sweep", "L",
                 "--values", "4e-5,fast"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, values, extra", [
+    ("l", "8e-6,1e-5", {}),
+    ("R", "1e4,2e4", {}),
+    ("l", "8e-6,1e-5", {"eps_uv": 1e-9}),  # an explicit regulator stays
+])
+def test_sweep_rows_follow_derived_defaults(tmp_path, key, values, extra):
+    argv = ["sweep", "--out", str(tmp_path), "--sweep", key,
+            "--values", values, "--tol", "1e-3"]
+    for k, v in extra.items():
+        argv += ["--set", f"{k}={v}"]
+    assert run(argv) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        x, e_b, _, order = (float(c) for c in row.split(","))
+        p = P.load_params(overrides={**extra, key: x})
+        assert e_b == energetics.compute_EB(p, rel_tol=1e-3)
+        assert order == energetics.eb_order_estimate(p)
 
 
 def test_sweep_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -182,6 +220,22 @@ def test_simulate_needs_two_shots(tmp_path, capsys, shots):
                 "--out", str(tmp_path)]) == 1
     assert "--shots" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--tol", "0", "--tol"), ("--tol", "-1", "--tol"),
+    ("--tol", "nan", "--tol"), ("--tol", "2", "--tol"),
+    ("--profile-points", "0", "n_profile"),
+])
+def test_simulate_rejects_bad_options_before_writing(
+        tmp_path, monkeypatch, capsys, option, value, message):
+    # a small node cap keeps an unchecked --tol from doubling for long
+    monkeypatch.setattr(energetics, "_EB_MAX_NODES",
+                        2 * energetics._EB_START_NODES)
+    assert run(["simulate", "--shots", "20", "--modes", "16",
+                option, value, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_zero_spread_significance_is_null(tmp_path, capsys):

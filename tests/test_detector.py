@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from edgeqet import params as P
-from edgeqet.detector import (GaussianLaw, RCDetector, delta_v,
+from edgeqet.detector import (RCDetector, delta_v,
                               detector_from_params, measurement_coupling,
                               measurement_model, outcome_distribution,
                               sense_window, signal_rms)
@@ -56,25 +55,7 @@ def test_sense_window_geometry(params):
     assert w.amplitude == 1.0
 
 
-def test_signal_kernel_is_drive_times_window_slope(params):
-    model = measurement_model(params)
-    x = np.linspace(-3 * params.l, 3 * params.l, 7)
-    w = sense_window(params)
-    expected = -P.E_CHARGE * params.v_g * params.R * w.derivative(x, order=1)
-    assert model.signal_kernel(params, x) == pytest.approx(expected)
-
-
 def test_outcome_distribution_is_normalized(params):
     law = outcome_distribution(measurement_model(params))
     model = measurement_model(params)
     assert law.var == pytest.approx(model.delta_v ** 2 + model.signal_rms ** 2)
-    v = np.linspace(-8 * law.std, 8 * law.std, 40001)
-    assert np.trapezoid(law.pdf(v), v) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_gaussian_law_sampling():
-    law = GaussianLaw(mean=1.5, var=4.0)
-    rng = np.random.default_rng(0)
-    samples = law.sample(rng, 200_000)
-    assert np.mean(samples) == pytest.approx(1.5, abs=0.02)
-    assert np.std(samples) == pytest.approx(2.0, rel=0.01)

@@ -217,6 +217,15 @@ def test_EB_rejects_short_separation(params):
     assert np.isfinite(value)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, 1.0, 2.0])
+def test_EB_rejects_tolerance_outside_unit_interval(params, monkeypatch,
+                                                    rel_tol):
+    # a small node cap keeps a missing check from doubling for long
+    monkeypatch.setattr(E, "_EB_MAX_NODES", 2 * E._EB_START_NODES)
+    with pytest.raises(ValueError, match="rel_tol"):
+        compute_EB(params, rel_tol=rel_tol)
+
+
 def test_EB_sign_structure(params):
     """The kernel oscillates: extraction at 2l-4l flips to injection by 5l."""
     assert compute_EB(params, rel_tol=1e-4) > 0

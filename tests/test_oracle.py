@@ -43,12 +43,11 @@ def test_mode_grid_basics(params):
 def test_vacuum_state_and_validation(grid):
     vac = O.vacuum_state(grid)
     O.validate_state(vac)
-    broken = vac.copy()
+    broken = O.GaussianState(vac.mean.copy(), vac.cov.copy())
     broken.cov = 0.4 * np.eye(4 * grid.n_modes)  # below vacuum noise
     with pytest.raises(O.StepInstability):
         O.validate_state(broken)
-    asym = vac.copy()
-    asym.cov = asym.cov.copy()
+    asym = O.GaussianState(vac.mean.copy(), vac.cov.copy())
     asym.cov[0, 1] = 1e-6
     with pytest.raises(O.StepInstability, match="asymmetry"):
         O.validate_state(asym)
@@ -210,6 +209,12 @@ def test_run_protocol_controls(params, grid):
     with pytest.raises(ValueError, match="n_ramp"):
         O.run_protocol(params, grid, n_shots=2, ramp_fraction=0.05,
                        n_ramp=0)
+    # a standard error needs two shots, a profile at least one point
+    for n_shots in (0, 1):
+        with pytest.raises(ValueError, match="n_shots"):
+            O.run_protocol(params, grid, n_shots=n_shots)
+    with pytest.raises(ValueError, match="n_profile"):
+        O.run_protocol(params, grid, n_shots=2, n_profile=0)
 
 
 def test_run_protocol_deterministic(params, grid):

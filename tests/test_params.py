@@ -1,9 +1,11 @@
 """Parameter defaults, validation, and parameter-file parsing."""
 
 import math
+import re
 
 import pytest
 
+from edgeqet import cli
 from edgeqet import params as P
 
 
@@ -17,8 +19,10 @@ def test_defaults_are_the_quoted_experiment(params):
     assert params.lambda_amp == 10
     assert params.eps_r == 10
     # derived knobs
-    assert params.eps_uv == pytest.approx(params.l / 100)
-    assert params.omega_c == pytest.approx(100 / (params.R * params.C))
+    assert params.eps_uv == params.l / 100
+    assert params.omega_c == 100 / (params.R * params.C)
+    # the constructor, the named default and an empty load agree exactly
+    assert P.ExperimentParams() == P.default_paper_params() == P.load_params()
 
 
 def test_derived_quantities(params):
@@ -63,10 +67,6 @@ def test_thermal_energy():
         P.thermal_energy(-1.0)
 
 
-def test_ev_round_trip():
-    assert P.joule_to_ev(P.ev_to_joule(1.25)) == pytest.approx(1.25)
-
-
 # parameter files --------------------------------------------------------
 
 def test_parse_param_line_variants():
@@ -100,15 +100,25 @@ def test_load_params_file_and_overrides(tmp_path):
     assert p.nu_S == 5.0
 
 
-def test_load_params_recomputes_dependent_defaults(tmp_path):
+def test_load_params_recomputes_dependent_defaults(tmp_path, capsys):
     f = tmp_path / "run.par"
     f.write_text("l = 2e-5 m\nR = 2e4 ohm\n", encoding="utf-8")
     p = P.load_params(f)
-    assert p.eps_uv == pytest.approx(p.l / 100)
-    assert p.omega_c == pytest.approx(100 / (p.R * p.C))
-    # explicit values win
+    assert p.eps_uv == p.l / 100
+    assert p.omega_c == 100 / (p.R * p.C)
+    # the same inputs as overrides, constructor arguments or --set agree
+    assert P.load_params(overrides={"l": 2e-5, "R": 2e4}) == p
+    assert P.ExperimentParams(l=2e-5, R=2e4) == p
+    with pytest.warns(P.RegimeWarning):  # L = 2e-5 is now below 2l
+        assert cli.main(["validate", "--set", "l=2e-5", "--set", "R=2e4"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"eps_uv\s+= 2e-07 m", out)
+    assert re.search(r"omega_c\s+= 5e\+11 rad/s", out)
+    # explicit values win on every route
     f.write_text("l = 2e-5 m\neps_uv = 1e-9 m\n", encoding="utf-8")
     assert P.load_params(f).eps_uv == 1e-9
+    assert P.load_params(overrides={"l": 2e-5, "eps_uv": 1e-9}).eps_uv == 1e-9
+    assert P.ExperimentParams(l=2e-5, eps_uv=1e-9).eps_uv == 1e-9
 
 
 def test_load_params_reports_line_numbers(tmp_path):
