@@ -10,8 +10,9 @@ convert    convert between edge current and energy density
 
 Every file-producing command writes a ``manifest.json`` holding the
 fully resolved inputs (parameters, regulators, tolerances, grid, seed,
-tool version) so that any result can be reproduced bit-exactly; the
-wall-clock duration lives only in the manifest, never in data files.
+tool version) so that any result can be reproduced bit-exactly: replay
+with ``--set`` for every ``params`` entry not listed in ``derived``.
+The wall-clock duration lives only in the manifest, never in data files.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 """
@@ -82,6 +83,9 @@ class RunManifest:
     command: str
     version: str
     params: dict
+    # the params entries that followed other inputs instead of being
+    # given; a replay leaves them out so that they follow again
+    derived: list
     eps_uv: float
     omega_c: float
     rel_tol: float
@@ -138,11 +142,15 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _load(args, **point) -> P.ExperimentParams:
-    """Validated parameters from ``--params`` and ``--set``, with ``point``
+def _inputs(args, **point) -> dict:
+    """Parameter values given by ``--params`` and ``--set``, with ``point``
     (one sweep point) applied last."""
-    overrides = _parse_overrides(args.set)
-    return P.validate(P.load_params(args.params, {**overrides, **point}))
+    return P.read_inputs(args.params, {**_parse_overrides(args.set), **point})
+
+
+def _load(args, **point) -> P.ExperimentParams:
+    """Validated parameters from ``_inputs``."""
+    return P.validate(P.ExperimentParams(**_inputs(args, **point)))
 
 
 def _out_dir(args) -> Path:
@@ -152,8 +160,10 @@ def _out_dir(args) -> Path:
 
 
 def _manifest(command, params, args, **extra) -> RunManifest:
+    given = _inputs(args)
     return RunManifest(
         command=command, version=__version__, params=params.as_dict(),
+        derived=[k for k in P.DERIVED_FIELDS if k not in given],
         eps_uv=params.eps_uv, omega_c=params.omega_c,
         rel_tol=getattr(args, "tol", 1e-4), **extra)
 
@@ -304,6 +314,9 @@ def cmd_simulate(args) -> int:
         "scaled_compute_EB_J": _clean(
             args.coupling_scale * compute_EB(params, rel_tol=args.tol)),
         "profile_times_s": [_clean(t) for t in result.profile_times],
+        "subspace_rank": result.subspace_rank,
+        "symplectic_residual": _clean(result.symplectic_residual),
+        "wrap_margin_m": _clean(result.wrap_margin_m),
     }
     _write_json(out / "summary.json", summary)
 

@@ -6,7 +6,10 @@ momentum modes each, the joint state is (mean, covariance) in the
 quadrature vector R = [x_S, p_S, x_U, p_U], and every protocol step —
 Gaussian pointer measurement, outcome-dependent displacement, quadratic
 evolution with a ramped bilinear coupling — is Gaussian-closed, so the
-simulation is exact up to discretization.
+simulation is exact up to discretization and a stated SVD cut
+(``propagator.SVD_CUT``): the window propagator is built on the
+subspace the coupling touches, whose basis drops directions below that
+cut.
 
 Conventions: hbar = 1 units internally would obscure the SI interface,
 so quadratures are dimensionless (vacuum covariance I/2) and all
@@ -204,20 +207,30 @@ def build_hamiltonians(params: P.ExperimentParams, grid: ModeGrid,
     g_u = np.zeros((dim, dim))
     g_s[:2 * n, :2 * n] = np.diag(np.concatenate([hw, hw]))
     g_u[2 * n:, 2 * n:] = np.diag(np.concatenate([hw, hw]))
-
-    # Gauss-Legendre on [0, b] for both coupling coordinates
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    xq = 0.5 * params.b * (nodes + 1.0)
-    wq = 0.5 * params.b * weights
-    f_kernel = 1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)
-    u_s = density_basis(grid, params.nu_S, xq, "left")      # (nq, 2n)
-    u_u = density_basis(grid, params.nu_U, xq, "right")     # (nq, 2n)
-    pref = P.E_CHARGE ** 2 / (4.0 * math.pi * params.epsilon)
-    k_block = pref * (u_s * wq[:, None]).T @ f_kernel @ (u_u * wq[:, None])
+    u_s, u_u, kernel = _coupling_nodes(params, grid, n_quad)
+    k_block = u_s.T @ kernel @ u_u
     g_int = np.zeros((dim, dim))
     g_int[:2 * n, 2 * n:] = k_block
     g_int[2 * n:, :2 * n] = k_block.T
     return g_s, g_u, g_int
+
+
+def _coupling_nodes(params: P.ExperimentParams, grid: ModeGrid,
+                    n_quad: int = 96):
+    """(u_s, u_u, kernel) with the coupling block K = u_s^T kernel u_u.
+
+    Gauss-Legendre on [0, b] for both coupling coordinates: the rows of
+    u_s, u_u are the weighted density vectors at the nodes, and kernel
+    is the Coulomb kernel between nodes, joules.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    xq = 0.5 * params.b * (nodes + 1.0)
+    wq = 0.5 * params.b * weights
+    f_kernel = 1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)
+    pref = P.E_CHARGE ** 2 / (4.0 * math.pi * params.epsilon)
+    u_s = density_basis(grid, params.nu_S, xq, "left") * wq[:, None]
+    u_u = density_basis(grid, params.nu_U, xq, "right") * wq[:, None]
+    return u_s, u_u, pref * f_kernel
 
 
 # Protocol elements ----------------------------------------------------
@@ -375,6 +388,9 @@ class ProtocolResult:
     profile_times: np.ndarray          # s
     feedback_mode: str
     t_f: float                         # s, end of the interaction window
+    subspace_rank: int                 # r, columns of the window basis
+    symplectic_residual: float         # max |mq^T Omega mq - q^T Omega q|
+    wrap_margin_m: float               # m, ring_length/2 - farthest edge
 
 
 def interaction_window(params: P.ExperimentParams):
@@ -390,6 +406,22 @@ def interaction_window(params: P.ExperimentParams):
     t_f = params.T_delay + (
         params.L + 0.5 * params.b + 4.0 * lam.sigma) / params.v_g
     return t_i, t_f
+
+
+def wrap_margin(params: P.ExperimentParams, grid: ModeGrid,
+                t: float) -> float:
+    """ring_length/2 minus the farthest 4 sigma edge at time t, metres.
+
+    The sense-window disturbance on S leaves the origin at t = 0 moving
+    left, the feedback packet on U leaves b/2 - L at T moving right, both
+    at v_g.  A negative margin means one of them has wrapped around the
+    ring.
+    """
+    w, lam = sense_window(params), feedback_window(params)
+    edge_s = abs(w.center - params.v_g * t) + 4.0 * w.sigma
+    edge_u = (abs(lam.center + params.v_g * (t - params.T_delay))
+              + 4.0 * lam.sigma)
+    return 0.5 * grid.ring_length - max(edge_s, edge_u)
 
 
 def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
@@ -412,27 +444,35 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     propagators and covariances are computed once and shots reduce to
     vector algebra.
 
-    The propagation is exact and uses the problem's structure:
+    The propagation is exact up to ``propagator.SVD_CUT`` and uses the
+    problem's structure:
 
-    * the schedule is palindromic, so the window propagator M is built
-      from the plateau outwards, M <- E_s M E_s, with one ``expm`` per
+    * the window propagator is M = R(T)(I - Q Q^T) + (MQ) Q^T
+      (``propagator.window_propagator``): Q spans the S and U density
+      vectors the coupling reads over the window, free flight R moves
+      every other direction, and MQ costs one ``expm_action`` per
       distinct (duration, scale) step and none for a zero-length step;
     * free flight is a per-mode rotation (``free_rotate``) of vectors
       and covariance blocks, never a dense matrix product;
     * the post-measurement covariance is I/2 minus one and plus one
       rank-1 term (``_conditioning``); rotations leave I/2 alone, so at
-      t_f it is M M^T/2 plus two rank-1 terms, and only the blocks that
-      are used are formed: the U diagonal for E_B and the 2N x 2N S
-      block for the profile.
+      t_f it is M M^T/2 = (I - (RQ)(RQ)^T + (MQ)(MQ)^T)/2 plus two
+      rank-1 terms, and only the blocks that are used are formed: the U
+      diagonal for E_B, O(N r), and the 2N x 2N S block for the
+      profile, O(N^2 r).
 
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
     of channel S at the requested times (>= t_f, default exactly t_f).
-    ``check_invariants`` validates the full covariance just after the
-    measurement and at t_f (O(N^3) each).  Raises ValueError for an
-    unknown feedback mode, ``n_shots`` < 2 (the standard error needs
-    two shots), ``n_profile`` < 1, a ``ramp_fraction`` outside
-    [0, 0.5], ``n_ramp`` < 1 with a ramp, or a profile time before t_f.
+    ``subspace_rank`` and ``symplectic_residual`` report the size of Q
+    and how far M is from symplectic on it; ``wrap_margin_m`` is the
+    ``wrap_margin`` at the last profile time.  ``check_invariants``
+    validates the full covariance just after the measurement and at t_f
+    (O(N^3) each).  Raises ValueError for an unknown feedback mode,
+    ``n_shots`` < 2 (the standard error needs two shots), ``n_profile``
+    < 1, a ``ramp_fraction`` outside [0, 0.5], ``n_ramp`` < 1 with a
+    ramp, a non-finite ``coupling_scale``, a profile time before t_f, or
+    a negative wrap margin, before any propagation.
     """
     if feedback_mode not in ("correlated", "scrambled", "off"):
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
@@ -446,8 +486,22 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     if ramp_fraction > 0.0 and n_ramp < 1:
         raise ValueError(f"n_ramp must be >= 1 for a ramped coupling, "
                          f"got {n_ramp!r}")
+    if not math.isfinite(coupling_scale):
+        raise ValueError(
+            f"coupling_scale must be finite, got {coupling_scale!r}")
     if grid is None:
         grid = default_grid(params)
+    t_i, t_f = interaction_window(params)
+    if profile_times is None:
+        profile_times = [t_f]
+    profile_times = np.asarray(sorted(float(t) for t in profile_times))
+    if profile_times.size and profile_times[0] < t_f - 1e-15:
+        raise ValueError("profile snapshots must be at or after t_f")
+    margin = wrap_margin(params, grid, max(profile_times, default=t_f))
+    if margin < 0.0:
+        raise ValueError(f"the ring wraps around: wrap margin "
+                         f"{margin:.3g} m < 0; use a longer ring")
+
     rng = np.random.default_rng(seed)
     n = grid.n_modes
     hw = grid.mode_energies(params.v_g)
@@ -475,38 +529,27 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     d_unit = feedback_displacement(params, grid)
     q_1 = 0.5 * float(hw2 @ (d_unit[u_sl] ** 2))  # E_1 per feedback^2
 
-    # window propagator: ramp up, plateau, the same steps back down
-    t_i, t_f = interaction_window(params)
-    g_s, g_u, g_int = build_hamiltonians(params, grid)
-    g_free = g_s + g_u
-
-    def step(dt, scale):
-        g_seg = g_free + (coupling_scale * scale) * g_int
-        return expm((dt / P.HBAR) * _omega_times(g_seg))
-
-    ramp = ramp_fraction * (t_f - t_i)
-    plateau = (t_f - t_i) - 2.0 * ramp
-    m = step(plateau, 1.0) if plateau > 0.0 else np.eye(4 * n)
-    if ramp > 0.0:
-        for j in reversed(range(n_ramp)):
-            e = step(ramp / n_ramp, (j + 0.5) / n_ramp)
-            m = e @ m @ e
     # the measurement response turns freely from t = 0 to t_i, the
     # feedback displacement from T to t_i; M carries both on to t_f
-    a_vec = m @ free_rotate(gain, grid, params, t_i)   # per unit outcome
-    b_vec = m @ free_rotate(d_unit, grid, params,      # per unit feedback
-                            t_i - params.T_delay)
-    kick_f = m @ free_rotate(kick, grid, params, t_i)
+    from .propagator import window_propagator
 
-    def cov_after(rows):
-        """rows x rows block of the covariance at t_f (sigma carried to
-        t_f is s_pred * a_vec)."""
-        return (0.5 * (m[rows] @ m[rows].T)
+    m = window_propagator(params, grid, coupling_scale, ramp_fraction,
+                          n_ramp)
+    a_vec, b_vec, kick_f = (m @ np.stack([
+        free_rotate(gain, grid, params, t_i),        # per unit outcome
+        free_rotate(d_unit, grid, params, t_i - params.T_delay),
+        free_rotate(kick, grid, params, t_i)], axis=1)).T
+    rq = m.rq
+
+    def cov_excess(rows):
+        """rows x rows block of the covariance at t_f minus I/2 (sigma
+        carried to t_f is s_pred * a_vec)."""
+        return (0.5 * (m.mq[rows] @ m.mq[rows].T - rq[rows] @ rq[rows].T)
                 - s_pred * np.outer(a_vec[rows], a_vec[rows])
                 + back * np.outer(kick_f[rows], kick_f[rows]))
 
     if check_invariants:
-        cov_t = cov_after(slice(None))
+        cov_t = 0.5 * np.eye(4 * n) + cov_excess(slice(None))
         validate_state(GaussianState(np.zeros(4 * n),
                                      0.5 * (cov_t + cov_t.T)))
 
@@ -521,10 +564,10 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
 
     e_a_samples = e_a_const + q_a * upsilon ** 2
     # U-channel energy at t_f, mean part quadratic in (outcome, feedback)
-    m_u = m[u_sl]
-    cov_d = (0.5 * np.einsum("ij,ij->i", m_u, m_u)
-             - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
-    e_u_cov = 0.5 * float(hw @ (cov_d[:n] + cov_d[n:] - 1.0))
+    excess_d = (0.5 * (np.einsum("ij,ij->i", m.mq[u_sl], m.mq[u_sl])
+                       - np.einsum("ij,ij->i", rq[u_sl], rq[u_sl]))
+                - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
+    e_u_cov = 0.5 * float(hw @ (excess_d[:n] + excess_d[n:]))
     au, bu = a_vec[u_sl], b_vec[u_sl]
     qaa = 0.5 * float(hw2 @ (au * au))
     qbb = 0.5 * float(hw2 @ (bu * bu))
@@ -535,17 +578,12 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     e_b_stderr = float(np.std(e_b_samples, ddof=1) / math.sqrt(n_shots))
 
     # shot-averaged S-channel energy density at the requested times
-    if profile_times is None:
-        profile_times = [t_f]
-    profile_times = np.asarray(sorted(float(t) for t in profile_times))
-    if profile_times.size and profile_times[0] < t_f - 1e-15:
-        raise ValueError("profile snapshots must be at or after t_f")
     half = 0.5 * grid.ring_length
     x_grid = np.linspace(-half, half, n_profile, endpoint=False)
     m2_u = float(np.mean(upsilon * upsilon))
     m2_f = float(np.mean(fb * fb))
     m2_x = float(np.mean(upsilon * fb))
-    cov_s = cov_after(s_sl)
+    cov_s = 0.5 * np.eye(2 * n) + cov_excess(s_sl)
     # local_energy_density reads only the S block of the snapshot
     snap = GaussianState(np.zeros(4 * n), np.zeros((4 * n, 4 * n)))
     profiles = np.empty((profile_times.size, n_profile))
@@ -571,4 +609,7 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         profile_x=x_grid,
         profile_times=profile_times,
         feedback_mode=feedback_mode,
-        t_f=t_f)
+        t_f=t_f,
+        subspace_rank=m.q.shape[1],
+        symplectic_residual=m.symplectic_residual,
+        wrap_margin_m=margin)

@@ -140,6 +140,9 @@ PARAM_UNITS = {
     "eps_uv": "m", "omega_c": "rad/s",
 }
 
+#: fields that follow other fields unless given explicitly
+DERIVED_FIELDS = ("eps_uv", "omega_c")
+
 _POSITIVE_FIELDS = (
     "v_g", "R", "C", "l", "b", "d", "L", "nu_S", "nu_U", "eps_r",
     "eps_uv", "omega_c",
@@ -222,16 +225,13 @@ def parse_param_line(line: str):
     return key, value
 
 
-def load_params(path=None, overrides=None) -> ExperimentParams:
-    """Resolve a parameter set from an optional file and overrides.
+def read_inputs(path=None, overrides=None) -> dict:
+    """The parameter values given explicitly, {key: value}.
 
     ``path`` is a UTF-8 file of ``key = value [unit]`` lines;
-    ``overrides`` is a mapping applied on top of it.  Keys given by
-    neither keep their quoted-experiment defaults, and eps_uv and
-    omega_c follow l and R*C unless given explicitly
-    (see :class:`ExperimentParams`).  ``load_params()`` is the quoted
-    experiment.  Raises :class:`ParamFileError` for a malformed line
-    (with its line number) or an unknown key.
+    ``overrides`` is a mapping applied on top of it.  Raises
+    :class:`ParamFileError` for a malformed line (with its line number)
+    or an unknown key.
     """
     values = {}
     if path is not None:
@@ -247,4 +247,16 @@ def load_params(path=None, overrides=None) -> ExperimentParams:
         if key not in PARAM_UNITS:
             raise ParamFileError(f"unknown override key {key!r}")
         values[key] = float(value)
-    return ExperimentParams(**values)
+    return values
+
+
+def load_params(path=None, overrides=None) -> ExperimentParams:
+    """Resolve a parameter set from an optional file and overrides
+    (see :func:`read_inputs`).
+
+    Keys given by neither keep their quoted-experiment defaults, and the
+    DERIVED_FIELDS eps_uv and omega_c follow l and R*C unless given
+    explicitly (see :class:`ExperimentParams`).  ``load_params()`` is
+    the quoted experiment.
+    """
+    return ExperimentParams(**read_inputs(path, overrides))

@@ -158,6 +158,32 @@ def test_sweep_rows_follow_derived_defaults(tmp_path, key, values, extra):
         assert order == energetics.eb_order_estimate(p)
 
 
+@pytest.mark.parametrize("extra", [{}, {"eps_uv": 1e-9}])
+def test_sweep_replays_from_manifest(tmp_path, extra):
+    """A sweep over l replays bit-exactly from its manifest: the replay
+    sets every parameter except those the manifest lists as derived."""
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    argv = ["sweep", "--sweep", "l", "--values", "8e-6,1e-5", "--tol",
+            "1e-3"]
+    for k, v in extra.items():
+        argv += ["--set", f"{k}={v}"]
+    assert run(argv + ["--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["derived"] == [k for k in ("eps_uv", "omega_c")
+                                   if k not in extra]
+    sweep = manifest["sweep"]
+    argv = (["sweep", "--sweep", sweep["key"], "--values",
+             ",".join(repr(v) for v in sweep["values"]),
+             "--tol", repr(manifest["rel_tol"]), "--out", str(replay)]
+            + [f"--set={k}={v!r}" for k, v in manifest["params"].items()
+               if k not in manifest["derived"]])
+    assert run(argv) == 0
+    rows = [(d / "sweep.csv").read_text().splitlines() for d in
+            (first, replay)]
+    assert rows[0][1].startswith("8e-06,")      # the l = 8e-6 row
+    assert rows[0] == rows[1]
+
+
 def test_sweep_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     # at L = 30l, 32 x 32 x 64 nodes are not enough: the capped E_B
     # quadrature fails and the sweep reports a numerical failure
@@ -189,6 +215,9 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert summary["E_A_oracle_J"] == pytest.approx(
         summary["compute_EA_J"], rel=0.05)
     assert summary["E_B_oracle_J"] != 0.0
+    assert summary["subspace_rank"] > 0
+    assert 0.0 <= summary["symplectic_residual"] < 1e-12
+    assert summary["wrap_margin_m"] > 0.0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 3 and manifest["shots"] == 60
     assert manifest["grid"]["n_modes"] == 64
@@ -226,6 +255,8 @@ def test_simulate_needs_two_shots(tmp_path, capsys, shots):
     ("--tol", "0", "--tol"), ("--tol", "-1", "--tol"),
     ("--tol", "nan", "--tol"), ("--tol", "2", "--tol"),
     ("--profile-points", "0", "n_profile"),
+    ("--coupling-scale", "nan", "coupling_scale"),
+    ("--coupling-scale", "inf", "coupling_scale"),
 ])
 def test_simulate_rejects_bad_options_before_writing(
         tmp_path, monkeypatch, capsys, option, value, message):

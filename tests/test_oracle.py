@@ -8,6 +8,7 @@ import pytest
 
 from edgeqet import params as P
 from edgeqet import oracle as O
+from edgeqet import propagator
 from edgeqet.detector import (delta_v, detector_from_params,
                               measurement_model, outcome_distribution)
 from edgeqet.energetics import compute_EA, compute_E1
@@ -185,6 +186,9 @@ def test_run_protocol_basics(params, grid, run_small):
     assert r.E_1_oracle == pytest.approx(
         0.01 ** 0 * compute_E1(params), rel=0.05)
     assert r.E_A_oracle > r.E_B_oracle
+    # the S disturbance, at v_g t_f left of the origin, is the farther
+    assert r.wrap_margin_m == pytest.approx(
+        0.5 * grid.ring_length - (params.v_g * r.t_f + 4 * params.l))
 
 
 def test_run_protocol_controls(params, grid):
@@ -215,6 +219,10 @@ def test_run_protocol_controls(params, grid):
             O.run_protocol(params, grid, n_shots=n_shots)
     with pytest.raises(ValueError, match="n_profile"):
         O.run_protocol(params, grid, n_shots=2, n_profile=0)
+    # a ring too short to hold the sense-window disturbance at t_f
+    short = O.ModeGrid(ring_length=4.0 * params.L, n_modes=16)
+    with pytest.raises(ValueError, match="wraps"):
+        O.run_protocol(params, short, n_shots=2)
 
 
 def test_run_protocol_deterministic(params, grid):
@@ -289,13 +297,58 @@ def test_run_protocol_matches_dense_reference(params, n_modes, ramp_fraction,
 @pytest.mark.parametrize("ramp_fraction,n_ramp,calls",
                          [(0.05, 5, 6), (0.2, 3, 4), (0.0, 5, 1),
                           (0.5, 3, 3)])
-def test_run_protocol_one_expm_per_distinct_step(params, monkeypatch,
-                                                 ramp_fraction, n_ramp,
-                                                 calls):
-    """Ramp up and down share their steps; zero-length steps need none."""
-    seen = []
-    expm = O.expm
-    monkeypatch.setattr(O, "expm", lambda a: seen.append(a) or expm(a))
+def test_run_protocol_one_action_per_distinct_step(params, monkeypatch,
+                                                   ramp_fraction, n_ramp,
+                                                   calls):
+    """Ramp up and down share their steps; zero-length steps need none;
+    no dense expm is taken."""
+    seen, dense = [], []
+    action = propagator.expm_action
+    monkeypatch.setattr(propagator, "expm_action",
+                        lambda *a: seen.append(a) or action(*a))
+    monkeypatch.setattr(O, "expm", lambda a: dense.append(a))
     O.run_protocol(params, O.default_grid(params, n_modes=16), n_shots=2,
                    ramp_fraction=ramp_fraction, n_ramp=n_ramp, n_profile=16)
     assert len(seen) == calls
+    assert dense == []
+
+
+def test_step_basis_is_complete(params):
+    """Density vectors at held-out points of both intervals lie in the
+    span of the step basis to within the cut (times the sample count's
+    growth of the largest singular value)."""
+    grid = O.default_grid(params, n_modes=128)
+    tau = 0.3 * params.l / params.v_g
+    q = propagator._step_basis(grid, params, tau)
+    n = grid.n_modes
+    rng = np.random.default_rng(4)
+    reach = params.b + params.v_g * tau
+    x = rng.uniform(0.0, reach, 64)
+    y = rng.uniform(-params.v_g * tau, params.b, 64)
+    u = np.zeros((4 * n, 128))
+    u[:2 * n, :64] = O.density_basis(grid, params.nu_S, x, "left").T
+    u[2 * n:, 64:] = O.density_basis(grid, params.nu_U, y, "right").T
+    resid = np.linalg.norm(u - q @ (q.T @ u), axis=0)
+    assert np.all(resid <= 100 * propagator.SVD_CUT
+                  * np.linalg.norm(u, axis=0))
+    # and the basis is orthonormal and much smaller than the space
+    assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-13)
+    assert q.shape[1] < 2 * n
+
+
+def test_window_propagator_invariants_at_512_modes(params):
+    """Sudden switching at the physical coupling, 512 modes: M is
+    symplectic on its subspace and conserves the total energy."""
+    grid = O.default_grid(params, n_modes=512)
+    m = propagator.window_propagator(params, grid, coupling_scale=1.0,
+                            ramp_fraction=0.0)
+    assert m.symplectic_residual <= 1e-12
+    # H = (1/2) R^T G R with G = G_S + G_U + G_int is conserved: probe
+    # M^T G M = G on random directions
+    g_s, g_u, g_int = O.build_hamiltonians(params, grid)
+    g = g_s + g_u + g_int
+    z = np.random.default_rng(0).standard_normal((4 * grid.n_modes, 8))
+    w = m @ z
+    before = z.T @ g @ z
+    assert np.max(np.abs(w.T @ g @ w - before)) <= 1e-12 * np.max(
+        np.abs(before))
