@@ -61,6 +61,8 @@ _DISPLAY = {
     "E_A": (1e3 / P.E_CHARGE, "meV"),
     "E_1": (1e3 / P.E_CHARGE, "meV"),
     "E_B": (1e6 / P.E_CHARGE, "ueV"),
+    "E_B_unregularized": (1e6 / P.E_CHARGE, "ueV"),
+    "E_B_unregularized_shift": (100.0, "%"),
     "E_B_order_estimate": (1e6 / P.E_CHARGE, "ueV"),
     "thermal": (1e6 / P.E_CHARGE, "ueV"),
     "detect_current": (1e9, "nA"),
@@ -71,6 +73,7 @@ _DISPLAY = {
 
 _SI_UNITS = {
     "delta_v": "V", "signal_rms": "V", "E_A": "J", "E_1": "J", "E_B": "J",
+    "E_B_unregularized": "J", "E_B_unregularized_shift": "",
     "E_B_order_estimate": "J", "thermal": "J", "detect_current": "A",
     "eps_uv": "m", "omega_c": "rad/s", "rel_tol": "",
 }
@@ -186,8 +189,11 @@ def cmd_budget(args) -> int:
     budget = energy_budget(params, rel_tol=args.tol)
     rows = []
     for key, value in budget.as_dict().items():
-        value = _clean(value)
         scale, disp_unit = _DISPLAY[key]
+        if value is None:       # a ratio to a zero E_B
+            rows.append([key, "", _SI_UNITS[key], "", disp_unit, "", "", ""])
+            continue
+        value = _clean(value)
         ref = _ORDER_REFS.get(key)
         lo = ref / 10.0 if ref else ""
         hi = ref * 10.0 if ref else ""
@@ -210,7 +216,9 @@ def cmd_budget(args) -> int:
 
     print(f"{'quantity':22s} {'value':>12s} {'unit':6s} {'order band':>24s} ok")
     for key, value, _, disp, unit, lo, hi, ok in rows:
-        if lo == "":
+        if disp == "":
+            print(f"{key:22s} {'n/a':>12s} {unit:6s}")
+        elif lo == "":
             print(f"{key:22s} {disp:12.4g} {unit:6s}")
         else:
             scale = _DISPLAY[key][0]

@@ -1,13 +1,14 @@
 """Analytic energy pipeline: injection cost E_A, feedback packet energy
 E_1, extracted energy E_B (a 3-D integral whose inner convolution of
 the measured window with the regularized cubic pole is done exactly by
-the Faddeeva function, plus its order-of-magnitude estimate),
-scaling-law fits, and the current to energy-density conversion for
-channel U.
+the Faddeeva function, evaluated in numpy by Weideman's rational
+expansion, plus its order-of-magnitude estimate), scaling-law fits,
+and the current to energy-density conversion for channel U.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, asdict
@@ -25,6 +26,9 @@ from .quadrature import ConvergenceFailure, QuadResult
 # gets twice as many), and the most that node doubling may reach.
 _EB_START_NODES = 16
 _EB_MAX_NODES = 512
+# Terms of Weideman's rational expansion of the Faddeeva function; 48
+# give full double precision for Im z >= 0.
+_FADDEEVA_TERMS = 48
 
 
 class SingularityWarning(UserWarning):
@@ -99,19 +103,46 @@ def _gauss_legendre(n: int, lo: float, hi: float):
     return lo + half * (t + 1.0), half * w
 
 
+@functools.cache
+def _weideman_coefficients():
+    """Scale L and the coefficients, highest degree first, of the
+    polynomial p in :func:`_faddeeva`, from one length-4N FFT of
+    exp(-t^2) (L^2 + t^2) at t = L tan(theta/2)."""
+    n = _FADDEEVA_TERMS
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(0.5 * math.pi * np.arange(1 - 2 * n, 2 * n) / (2 * n))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale ** 2 + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (4 * n)
+    return scale, a[n:0:-1]
+
+
+def _faddeeva(z):
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
+
+    Weideman's rational expansion (SIAM J. Numer. Anal. 31, 1497
+    (1994)): w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)) with
+    Z = (L + iz) / (L - iz), exact to rounding on and above the real
+    axis.
+    """
+    scale, coeffs = _weideman_coefficients()
+    iz = 1j * np.asarray(z)
+    d = scale - iz
+    return (2.0 * np.polyval(coeffs, (scale + iz) / d) / d ** 2
+            + 1.0 / (math.sqrt(math.pi) * d))
+
+
 def _measured_pole(window: WindowProfile, c, eps: float):
     """int window(xbar) Re(c - xbar + i eps)^-3 dxbar, in closed form.
 
     For a Gaussian window of width s this is
     (pi A / 4 s^2) Im w''(zeta), zeta = (c - center + i eps) / (sqrt(2) s),
-    with w the Faddeeva function and w'' from the recursion
+    with w the Faddeeva function (:func:`_faddeeva`; Im zeta >= 0
+    because eps >= 0) and w'' from the recursion
     w' = -2 z w + 2i/sqrt(pi).
     """
-    from scipy.special import wofz
-
     zeta = (np.asarray(c) - window.center + 1j * eps) / (
         math.sqrt(2.0) * window.sigma)
-    w0 = wofz(zeta)
+    w0 = _faddeeva(zeta)
     w1 = -2.0 * zeta * w0 + 2.0j / math.sqrt(math.pi)
     w2 = -2.0 * w0 - 2.0 * zeta * w1
     return (math.pi * window.amplitude / (4.0 * window.sigma ** 2)) * w2.imag
@@ -157,23 +188,27 @@ def _eb_integral(params: P.ExperimentParams, rel_tol: float, eps: float,
     Evaluates :func:`_eb_rule` at n = _EB_START_NODES and doubles n
     until two successive rules agree to ``rel_tol``; the error estimate
     is that difference, ``subdivisions_used`` counts the doublings and
-    ``n_evals`` the tensor nodes of every rule evaluated.  Raises :class:`ConvergenceFailure`, carrying
-    the last result, when the next rule would exceed _EB_MAX_NODES.
+    ``n_evals`` the tensor nodes of every rule evaluated.  Raises
+    :class:`ConvergenceFailure`, carrying the last result, as soon as a
+    rule is not finite or when the next rule would exceed
+    _EB_MAX_NODES.
     """
     n = _EB_START_NODES
     value = _eb_rule(params, eps, causal, n)
     err, doublings, n_evals = math.inf, 0, 2 * n ** 3
-    while 2 * n <= _EB_MAX_NODES:
+    while math.isfinite(value) and 2 * n <= _EB_MAX_NODES:
         n *= 2
         fine = _eb_rule(params, eps, causal, n)
         err, value = abs(fine - value), fine
         doublings += 1
         n_evals += 2 * n ** 3
-        if err <= rel_tol * abs(value):
+        if math.isfinite(value) and err <= rel_tol * abs(value):
             return QuadResult(value, err, doublings, True, n_evals)
+    reason = (f"non-finite rule value {value!r}" if not math.isfinite(value)
+              else f"doubling difference {err:.3g} above {rel_tol:.3g} "
+                   "relative")
     raise ConvergenceFailure(
-        f"E_B quadrature: doubling difference {err:.3g} above "
-        f"{rel_tol:.3g} relative at {n} x {n} x {2 * n} nodes",
+        f"E_B quadrature: {reason} at {n} x {n} x {2 * n} nodes",
         QuadResult(value, err, doublings, False, n_evals))
 
 
@@ -267,6 +302,9 @@ class EnergyBudget:
     E_A: float                  # J
     E_1: float                  # J
     E_B: float                  # J
+    E_B_unregularized: float    # J, E_B at eps_uv = 0
+    # E_B_unregularized / E_B - 1; None when E_B is 0
+    E_B_unregularized_shift: float | None
     E_B_order_estimate: float   # J
     thermal: float              # J
     detect_current: float       # A
@@ -287,12 +325,17 @@ def energy_budget(params: P.ExperimentParams, rel_tol: float = 1e-4,
     e_1 = compute_E1(params)
     e_b = compute_EB(params, rel_tol=rel_tol,
                      check_regulator=check_regulator)
+    # the Gaussian windows keep the pole integral finite without eps_uv
+    e_b_unreg = -_eb_prefactor(params) * _eb_integral(
+        params, rel_tol, 0.0).value
     e_b_order = eb_order_estimate(params)
     # packet energy spread over the typical length scale sets the
     # detectable current
     j = current_from_energy_density(max(e_b, 0.0) / params.l, params)
     return EnergyBudget(
         delta_v=dv, signal_rms=rms, E_A=e_a, E_1=e_1, E_B=e_b,
+        E_B_unregularized=e_b_unreg,
+        E_B_unregularized_shift=e_b_unreg / e_b - 1.0 if e_b else None,
         E_B_order_estimate=e_b_order,
         thermal=P.thermal_energy(params.temperature),
         detect_current=j, eps_uv=params.eps_uv, omega_c=params.omega_c,

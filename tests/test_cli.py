@@ -53,7 +53,8 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_import_loads_no_scipy_submodules():
-    """scipy.linalg and scipy.special load at first use, not at import."""
+    """scipy.linalg loads at first use, not at import; scipy.special
+    never loads (the Faddeeva function is evaluated in numpy)."""
     src = str(Path(edgeqet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, edgeqet.cli; "
@@ -62,6 +63,24 @@ def test_import_loads_no_scipy_submodules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """budget, sweep and simulate run without importing any scipy
+    module: only oracle.expm and oracle.evolve need scipy.linalg."""
+    src = str(Path(edgeqet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
+                ["simulate", "--modes", "32", "--shots", "50"]]
+    code = ("import sys, warnings; from edgeqet import cli; "
+            "warnings.simplefilter('ignore'); "
+            f"codes = [cli.main(a + ['--out', {str(tmp_path)!r}]) "
+            f"for a in {commands!r}]; "
+            "print(codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0] []"
 
 
 # budget -----------------------------------------------------------------
@@ -90,8 +109,20 @@ def test_budget_set_override_and_zero_amplitude(tmp_path, capsys):
     payload = json.loads((tmp_path / "budget.json").read_text())
     assert payload["budget"]["E_B"] == 0.0  # not -0.0
     assert payload["budget"]["E_1"] == 0.0
+    assert payload["budget"]["E_B_unregularized"] == 0.0
+    # a shift relative to a zero E_B is not computable: null, not NaN
+    assert payload["budget"]["E_B_unregularized_shift"] is None
     out = capsys.readouterr().out
     assert "-0" not in out.split("E_B")[1].splitlines()[0]
+
+
+def test_budget_non_finite_rule_exit_code(tmp_path, capsys):
+    # L = 1e300 m overflows the first E_B rule; the quadrature stops
+    # there instead of doubling to the node cap
+    assert run(["budget", "--out", str(tmp_path), "--set", "L=1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite rule value" in err and "16 x 16 x 32 nodes" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_set_route_matches_file_route(tmp_path):

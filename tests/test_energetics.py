@@ -125,6 +125,30 @@ def test_feedback_window_geometry(params):
 
 # E_B --------------------------------------------------------------------
 
+def test_faddeeva_matches_wofz(params):
+    """The numpy Faddeeva function against scipy's, on the real axis,
+    at the Im zeta the default regulator gives, and above."""
+    im_default = params.eps_uv / (math.sqrt(2.0) * sense_window(params).sigma)
+    re = np.linspace(-40.0, 40.0, 4001)
+    for im in (0.0, im_default, 2.0 * im_default, 0.1, 1.0, 5.0):
+        z = re + 1j * im
+        reference = wofz(z)
+        rel = np.abs(E._faddeeva(z) - reference) / np.abs(reference)
+        assert rel.max() <= 1e-13, f"Im z = {im}"
+
+
+def test_EB_matches_wofz_rule(params, monkeypatch):
+    """compute_EB with the numpy Faddeeva function against the same rule
+    evaluated with scipy's wofz."""
+    ours = {m: compute_EB(params.replace(L=m * params.l), rel_tol=1e-8)
+            for m in (2, 3, 4, 5, 6)}
+    monkeypatch.setattr(E, "_faddeeva", wofz)
+    for mult, value in ours.items():
+        reference = compute_EB(params.replace(L=mult * params.l),
+                               rel_tol=1e-8)
+        assert value == pytest.approx(reference, rel=2e-12), f"L={mult}l"
+
+
 def test_EB_frozen_values(params, eb_default):
     """Regression against the frozen separation scan (micro-eV)."""
     assert eb_default * UEV == pytest.approx(40.291086, rel=1e-4)
@@ -188,6 +212,18 @@ def test_EB_node_cap_raises_with_partial_result(params, monkeypatch):
     assert partial.converged is False
     assert partial.subdivisions_used == 1
     assert partial.error_estimate > 1e-4 * abs(partial.value)
+
+
+def test_EB_non_finite_rule_raises_at_once(params):
+    # L = 1e300 m overflows the first rule: no doubling follows it
+    p = params.replace(L=1e300)
+    with pytest.raises(ConvergenceFailure, match="non-finite") as exc:
+        E._eb_integral(p, 1e-4, p.eps_uv)
+    partial = exc.value.result
+    assert not math.isfinite(partial.value)
+    assert partial.converged is False
+    assert partial.subdivisions_used == 0
+    assert partial.n_evals == 2 * E._EB_START_NODES ** 3
 
 
 def test_EB_linearity_in_feedback_amplitude(params, eb_default):
@@ -292,4 +328,10 @@ def test_energy_budget_aggregates(params, eb_default):
     assert budget.E_A > budget.E_B > 0
     d = budget.as_dict()
     assert set(d) >= {"delta_v", "signal_rms", "E_A", "E_1", "E_B",
+                      "E_B_unregularized", "E_B_unregularized_shift",
                       "E_B_order_estimate", "thermal", "detect_current"}
+    # the regulator bias: E_B at eps_uv = 0 lies 2.68% above E_B
+    assert budget.E_B_unregularized * UEV == pytest.approx(41.3706, rel=1e-4)
+    assert budget.E_B_unregularized_shift == pytest.approx(
+        budget.E_B_unregularized / budget.E_B - 1.0, rel=1e-12)
+    assert budget.E_B_unregularized_shift == pytest.approx(0.0268, abs=5e-4)
