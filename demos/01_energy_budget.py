@@ -11,8 +11,7 @@ how each one is built from the ingredients.
 import numpy as np
 
 from edgeqet import params as P
-from edgeqet.detector import (delta_v, detector_from_params,
-                              measurement_model, signal_rms)
+from edgeqet.detector import delta_v, detector_from_params, signal_rms
 from edgeqet.energetics import (compute_EA, compute_EB, compute_E1,
                                 eb_order_estimate, energy_budget,
                                 gs_squared)
@@ -69,7 +68,7 @@ print()
 budget = energy_budget(params)
 print("energy_budget() summary (J):")
 for key, value in budget.as_dict().items():
-    print(f"  {key:22s} {value:.6g}")
+    print(f"  {key:24s} {value:.6g}")
 
 # Sanity: the ladder of scales spans five orders of magnitude
 ladder = np.array([e_b, e_a, e_1])

@@ -16,29 +16,26 @@ The command-line interface (``edgeqet``) wraps both.
 from .params import (ExperimentParams, FastDetectorWarning, ParamFileError,
                      RegimeWarning, ValidationError, default_paper_params,
                      load_params, thermal_energy, validate)
-from .chiral_field import CorrelatorKernel, WindowProfile
-from .detector import (GaussianLaw, MeasurementModel, RCDetector, delta_v,
-                       measurement_model, outcome_distribution, signal_rms)
-from .energetics import (EnergyBudget, SingularityWarning, compute_EA,
-                         compute_EB, compute_E1, current_from_energy_density,
-                         eb_order_estimate, energy_budget,
-                         energy_density_from_current, fit_scaling_exponent)
+from .chiral_field import WindowProfile
+from .detector import RCDetector, delta_v, signal_rms
+from .energetics import (ConvergenceFailure, EnergyBudget, QuadResult,
+                         compute_EA, compute_EB, compute_E1,
+                         current_from_energy_density, eb_order_estimate,
+                         energy_budget, energy_density_from_current,
+                         fit_scaling_exponent)
 from .oracle import (GaussianState, ModeGrid, ProtocolResult, default_grid,
                      local_energy_density, run_protocol)
-from .quadrature import ConvergenceFailure, IntegrationSpec, QuadResult
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceFailure", "CorrelatorKernel", "EnergyBudget",
-    "ExperimentParams", "FastDetectorWarning", "GaussianLaw",
-    "GaussianState", "IntegrationSpec", "MeasurementModel", "ModeGrid",
-    "ParamFileError", "ProtocolResult", "QuadResult", "RCDetector",
-    "RegimeWarning", "SingularityWarning", "ValidationError",
-    "WindowProfile", "compute_EA", "compute_EB", "compute_E1",
-    "current_from_energy_density", "default_grid", "default_paper_params",
-    "delta_v", "eb_order_estimate", "energy_budget",
+    "ConvergenceFailure", "EnergyBudget", "ExperimentParams",
+    "FastDetectorWarning", "GaussianState", "ModeGrid", "ParamFileError",
+    "ProtocolResult", "QuadResult", "RCDetector", "RegimeWarning",
+    "ValidationError", "WindowProfile", "compute_EA", "compute_EB",
+    "compute_E1", "current_from_energy_density", "default_grid",
+    "default_paper_params", "delta_v", "eb_order_estimate", "energy_budget",
     "energy_density_from_current", "fit_scaling_exponent", "load_params",
-    "local_energy_density", "measurement_model", "outcome_distribution",
-    "run_protocol", "signal_rms", "thermal_energy", "validate",
+    "local_energy_density", "run_protocol", "signal_rms", "thermal_energy",
+    "validate",
 ]

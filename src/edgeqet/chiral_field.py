@@ -1,6 +1,6 @@
 """Continuum chiral-boson toolbox: Gaussian window profiles, the
-regularized vacuum density-density correlator, and quadratic-form vacuum
-expectation values evaluated in spectral form.
+Faddeeva function, and quadratic-form vacuum expectation values in
+closed form.
 
 Conventions: a window ``w`` is a Gaussian ``A exp(-(x-c)^2 / 2 sigma^2)``;
 every wavenumber integral carries the same exponential short-distance
@@ -10,14 +10,18 @@ across modules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import IntegrationSpec, integrate_1d
-
-TWO_PI = 2.0 * math.pi
+# Terms of Weideman's rational expansion of the Faddeeva function; 48
+# give full double precision for Im z >= 0.
+_FADDEEVA_TERMS = 48
+# Depth of the continued fraction for the moments above x = 1; 400 terms
+# give the moment ratios to rounding for every x >= 1.
+_MOMENT_CF_TERMS = 400
 
 
 @dataclass(frozen=True)
@@ -47,17 +51,6 @@ class WindowProfile:
             return (u * u - 1.0) / self.sigma ** 2 * gauss
         raise ValueError(f"order must be 1 or 2, got {order}")
 
-    def fourier_abs(self, k, order: int = 0):
-        """|FT of the order-th derivative| at wavenumber k >= 0.
-
-        FT convention: g~(k) = int g(x) exp(-i k x) dx, so
-        |FT d^n w| = k^n * A*sqrt(2 pi)*sigma*exp(-sigma^2 k^2 / 2).
-        """
-        k = np.asarray(k, dtype=float)
-        base = (self.amplitude * math.sqrt(TWO_PI) * self.sigma
-                * np.exp(-0.5 * (self.sigma * k) ** 2))
-        return base * k ** order
-
 
 def window_derivative_l2(w: WindowProfile, order: int) -> float:
     """Closed-form int (d^order w)^2 dx for the Gaussian window.
@@ -72,86 +65,74 @@ def window_derivative_l2(w: WindowProfile, order: int) -> float:
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
-@dataclass(frozen=True)
-class CorrelatorKernel:
-    """Regularized vacuum two-point function of the charge density.
+@functools.cache
+def _weideman_coefficients():
+    """Scale L and the coefficients, highest degree first, of the
+    polynomial p in :func:`_faddeeva`, from one length-4N FFT of
+    exp(-t^2) (L^2 + t^2) at t = L tan(theta/2)."""
+    n = _FADDEEVA_TERMS
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(0.5 * math.pi * np.arange(1 - 2 * n, 2 * n) / (2 * n))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale ** 2 + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (4 * n)
+    return scale, a[n:0:-1]
 
-    Delta(x) = (nu / 4 pi^2) * 1/(eps_uv + i x)^2, i.e. the wavenumber
-    integral int_0^inf dk k exp(-ikx) damped by exp(-k eps_uv).
+
+def _faddeeva(z):
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
+
+    Weideman's rational expansion (SIAM J. Numer. Anal. 31, 1497
+    (1994)): w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)) with
+    Z = (L + iz) / (L - iz), exact to rounding on and above the real
+    axis.
     """
-
-    nu: float
-    eps_uv: float
-
-    def __post_init__(self):
-        if self.nu <= 0 or self.eps_uv <= 0:
-            raise ValueError("nu and eps_uv must be positive")
-
-    def correlator(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.nu / (4.0 * math.pi ** 2) / (self.eps_uv + 1j * x) ** 2
-
-    def spectral_weight(self, k):
-        """(nu / 4 pi^2) * k * exp(-k eps_uv): density of the quadratic form."""
-        k = np.asarray(k, dtype=float)
-        return self.nu / (4.0 * math.pi ** 2) * k * np.exp(-k * self.eps_uv)
+    scale, coeffs = _weideman_coefficients()
+    iz = 1j * np.asarray(z)
+    d = scale - iz
+    return (2.0 * np.polyval(coeffs, (scale + iz) / d) / d ** 2
+            + 1.0 / (math.sqrt(math.pi) * d))
 
 
-def quad_form_vacuum(kernel: CorrelatorKernel, window: WindowProfile,
-                     order: int = 1, coupling: float = 1.0,
-                     rel_tol: float = 1e-10) -> float:
-    """Vacuum expectation of (coupling * int rho(x) d^order w(x) dx)^2.
+def _moment(n: int, eps: float, sigma: float) -> float:
+    """I_n = int_0^inf k^n exp(-eps k - sigma^2 k^2) dk, exactly.
 
-    Evaluated spectrally: (nu/4pi^2) int_0^inf dk k e^{-k eps} |g~(k)|^2,
-    with g = coupling * d^order w; real and non-negative by construction.
+    With x = eps / (2 sigma), I_n = F_n(x) / sigma^(n+1), where
+    F_0 = (sqrt(pi)/2) erfcx(x), erfcx(x) = w(ix), F_1 = 1/2 - x F_0 and,
+    by parts, 2 F_n = (n-1) F_(n-2) - 2x F_(n-1) (DLMF 7.7).  That
+    forward recursion cancels as x grows, so above x = 1 the ratios
+    rho_m = F_m / F_(m-1) come from the same recursion run backwards,
+    rho_(m-1) = (m-1) / (2x + 2 rho_m), started at zero
+    _MOMENT_CF_TERMS deep.
     """
-    if coupling == 0.0 or window.amplitude == 0.0:
-        return 0.0
-    k_max = 60.0 / window.sigma
+    x = eps / (2.0 * sigma)
+    f0 = 0.5 * math.sqrt(math.pi) * float(_faddeeva(1j * x).real)
+    if x <= 1.0:
+        f = [f0, 0.5 - x * f0]
+        for m in range(2, n + 1):
+            f.append(0.5 * (m - 1) * f[m - 2] - x * f[m - 1])
+        value = f[n]
+    else:
+        rho, value = 0.0, f0
+        for m in range(_MOMENT_CF_TERMS, 0, -1):
+            rho = m / (2.0 * x + 2.0 * rho)
+            if m <= n:
+                value *= rho
+    return value / sigma ** (n + 1)
 
-    def integrand(k):
-        g = coupling * window.fourier_abs(k, order=order)
-        return kernel.spectral_weight(k) * g * g
 
-    spec = IntegrationSpec(bounds=((0.0, k_max),), rel_tol=rel_tol,
-                           max_subdivisions=2000)
-    return integrate_1d(integrand, spec).value
+def quad_form_vacuum(nu: float, eps_uv: float, window: WindowProfile,
+                     order: int = 1, coupling: float = 1.0) -> float:
+    """Vacuum expectation of (coupling * int rho(x) d^order w(x) dx)^2
+    for a channel of filling ``nu``, regulated by exp(-k eps_uv).
 
-
-def quad_form_vacuum_position_space(kernel: CorrelatorKernel,
-                                    window: WindowProfile, order: int = 1,
-                                    coupling: float = 1.0,
-                                    rel_tol: float = 1e-8) -> float:
-    """Position-space evaluation of the vacuum quadratic form.
-
-    In separation coordinates the double integral collapses to
-    int du Re Delta(u) * c(u), with c the autocorrelation of
-    g = coupling * d^order w (computed here by quadrature, not in
-    closed form).  Splitting the u integral at the regulator spike
-    keeps the adaptive rule honest.  Independent cross-check of the
-    spectral route; used in tests only.
+    Spectrally this is (nu/4pi^2) int_0^inf dk k e^{-k eps_uv} |g~(k)|^2
+    with g = coupling * d^order w, whose transform has modulus
+    coupling A sqrt(2pi) sigma k^order exp(-sigma^2 k^2 / 2); so it is
+    (nu/2pi) (coupling A sigma)^2 times the moment I_(2 order + 1) of
+    :func:`_moment`.  eps_uv = 0 is finite: the window damps large k.
     """
-    span = 8.0 * window.sigma
-    lo, hi = window.center - span, window.center + span
-    # autocorrelation values decay to ~0 at large separation: an absolute
-    # floor relative to the zero-lag value keeps the quadrature sane there
-    floor = 1e-14 * coupling ** 2 * window_derivative_l2(window, order)
-
-    def autocorr(u):
-        def gg(x):
-            return (coupling * window.derivative(x, order=order)
-                    * coupling * window.derivative(x - u, order=order))
-        spec = IntegrationSpec(bounds=((lo, hi + abs(u)),), rel_tol=1e-12,
-                               abs_tol=floor, max_subdivisions=200)
-        return integrate_1d(gg, spec).value
-
-    def f(us):
-        return np.array([autocorr(u) * kernel.correlator(u).real
-                         for u in us])
-
-    total = 0.0
-    for bounds in ((-2.0 * span, 0.0), (0.0, 2.0 * span)):
-        spec = IntegrationSpec(bounds=(bounds,), rel_tol=rel_tol,
-                               abs_tol=1e-40, max_subdivisions=4000)
-        total += integrate_1d(f, spec).value
-    return total
+    if not eps_uv >= 0.0:
+        raise ValueError(f"eps_uv must be >= 0, got {eps_uv!r}")
+    scale = coupling * window.amplitude * window.sigma
+    return (nu / (2.0 * math.pi) * scale * scale
+            * _moment(2 * order + 1, eps_uv, window.sigma))

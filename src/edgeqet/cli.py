@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from . import params as P
-from .energetics import (compute_EA, compute_EB, compute_E1, energy_budget,
-                         eb_order_estimate, current_from_energy_density,
+from .energetics import (ConvergenceFailure, compute_EA, compute_EB,
+                         compute_E1, energy_budget, eb_order_estimate,
+                         current_from_energy_density,
                          energy_density_from_current)
 from .oracle import (DegenerateObservable, ModeGrid, StepInstability,
                      default_grid, run_protocol)
-from .quadrature import ConvergenceFailure
 
 
 class UsageError(ValueError):
@@ -58,8 +58,10 @@ _DISPLAY = {
     # field -> (scale to display unit, display unit)
     "delta_v": (1e6, "uV"),
     "signal_rms": (1e6, "uV"),
+    "signal_rms_unregularized": (1e6, "uV"),
     "E_A": (1e3 / P.E_CHARGE, "meV"),
     "E_1": (1e3 / P.E_CHARGE, "meV"),
+    "E_1_unregularized": (1e3 / P.E_CHARGE, "meV"),
     "E_B": (1e6 / P.E_CHARGE, "ueV"),
     "E_B_unregularized": (1e6 / P.E_CHARGE, "ueV"),
     "E_B_unregularized_shift": (100.0, "%"),
@@ -72,7 +74,8 @@ _DISPLAY = {
 }
 
 _SI_UNITS = {
-    "delta_v": "V", "signal_rms": "V", "E_A": "J", "E_1": "J", "E_B": "J",
+    "delta_v": "V", "signal_rms": "V", "signal_rms_unregularized": "V",
+    "E_A": "J", "E_1": "J", "E_1_unregularized": "J", "E_B": "J",
     "E_B_unregularized": "J", "E_B_unregularized_shift": "",
     "E_B_order_estimate": "J", "thermal": "J", "detect_current": "A",
     "eps_uv": "m", "omega_c": "rad/s", "rel_tol": "",
@@ -214,16 +217,16 @@ def cmd_budget(args) -> int:
     manifest.duration_s = time.perf_counter() - t0
     manifest.write(out)
 
-    print(f"{'quantity':22s} {'value':>12s} {'unit':6s} {'order band':>24s} ok")
+    print(f"{'quantity':24s} {'value':>12s} {'unit':6s} {'order band':>24s} ok")
     for key, value, _, disp, unit, lo, hi, ok in rows:
         if disp == "":
-            print(f"{key:22s} {'n/a':>12s} {unit:6s}")
+            print(f"{key:24s} {'n/a':>12s} {unit:6s}")
         elif lo == "":
-            print(f"{key:22s} {disp:12.4g} {unit:6s}")
+            print(f"{key:24s} {disp:12.4g} {unit:6s}")
         else:
             scale = _DISPLAY[key][0]
             band = f"[{lo * scale:.3g}, {hi * scale:.3g}]"
-            print(f"{key:22s} {disp:12.4g} {unit:6s} {band:>24s} "
+            print(f"{key:24s} {disp:12.4g} {unit:6s} {band:>24s} "
                   f"{'pass' if ok else 'FAIL'}")
     return 0
 
@@ -248,8 +251,7 @@ def cmd_sweep(args) -> int:
     for v in values:
         p = _load(args, **{key: v})
         e_b = compute_EB(p, rel_tol=args.tol)
-        # the quadrature is converged to rel_tol, so that bounds the error
-        rows.append([float(v), float(e_b), float(abs(e_b) * args.tol),
+        rows.append([float(v), float(e_b), float(e_b.error_estimate),
                      float(eb_order_estimate(p))])
     _write_csv(out / "sweep.csv",
                [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"], rows)

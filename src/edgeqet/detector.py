@@ -1,11 +1,5 @@
 """RC-circuit detector model: vacuum voltage noise, measured-signal RMS,
-the dimensionless measurement coupling, and the Gaussian-pointer
-measurement law.
-
-The pointer conjugate momentum is eliminated analytically; only the
-resulting Gaussian kernel (outcome law and conditioning width) is ever
-represented.
-"""
+and the measurement coupling of the Gaussian pointer."""
 
 from __future__ import annotations
 
@@ -13,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from . import params as P
-from .chiral_field import CorrelatorKernel, WindowProfile, quad_form_vacuum
+from .chiral_field import WindowProfile, quad_form_vacuum
 
 
 @dataclass(frozen=True)
@@ -48,17 +42,14 @@ def sense_window(params: P.ExperimentParams) -> WindowProfile:
     return WindowProfile(center=0.0, sigma=params.l, amplitude=1.0)
 
 
-def signal_rms(params: P.ExperimentParams,
-               window: WindowProfile | None = None) -> float:
+def signal_rms(params: P.ExperimentParams) -> float:
     """RMS of the voltage shift R*dQ/dt induced by vacuum charge noise.
 
     R dQ/dt at switch-on equals -e v_g R int rho(x) dw(x) dx, so the
     variance is the vacuum quadratic form with kernel dw.
     """
-    if window is None:
-        window = sense_window(params)
-    kernel = CorrelatorKernel(nu=params.nu_S, eps_uv=params.eps_uv)
-    qf = quad_form_vacuum(kernel, window, order=1)
+    qf = quad_form_vacuum(params.nu_S, params.eps_uv, sense_window(params),
+                          order=1)
     return P.E_CHARGE * params.v_g * params.R * math.sqrt(qf)
 
 
@@ -70,39 +61,3 @@ def measurement_coupling(params: P.ExperimentParams,
     if dv <= 0:
         raise ValueError("delta_v must be positive")
     return P.E_CHARGE * params.v_g * params.R / (2.0 * dv)
-
-
-@dataclass(frozen=True)
-class GaussianLaw:
-    """Zero-mean-by-default normal law for the measurement outcome."""
-
-    mean: float
-    var: float
-
-    @property
-    def std(self):
-        return math.sqrt(self.var)
-
-
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Gaussian-pointer model of one switch-on measurement."""
-
-    delta_v: float        # pointer standard deviation, V
-    signal_rms: float     # RMS of the measured observable, V
-    coupling: float       # e v_g R / (2 dV), m
-
-
-def measurement_model(params: P.ExperimentParams) -> MeasurementModel:
-    dv = delta_v(detector_from_params(params))
-    return MeasurementModel(delta_v=dv, signal_rms=signal_rms(params),
-                            coupling=measurement_coupling(params, dv))
-
-
-def outcome_distribution(model: MeasurementModel) -> GaussianLaw:
-    """Predictive law of the recorded outcome: pointer noise plus signal.
-
-    Completeness of the Gaussian POVM is equivalent to this law being a
-    normalized normal density, which it is by construction.
-    """
-    return GaussianLaw(mean=0.0, var=model.delta_v ** 2 + model.signal_rms ** 2)

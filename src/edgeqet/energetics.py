@@ -8,31 +8,54 @@ and the current to energy-density conversion for channel U.
 
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import params as P
-from .chiral_field import CorrelatorKernel, WindowProfile, \
-    quad_form_vacuum, window_derivative_l2
+from .chiral_field import WindowProfile, _faddeeva, quad_form_vacuum, \
+    window_derivative_l2
 from .detector import delta_v, detector_from_params, measurement_coupling, \
     sense_window, signal_rms
-from .quadrature import ConvergenceFailure, QuadResult
 
 # Gauss-Legendre nodes on each of x and y for the first E_B rule (tau
 # gets twice as many), and the most that node doubling may reach.
 _EB_START_NODES = 16
 _EB_MAX_NODES = 512
-# Terms of Weideman's rational expansion of the Faddeeva function; 48
-# give full double precision for Im z >= 0.
-_FADDEEVA_TERMS = 48
 
 
-class SingularityWarning(UserWarning):
-    """Regularized pole integral is sensitive to the regulator width."""
+@dataclass(frozen=True)
+class QuadResult:
+    value: float
+    error_estimate: float
+    subdivisions_used: int
+    converged: bool
+    n_evals: int = 0
+
+
+class ConvergenceFailure(RuntimeError):
+    """A quadrature exhausted its budget before reaching tolerance."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
+
+
+class Estimate(float):
+    """A float that also carries ``error_estimate``, the absolute error
+    estimate of the quadrature that produced it.  Arithmetic on it gives
+    a plain float."""
+
+    __slots__ = ("error_estimate",)
+
+    def __new__(cls, value: float, error_estimate: float):
+        self = super().__new__(cls, value)
+        self.error_estimate = error_estimate
+        return self
+
+    def __getnewargs__(self):
+        return float(self), self.error_estimate
 
 
 def feedback_window(params: P.ExperimentParams) -> WindowProfile:
@@ -45,9 +68,8 @@ def feedback_window(params: P.ExperimentParams) -> WindowProfile:
 def gs_squared(params: P.ExperimentParams) -> float:
     """Vacuum variance of the dimensionless recorded-signal operator,
     (e v_g R / 2 dV)^2 <(int rho dw)^2>."""
-    kernel = CorrelatorKernel(nu=params.nu_S, eps_uv=params.eps_uv)
-    g = measurement_coupling(params)
-    return quad_form_vacuum(kernel, sense_window(params), order=1, coupling=g)
+    return quad_form_vacuum(params.nu_S, params.eps_uv, sense_window(params),
+                            order=1, coupling=measurement_coupling(params))
 
 
 def compute_EA(params: P.ExperimentParams) -> float:
@@ -103,40 +125,12 @@ def _gauss_legendre(n: int, lo: float, hi: float):
     return lo + half * (t + 1.0), half * w
 
 
-@functools.cache
-def _weideman_coefficients():
-    """Scale L and the coefficients, highest degree first, of the
-    polynomial p in :func:`_faddeeva`, from one length-4N FFT of
-    exp(-t^2) (L^2 + t^2) at t = L tan(theta/2)."""
-    n = _FADDEEVA_TERMS
-    scale = math.sqrt(n / math.sqrt(2.0))
-    t = scale * np.tan(0.5 * math.pi * np.arange(1 - 2 * n, 2 * n) / (2 * n))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (scale ** 2 + t * t)))
-    a = np.fft.fft(np.fft.fftshift(f)).real / (4 * n)
-    return scale, a[n:0:-1]
-
-
-def _faddeeva(z):
-    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
-
-    Weideman's rational expansion (SIAM J. Numer. Anal. 31, 1497
-    (1994)): w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)) with
-    Z = (L + iz) / (L - iz), exact to rounding on and above the real
-    axis.
-    """
-    scale, coeffs = _weideman_coefficients()
-    iz = 1j * np.asarray(z)
-    d = scale - iz
-    return (2.0 * np.polyval(coeffs, (scale + iz) / d) / d ** 2
-            + 1.0 / (math.sqrt(math.pi) * d))
-
-
 def _measured_pole(window: WindowProfile, c, eps: float):
     """int window(xbar) Re(c - xbar + i eps)^-3 dxbar, in closed form.
 
     For a Gaussian window of width s this is
     (pi A / 4 s^2) Im w''(zeta), zeta = (c - center + i eps) / (sqrt(2) s),
-    with w the Faddeeva function (:func:`_faddeeva`; Im zeta >= 0
+    with w the Faddeeva function (``chiral_field._faddeeva``; Im zeta >= 0
     because eps >= 0) and w'' from the recursion
     w' = -2 z w + 2i/sqrt(pi).
     """
@@ -214,22 +208,22 @@ def _eb_integral(params: P.ExperimentParams, rel_tol: float, eps: float,
 
 def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
                allow_short_separation: bool = False,
-               check_regulator: bool = False, causal: bool = True) -> float:
+               causal: bool = True) -> Estimate:
     """Energy gained by the feedback channel, first order in the coupling.
 
     Evaluates the regularized weight integral in its 3-D Faddeeva form
     (:func:`_eb_integral`), converged by Gauss-Legendre node doubling to
     ``rel_tol``; the sign convention is that a positive value means the
-    stated feedback polarity extracts energy.
+    stated feedback polarity extracts energy.  The result is an
+    :class:`Estimate` whose ``error_estimate`` is the node-doubling
+    difference in joules.
     The result changes sign with L: the underlying kernel (a Gaussian
     smoothed against an odd cubic pole) oscillates before settling onto
     its ~1/L^5 tail, so extraction at the default L = 2l turns into
     injection by L = 5l.
 
     Requires L >= 2l (where the pole regularization is demonstrably
-    stable) unless ``allow_short_separation``.  With ``check_regulator``
-    the integral is re-evaluated at twice the regulator width and a
-    :class:`SingularityWarning` is emitted if the two differ by > 5%.
+    stable) unless ``allow_short_separation``.
     Raises ValueError unless 0 < ``rel_tol`` < 1, and
     :class:`ConvergenceFailure` if node doubling hits its cap.
     """
@@ -240,16 +234,9 @@ def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
             f"L = {params.L:.3g} < 2l = {2 * params.l:.3g}: regularization "
             "validity not established (pass allow_short_separation=True to force)")
     res = _eb_integral(params, rel_tol, params.eps_uv, causal=causal)
-    value = -_eb_prefactor(params) * res.value
-    if check_regulator:
-        res2 = _eb_integral(params, rel_tol, 2.0 * params.eps_uv, causal=causal)
-        value2 = -_eb_prefactor(params) * res2.value
-        if value != 0 and abs(value2 - value) > 0.05 * abs(value):
-            warnings.warn(
-                f"E_B changes by {abs(value2 - value) / abs(value):.1%} when "
-                "the regulator is doubled; result is regulator-sensitive",
-                SingularityWarning, stacklevel=2)
-    return value
+    prefactor = _eb_prefactor(params)
+    return Estimate(-prefactor * res.value,
+                    abs(prefactor * res.error_estimate))
 
 
 def fit_scaling_exponent(params: P.ExperimentParams, L_values,
@@ -299,8 +286,10 @@ class EnergyBudget:
 
     delta_v: float              # V
     signal_rms: float           # V
+    signal_rms_unregularized: float  # V, signal_rms at eps_uv = 0
     E_A: float                  # J
     E_1: float                  # J
+    E_1_unregularized: float    # J, E_1 at eps_uv = 0
     E_B: float                  # J
     E_B_unregularized: float    # J, E_B at eps_uv = 0
     # E_B_unregularized / E_B - 1; None when E_B is 0
@@ -316,27 +305,28 @@ class EnergyBudget:
         return asdict(self)
 
 
-def energy_budget(params: P.ExperimentParams, rel_tol: float = 1e-4,
-                  check_regulator: bool = False) -> EnergyBudget:
-    """One call producing the complete budget at the given parameters."""
-    dv = delta_v(detector_from_params(params))
-    rms = signal_rms(params)
-    e_a = compute_EA(params)
-    e_1 = compute_E1(params)
-    e_b = compute_EB(params, rel_tol=rel_tol,
-                     check_regulator=check_regulator)
-    # the Gaussian windows keep the pole integral finite without eps_uv
-    e_b_unreg = -_eb_prefactor(params) * _eb_integral(
-        params, rel_tol, 0.0).value
-    e_b_order = eb_order_estimate(params)
+def energy_budget(params: P.ExperimentParams,
+                  rel_tol: float = 1e-4) -> EnergyBudget:
+    """One call producing the complete budget at the given parameters.
+
+    The ``_unregularized`` fields repeat a quantity at eps_uv = 0, which
+    the Gaussian windows keep finite, to show the regulator's bias.
+    """
+    unregularized = params.replace(eps_uv=0.0)
+    e_b = compute_EB(params, rel_tol=rel_tol)
+    e_b_unreg = compute_EB(unregularized, rel_tol=rel_tol)
     # packet energy spread over the typical length scale sets the
     # detectable current
     j = current_from_energy_density(max(e_b, 0.0) / params.l, params)
     return EnergyBudget(
-        delta_v=dv, signal_rms=rms, E_A=e_a, E_1=e_1, E_B=e_b,
-        E_B_unregularized=e_b_unreg,
+        delta_v=delta_v(detector_from_params(params)),
+        signal_rms=signal_rms(params),
+        signal_rms_unregularized=signal_rms(unregularized),
+        E_A=compute_EA(params), E_1=compute_E1(params),
+        E_1_unregularized=compute_E1(unregularized),
+        E_B=e_b, E_B_unregularized=e_b_unreg,
         E_B_unregularized_shift=e_b_unreg / e_b - 1.0 if e_b else None,
-        E_B_order_estimate=e_b_order,
+        E_B_order_estimate=eb_order_estimate(params),
         thermal=P.thermal_energy(params.temperature),
         detect_current=j, eps_uv=params.eps_uv, omega_c=params.omega_c,
         rel_tol=rel_tol)

@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from edgeqet.detector import sense_window
-from edgeqet.energetics import feedback_window
-from edgeqet.quadrature import (_GAUSS_IDX, _WG, _WK, _XK,
-                                ConvergenceFailure, QuadResult)
+from edgeqet.energetics import ConvergenceFailure, QuadResult, feedback_window
+from quad_reference import _GAUSS_IDX, _WG, _WK, _XK
 
 
 class _NdCell:

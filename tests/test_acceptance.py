@@ -22,7 +22,7 @@ from edgeqet.detector import (delta_v, detector_from_params,
 from edgeqet.energetics import (compute_EA, compute_EB, compute_E1,
                                 fit_scaling_exponent)
 from edgeqet.chiral_field import window_derivative_l2
-from edgeqet.quadrature import IntegrationSpec, integrate_1d
+from quad_reference import IntegrationSpec, integrate_1d
 
 UEV = 1e6 / P.E_CHARGE  # J -> ueV
 MEV = 1e3 / P.E_CHARGE  # J -> meV

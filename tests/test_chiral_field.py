@@ -1,14 +1,16 @@
-"""Window profiles and the regularized vacuum density correlator."""
+"""Window profiles, the vacuum quadratic form in closed form, and the
+quadrature references it is checked against (quad_reference.py)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from edgeqet.chiral_field import (CorrelatorKernel, WindowProfile,
-                                  quad_form_vacuum,
-                                  quad_form_vacuum_position_space,
+from edgeqet.chiral_field import (WindowProfile, _moment, quad_form_vacuum,
                                   window_derivative_l2)
+from quad_reference import (CorrelatorKernel, fourier_abs,
+                            quad_form_vacuum_position_space,
+                            quad_form_vacuum_spectral)
 
 
 @pytest.fixture()
@@ -56,7 +58,7 @@ def test_fourier_abs_is_transform_magnitude(window):
     for order in (0, 1):
         g = window(x) if order == 0 else window.derivative(x, order=1)
         ft = np.trapezoid(g * np.exp(-1j * k * x), x)
-        assert window.fourier_abs(k, order=order) == pytest.approx(
+        assert fourier_abs(window, k, order=order) == pytest.approx(
             abs(ft), rel=1e-7)
 
 
@@ -84,23 +86,50 @@ def test_spectral_weight_is_correlator_transform():
 
 
 def test_quad_form_spectral_vs_position_space():
-    """Spectral and brute-force position-space quadratic forms agree."""
+    """The closed form and the brute-force position-space quadratic form
+    agree."""
     kern = CorrelatorKernel(nu=3.0, eps_uv=1e-7)
     window = WindowProfile(center=0.0, sigma=1e-5, amplitude=1.0)
-    spectral = quad_form_vacuum(kern, window, order=1)
+    closed = quad_form_vacuum(3.0, 1e-7, window, order=1)
     direct = quad_form_vacuum_position_space(kern, window, order=1)
-    assert spectral > 0
-    assert direct == pytest.approx(spectral, rel=1e-6)
+    assert closed > 0
+    assert direct == pytest.approx(closed, rel=1e-6)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("ratio", [1e-7, 1e-2, 1, 2, 4, 10, 100, 1000])
+def test_quad_form_closed_form_matches_spectral_quadrature(order, ratio):
+    """Both regimes of the moments (forward recursion for eps <= 2 sigma,
+    continued fraction above) against adaptive quadrature of the
+    spectral integral."""
+    sigma = 1e-5
+    window = WindowProfile(center=0.3e-5, sigma=sigma, amplitude=2.0)
+    kern = CorrelatorKernel(nu=3.0, eps_uv=ratio * sigma)
+    reference = quad_form_vacuum_spectral(kern, window, order=order,
+                                          coupling=1.5, rel_tol=1e-14)
+    closed = quad_form_vacuum(3.0, ratio * sigma, window, order=order,
+                              coupling=1.5)
+    assert closed == pytest.approx(reference, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_moment_without_regulator_is_gamma_function(n):
+    sigma = 1e-5
+    exact = math.gamma(0.5 * (n + 1)) / (2.0 * sigma ** (n + 1))
+    assert _moment(n, 0.0, sigma) == pytest.approx(exact, rel=1e-15)
 
 
 def test_quad_form_scaling(params):
-    kern = CorrelatorKernel(nu=params.nu_S, eps_uv=params.eps_uv)
     window = WindowProfile(center=0.0, sigma=params.l, amplitude=1.0)
-    base = quad_form_vacuum(kern, window, order=1)
+    base = quad_form_vacuum(params.nu_S, params.eps_uv, window, order=1)
     # quadratic in the coupling, linear in nu
-    assert quad_form_vacuum(kern, window, order=1, coupling=2.0) \
-        == pytest.approx(4 * base, rel=1e-12)
-    kern2 = CorrelatorKernel(nu=2 * params.nu_S, eps_uv=params.eps_uv)
-    assert quad_form_vacuum(kern2, window, order=1) \
-        == pytest.approx(2 * base, rel=1e-12)
-    assert quad_form_vacuum(kern, window, order=1, coupling=0.0) == 0.0
+    assert quad_form_vacuum(params.nu_S, params.eps_uv, window, order=1,
+                            coupling=2.0) == pytest.approx(4 * base, rel=1e-12)
+    assert quad_form_vacuum(2 * params.nu_S, params.eps_uv, window,
+                            order=1) == pytest.approx(2 * base, rel=1e-12)
+    assert quad_form_vacuum(params.nu_S, params.eps_uv, window, order=1,
+                            coupling=0.0) == 0.0
+    # eps_uv = 0 is finite and lies above every regulated value
+    assert quad_form_vacuum(params.nu_S, 0.0, window, order=1) > base
+    with pytest.raises(ValueError, match="eps_uv"):
+        quad_form_vacuum(params.nu_S, -1e-9, window, order=1)

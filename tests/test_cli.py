@@ -52,6 +52,11 @@ def test_unknown_subcommand_is_usage_error():
     assert run(["teleport"]) == 1
 
 
+def test_every_exported_name_resolves():
+    for name in edgeqet.__all__:
+        assert getattr(edgeqet, name) is not None, name
+
+
 def test_import_loads_no_scipy_submodules():
     """scipy.linalg loads at first use, not at import; scipy.special
     never loads (the Faddeeva function is evaluated in numpy)."""
@@ -116,6 +121,17 @@ def test_budget_set_override_and_zero_amplitude(tmp_path, capsys):
     assert "-0" not in out.split("E_B")[1].splitlines()[0]
 
 
+def test_budget_without_default_regulator(tmp_path):
+    # a regulator far above the window width takes the continued-fraction
+    # branch of the vacuum moments
+    assert run(["budget", "--out", str(tmp_path),
+                "--set", "eps_uv=1e-3"]) == 0
+    payload = json.loads((tmp_path / "budget.json").read_text())
+    values = [v for v in payload["budget"].values() if v is not None]
+    assert all(math.isfinite(v) for v in values)
+    assert payload["budget"]["signal_rms"] > 0
+
+
 def test_budget_non_finite_rule_exit_code(tmp_path, capsys):
     # L = 1e300 m overflows the first E_B rule; the quadrature stops
     # there instead of doubling to the node cap
@@ -145,6 +161,10 @@ def test_sweep_artifacts_and_fit(tmp_path, capsys):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "L,E_B_J,E_B_error_J,E_B_order_estimate_J"
     assert len(lines) == 3
+    # the error column is the quadrature's own estimate, within tolerance
+    for line in lines[1:]:
+        _, e_b, err, _ = (float(c) for c in line.split(","))
+        assert math.isfinite(err) and 0.0 <= err <= 1e-3 * abs(e_b)
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["n_points"] == 2
     assert fit["slope"] is not None and fit["slope_stderr"] is None
@@ -183,9 +203,11 @@ def test_sweep_rows_follow_derived_defaults(tmp_path, key, values, extra):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
     for row in rows:
-        x, e_b, _, order = (float(c) for c in row.split(","))
+        x, e_b, err, order = (float(c) for c in row.split(","))
         p = P.load_params(overrides={**extra, key: x})
-        assert e_b == energetics.compute_EB(p, rel_tol=1e-3)
+        expected = energetics.compute_EB(p, rel_tol=1e-3)
+        assert e_b == expected
+        assert err == expected.error_estimate
         assert order == energetics.eb_order_estimate(p)
 
 

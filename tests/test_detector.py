@@ -1,4 +1,4 @@
-"""RC detector noise, signal RMS, and the Gaussian measurement law."""
+"""RC detector noise, signal RMS, and the measurement coupling."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from edgeqet import params as P
 from edgeqet.detector import (RCDetector, delta_v,
                               detector_from_params, measurement_coupling,
-                              measurement_model, outcome_distribution,
                               sense_window, signal_rms)
 
 
@@ -54,8 +53,3 @@ def test_sense_window_geometry(params):
     assert w.sigma == params.l
     assert w.amplitude == 1.0
 
-
-def test_outcome_distribution_is_normalized(params):
-    law = outcome_distribution(measurement_model(params))
-    model = measurement_model(params)
-    assert law.var == pytest.approx(model.delta_v ** 2 + model.signal_rms ** 2)

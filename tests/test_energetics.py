@@ -8,8 +8,9 @@ regularized power kernel collapse onto derivatives of the Faddeeva
 function w(z), leaving a smooth 2-D integral that Gauss-Legendre nails.
 """
 
+import copy
 import math
-import warnings
+import pickle
 
 import numpy as np
 import pytest
@@ -19,15 +20,14 @@ from edgeqet import energetics as E
 from edgeqet import params as P
 from edgeqet.chiral_field import window_derivative_l2
 from edgeqet.detector import delta_v, detector_from_params, sense_window
-from edgeqet.energetics import (EnergyBudget, SingularityWarning, compute_EA,
-                                compute_EB, compute_E1,
+from edgeqet.energetics import (ConvergenceFailure, EnergyBudget, Estimate,
+                                compute_EA, compute_EB, compute_E1,
                                 current_from_energy_density,
                                 eb_order_estimate, energy_budget,
                                 energy_density_from_current, feedback_window,
                                 fit_scaling_exponent, gs_squared)
-from edgeqet.quadrature import ConvergenceFailure, IntegrationSpec, \
-    integrate_1d
 from nd_reference import eb_integral_4d
+from quad_reference import IntegrationSpec, integrate_1d
 
 UEV = 1e6 / P.E_CHARGE  # J -> micro-eV
 
@@ -200,7 +200,9 @@ def test_EB_node_doubling_at_long_separation(params):
     n = E._EB_START_NODES * 2 ** res.subdivisions_used
     finer = E._eb_rule(p, p.eps_uv, True, 2 * n)
     assert res.value == pytest.approx(finer, rel=1e-4)
-    assert compute_EB(p) == -E._eb_prefactor(p) * res.value
+    e_b = compute_EB(p)
+    assert e_b == -E._eb_prefactor(p) * res.value
+    assert e_b.error_estimate == abs(E._eb_prefactor(p) * res.error_estimate)
 
 
 def test_EB_node_cap_raises_with_partial_result(params, monkeypatch):
@@ -238,10 +240,6 @@ def test_EB_regulator_and_tolerance_stability(params, eb_default):
     assert abs(halved - eb_default) < 0.05 * abs(eb_default)
     tight = compute_EB(params, rel_tol=1e-5)
     assert abs(tight - eb_default) < 0.01 * abs(eb_default)
-    # no regulator warning at the defaults
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SingularityWarning)
-        compute_EB(params, rel_tol=1e-4, check_regulator=True)
 
 
 def test_EB_rejects_short_separation(params):
@@ -327,7 +325,8 @@ def test_energy_budget_aggregates(params, eb_default):
     assert budget.detect_current > 0
     assert budget.E_A > budget.E_B > 0
     d = budget.as_dict()
-    assert set(d) >= {"delta_v", "signal_rms", "E_A", "E_1", "E_B",
+    assert set(d) >= {"delta_v", "signal_rms", "signal_rms_unregularized",
+                      "E_A", "E_1", "E_1_unregularized", "E_B",
                       "E_B_unregularized", "E_B_unregularized_shift",
                       "E_B_order_estimate", "thermal", "detect_current"}
     # the regulator bias: E_B at eps_uv = 0 lies 2.68% above E_B
@@ -335,3 +334,25 @@ def test_energy_budget_aggregates(params, eb_default):
     assert budget.E_B_unregularized_shift == pytest.approx(
         budget.E_B_unregularized / budget.E_B - 1.0, rel=1e-12)
     assert budget.E_B_unregularized_shift == pytest.approx(0.0268, abs=5e-4)
+    # E_1 and the signal RMS at eps_uv = 0: +1.30% and +0.67%; the
+    # oracle's exact mean packet energy is 4.972065e-21 J
+    assert budget.E_1_unregularized == pytest.approx(
+        compute_E1(params.replace(eps_uv=0.0)), rel=1e-15)
+    assert budget.E_1_unregularized == pytest.approx(4.972041e-21, rel=1e-6)
+    assert budget.E_1_unregularized / budget.E_1 - 1.0 == pytest.approx(
+        0.0130, abs=5e-4)
+    assert budget.signal_rms_unregularized * 1e6 == pytest.approx(
+        78.2828, rel=1e-5)
+    assert budget.signal_rms_unregularized / budget.signal_rms - 1.0 == \
+        pytest.approx(0.0067, abs=5e-4)
+
+
+def test_EB_estimate_is_a_float_with_its_error(params, eb_default):
+    assert isinstance(eb_default, Estimate) and isinstance(eb_default, float)
+    assert 0.0 < eb_default.error_estimate <= 1e-4 * abs(eb_default)
+    # copies (EnergyBudget.as_dict deep-copies) keep value and error
+    for twin in (copy.deepcopy(eb_default),
+                 pickle.loads(pickle.dumps(eb_default))):
+        assert twin == eb_default
+        assert twin.error_estimate == eb_default.error_estimate
+    assert type(2.0 * eb_default) is float

@@ -9,8 +9,7 @@ import pytest
 from edgeqet import params as P
 from edgeqet import oracle as O
 from edgeqet import propagator
-from edgeqet.detector import (delta_v, detector_from_params,
-                              measurement_model, outcome_distribution)
+from edgeqet.detector import delta_v, detector_from_params, signal_rms
 from edgeqet.energetics import compute_EA, compute_E1
 
 from dense_reference import run_protocol_dense
@@ -78,8 +77,7 @@ def test_observable_variance_matches_signal_rms(params, grid):
     o = O.measurement_observable(params, grid)
     vac = O.vacuum_state(grid)
     var = float(o @ vac.cov @ o)
-    model = measurement_model(params)
-    assert math.sqrt(var) == pytest.approx(model.signal_rms, rel=0.02)
+    assert math.sqrt(var) == pytest.approx(signal_rms(params), rel=0.02)
 
 
 def test_measurement_conditioning(params, grid):
@@ -98,8 +96,9 @@ def test_measurement_conditioning(params, grid):
     rng = np.random.default_rng(1)
     samples = [O.measure_gaussian(vac, o, dv, rng=rng)[0]
                for _ in range(4000)]
-    law = outcome_distribution(measurement_model(params))
-    assert np.std(samples) == pytest.approx(law.std, rel=0.05)
+    # pointer noise plus signal
+    assert np.std(samples) == pytest.approx(
+        math.hypot(dv, signal_rms(params)), rel=0.05)
     with pytest.raises(O.DegenerateObservable):
         O.measure_gaussian(vac, np.zeros(4 * grid.n_modes), dv, outcome=0.0)
 
@@ -126,8 +125,9 @@ def test_displacement_energy_matches_E1(params):
     hw2 = np.concatenate([hw, hw])
     n = grid.n_modes
     q_1 = 0.5 * float(hw2 @ (d_unit[2 * n:] ** 2))
-    law = outcome_distribution(measurement_model(params))
-    oracle_e1 = q_1 * law.var
+    # outcome variance: pointer noise plus signal
+    dv = delta_v(detector_from_params(params))
+    oracle_e1 = q_1 * math.hypot(dv, signal_rms(params)) ** 2
     assert oracle_e1 == pytest.approx(compute_E1(params), rel=0.05)
 
 

@@ -1,14 +1,14 @@
-"""Adaptive Gauss-Kronrod integration: the 1-D production integrator and
-the n-D reference integrator kept with the tests (nd_reference.py)."""
+"""Adaptive Gauss-Kronrod integration: the 1-D and n-D reference
+integrators kept with the tests (quad_reference.py, nd_reference.py)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from edgeqet.quadrature import (ConvergenceFailure, IntegrationSpec,
-                                QuadResult, integrate_1d)
+from edgeqet.energetics import ConvergenceFailure, QuadResult
 from nd_reference import integrate_nd
+from quad_reference import IntegrationSpec, integrate_1d
 
 
 def test_spec_validation():
