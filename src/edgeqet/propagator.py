@@ -15,6 +15,7 @@ commands that never simulate do not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,7 +181,10 @@ class WindowPropagator:
 
     q (4N x r, orthonormal) spans every direction the coupling reads
     during the window; M moves the rest by free flight R alone, so
-    mq = M q determines M.
+    mq = M q determines M.  ``symplectic_residual`` is
+    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M.  q and
+    mq are read-only: ``window_propagator`` hands one instance to every
+    caller with the same setup.
     """
 
     q: np.ndarray
@@ -188,6 +192,7 @@ class WindowPropagator:
     span: float                        # s, t_f - t_i
     grid: ModeGrid
     params: P.ExperimentParams
+    symplectic_residual: float
 
     @property
     def rq(self) -> np.ndarray:
@@ -199,13 +204,11 @@ class WindowPropagator:
         return (free_rotate(a - self.q @ c, self.grid, self.params,
                             self.span) + self.mq @ c)
 
-    @property
-    def symplectic_residual(self) -> float:
-        """max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M."""
-        return float(np.max(np.abs(self.mq.T @ _omega_times(self.mq)
-                                   - self.q.T @ _omega_times(self.q))))
 
-
+# A scan over feedback modes and a few coupling strengths on one grid
+# reuses every propagator it builds; four entries bound the memory (two
+# 4N x r arrays each, ~60 MB at 1024 modes).
+@functools.lru_cache(maxsize=4)
 def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
                       coupling_scale: float = 1.0,
                       ramp_fraction: float = 0.05,
@@ -218,6 +221,11 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     with a nonzero coupling costs one ``expm_action``
     (``_step_propagator``), and applying a step costs O(N r r_step).
     No 4N x 4N matrix is formed.
+
+    The result depends on nothing but the arguments, all hashable, so
+    the last four propagators built are memoised by argument value (an
+    equal ``ExperimentParams`` built separately finds the same entry);
+    ``window_propagator.cache_clear()`` releases them.
     """
     t_i, t_f = interaction_window(params)
     f_s, f_u = _coupling_factors(params, grid)
@@ -243,4 +251,7 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
                 grid, params, (f_s, f_u, k_norm), dt, scale, basis)
         q_step, l_step = steps[dt, scale]
         mq = free_rotate(mq, grid, params, dt) + l_step @ (q_step.T @ mq)
-    return WindowPropagator(q, mq, t_f - t_i, grid, params)
+    residual = float(np.max(np.abs(mq.T @ _omega_times(mq)
+                                   - q.T @ _omega_times(q))))
+    q.flags.writeable = mq.flags.writeable = False
+    return WindowPropagator(q, mq, t_f - t_i, grid, params, residual)

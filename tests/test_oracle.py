@@ -302,15 +302,85 @@ def test_run_protocol_one_action_per_distinct_step(params, monkeypatch,
                                                    calls):
     """Ramp up and down share their steps; zero-length steps need none;
     no dense expm is taken."""
-    seen, dense = [], []
-    action = propagator.expm_action
-    monkeypatch.setattr(propagator, "expm_action",
-                        lambda *a: seen.append(a) or action(*a))
+    seen, dense = _count_actions(monkeypatch), []
     monkeypatch.setattr(O, "expm", lambda a: dense.append(a))
+    propagator.window_propagator.cache_clear()
     O.run_protocol(params, O.default_grid(params, n_modes=16), n_shots=2,
                    ramp_fraction=ramp_fraction, n_ramp=n_ramp, n_profile=16)
     assert len(seen) == calls
     assert dense == []
+
+
+def _count_actions(monkeypatch):
+    """List that gets one entry per propagator.expm_action call."""
+    seen = []
+    action = propagator.expm_action
+    monkeypatch.setattr(propagator, "expm_action",
+                        lambda *a: seen.append(a) or action(*a))
+    return seen
+
+
+def test_run_protocol_reuses_window_propagator(params, monkeypatch):
+    """A second call on one setup, with another feedback mode and seed,
+    builds neither the window propagator nor the profile rows and
+    returns what a cold call returns; a change to any input of the
+    propagator builds a fresh one."""
+    actions = _count_actions(monkeypatch)
+    rows = []
+    basis = O.density_basis
+    monkeypatch.setattr(O, "density_basis",
+                        lambda *a: rows.append(a) or basis(*a))
+    grid = O.default_grid(params, n_modes=64)
+    setup = dict(coupling_scale=0.3, ramp_fraction=0.05, n_ramp=3)
+
+    def run(p=params, g=grid, mode="correlated", seed=1, **changes):
+        return O.run_protocol(p, g, feedback_mode=mode, n_shots=50,
+                              seed=seed, n_profile=64,
+                              **{**setup, **changes})
+
+    def cold(*args, **kwargs):
+        propagator.window_propagator.cache_clear()
+        O._density_rows.cache_clear()
+        return run(*args, **kwargs)
+
+    def assert_same(a, b):
+        assert np.array_equal(a.e_b_samples, b.e_b_samples)
+        assert np.array_equal(a.energy_density_profile,
+                              b.energy_density_profile)
+        assert a.symplectic_residual == b.symplectic_residual
+
+    want = cold(mode="scrambled", seed=2)
+    cold()
+    before = len(actions), len(rows)
+    assert_same(run(mode="scrambled", seed=2), want)
+    assert (len(actions), len(rows)) == before
+
+    # an equal parameter set built separately finds the same entry
+    twin = P.ExperimentParams(**params.as_dict())
+    assert twin is not params and twin == params
+    run(p=twin, mode="off", seed=3)
+    assert len(actions) == before[0]
+    assert propagator.window_propagator.cache_info().currsize == 1
+
+    # 128 modes with the same parameters: another subspace, rank 152
+    # against 90 at 64 modes
+    grid128 = O.default_grid(params, n_modes=128)
+    for changes in (dict(coupling_scale=0.31), dict(ramp_fraction=0.1),
+                    dict(g=grid128), dict(p=params.replace(d=1.2e-5))):
+        base = cold()
+        n = len(actions)
+        warm = run(**changes)
+        assert len(actions) > n, changes
+        assert_same(warm, cold(**changes))
+        if "g" in changes:
+            assert warm.subspace_rank > base.subspace_rank
+
+    # cached arrays are shared, so they are read-only
+    m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
+    u = O._density_rows(grid, params.nu_S, "left", want.profile_x.tobytes())
+    for a in (m.q, m.mq, u):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def test_step_basis_is_complete(params):
