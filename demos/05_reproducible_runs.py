@@ -33,7 +33,7 @@ assert cli.main(argv) == 0
 manifest = json.loads((first / "manifest.json").read_text())
 print("manifest records the fully resolved inputs:")
 for key in ("command", "version", "seed", "shots", "feedback",
-            "coupling_scale", "eps_uv", "omega_c"):
+            "coupling_scale", "profile_points", "eps_uv", "omega_c"):
     print(f"  {key:15s} {manifest[key]}")
 print(f"  params.L        {manifest['params']['L']}  (from file)")
 print(f"  params.nu_S     {manifest['params']['nu_S']}  (from --set)")
@@ -49,7 +49,7 @@ argv2 = (["simulate"]
             "--feedback", manifest["feedback"],
             "--coupling-scale", str(manifest["coupling_scale"]),
             "--ramp-fraction", str(manifest["ramp_fraction"]),
-            "--profile-points", "128",
+            "--profile-points", str(manifest["profile_points"]),
             "--tol", str(manifest["rel_tol"]),
             "--out", str(replay)])
 assert cli.main(argv2) == 0

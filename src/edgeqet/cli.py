@@ -54,31 +54,23 @@ _ORDER_REFS = {
     "E_B": 100e-6 * P.E_CHARGE,  # J (100 ueV, at the default L = 2l)
 }
 
-_DISPLAY = {
-    # field -> (scale to display unit, display unit)
-    "delta_v": (1e6, "uV"),
-    "signal_rms": (1e6, "uV"),
-    "signal_rms_unregularized": (1e6, "uV"),
-    "E_A": (1e3 / P.E_CHARGE, "meV"),
-    "E_1": (1e3 / P.E_CHARGE, "meV"),
-    "E_1_unregularized": (1e3 / P.E_CHARGE, "meV"),
-    "E_B": (1e6 / P.E_CHARGE, "ueV"),
-    "E_B_unregularized": (1e6 / P.E_CHARGE, "ueV"),
-    "E_B_unregularized_shift": (100.0, "%"),
-    "E_B_order_estimate": (1e6 / P.E_CHARGE, "ueV"),
-    "thermal": (1e6 / P.E_CHARGE, "ueV"),
-    "detect_current": (1e9, "nA"),
-    "eps_uv": (1e6, "um"),
-    "omega_c": (1.0, "rad/s"),
-    "rel_tol": (1.0, ""),
-}
-
-_SI_UNITS = {
-    "delta_v": "V", "signal_rms": "V", "signal_rms_unregularized": "V",
-    "E_A": "J", "E_1": "J", "E_1_unregularized": "J", "E_B": "J",
-    "E_B_unregularized": "J", "E_B_unregularized_shift": "",
-    "E_B_order_estimate": "J", "thermal": "J", "detect_current": "A",
-    "eps_uv": "m", "omega_c": "rad/s", "rel_tol": "",
+_UNITS = {
+    # field -> (SI unit, scale to display unit, display unit)
+    "delta_v": ("V", 1e6, "uV"),
+    "signal_rms": ("V", 1e6, "uV"),
+    "signal_rms_unregularized": ("V", 1e6, "uV"),
+    "E_A": ("J", 1e3 / P.E_CHARGE, "meV"),
+    "E_1": ("J", 1e3 / P.E_CHARGE, "meV"),
+    "E_1_unregularized": ("J", 1e3 / P.E_CHARGE, "meV"),
+    "E_B": ("J", 1e6 / P.E_CHARGE, "ueV"),
+    "E_B_unregularized": ("J", 1e6 / P.E_CHARGE, "ueV"),
+    "E_B_unregularized_shift": ("", 100.0, "%"),
+    "E_B_order_estimate": ("J", 1e6 / P.E_CHARGE, "ueV"),
+    "thermal": ("J", 1e6 / P.E_CHARGE, "ueV"),
+    "detect_current": ("A", 1e9, "nA"),
+    "eps_uv": ("m", 1e6, "um"),
+    "omega_c": ("rad/s", 1.0, "rad/s"),
+    "rel_tol": ("", 1.0, ""),
 }
 
 
@@ -101,6 +93,7 @@ class RunManifest:
     feedback: str | None = None
     coupling_scale: float | None = None
     ramp_fraction: float | None = None
+    profile_points: int | None = None
     sweep: dict | None = None
     duration_s: float | None = None
 
@@ -192,16 +185,16 @@ def cmd_budget(args) -> int:
     budget = energy_budget(params, rel_tol=args.tol)
     rows = []
     for key, value in budget.as_dict().items():
-        scale, disp_unit = _DISPLAY[key]
+        si_unit, scale, disp_unit = _UNITS[key]
         if value is None:       # a ratio to a zero E_B
-            rows.append([key, "", _SI_UNITS[key], "", disp_unit, "", "", ""])
+            rows.append([key, "", si_unit, "", disp_unit, "", "", ""])
             continue
         value = _clean(value)
         ref = _ORDER_REFS.get(key)
         lo = ref / 10.0 if ref else ""
         hi = ref * 10.0 if ref else ""
         in_band = (lo <= value <= hi) if ref else ""
-        rows.append([key, float(value), _SI_UNITS[key],
+        rows.append([key, float(value), si_unit,
                      float(value * scale), disp_unit, lo, hi, in_band])
     _write_csv(out / "budget.csv",
                ["quantity", "value_si", "si_unit", "value_display",
@@ -210,7 +203,7 @@ def cmd_budget(args) -> int:
     _write_json(out / "budget.json",
                 {"budget": {k: _clean(v) for k, v in
                             budget.as_dict().items()},
-                 "si_units": _SI_UNITS,
+                 "si_units": {k: u[0] for k, u in _UNITS.items()},
                  "order_bands": {k: [_clean(v / 10.0), _clean(v * 10.0)]
                                  for k, v in _ORDER_REFS.items()}})
     manifest = _manifest("budget", params, args)
@@ -224,7 +217,7 @@ def cmd_budget(args) -> int:
         elif lo == "":
             print(f"{key:24s} {disp:12.4g} {unit:6s}")
         else:
-            scale = _DISPLAY[key][0]
+            scale = _UNITS[key][1]
             band = f"[{lo * scale:.3g}, {hi * scale:.3g}]"
             print(f"{key:24s} {disp:12.4g} {unit:6s} {band:>24s} "
                   f"{'pass' if ok else 'FAIL'}")
@@ -334,7 +327,8 @@ def cmd_simulate(args) -> int:
         "simulate", params, args,
         grid={"n_modes": grid.n_modes, "ring_length": grid.ring_length},
         seed=args.seed, shots=args.shots, feedback=args.feedback,
-        coupling_scale=args.coupling_scale, ramp_fraction=args.ramp_fraction)
+        coupling_scale=args.coupling_scale, ramp_fraction=args.ramp_fraction,
+        profile_points=args.profile_points)
     manifest.duration_s = time.perf_counter() - t0
     manifest.write(out)
     ue = 1e6 / P.E_CHARGE

@@ -82,10 +82,6 @@ class GaussianState:
     mean: np.ndarray
     cov: np.ndarray
 
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 4
-
 
 def vacuum_state(grid: ModeGrid) -> GaussianState:
     n = 4 * grid.n_modes
@@ -115,14 +111,14 @@ def _omega_times(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_state(state: GaussianState, tol_sym: float = 1e-12,
+def validate_state(cov: np.ndarray, tol_sym: float = 1e-12,
                    tol_heis: float = 1e-9) -> None:
-    """Symmetry and uncertainty-relation checks; raises on violation."""
-    asym = np.max(np.abs(state.cov - state.cov.T))
+    """Symmetry and uncertainty-relation checks on a covariance of R;
+    raises on violation."""
+    asym = np.max(np.abs(cov - cov.T))
     if asym > tol_sym:
         raise StepInstability(f"covariance asymmetry {asym:.3g} > {tol_sym}")
-    omega = symplectic_form(state.n_modes)
-    m = state.cov + 0.5j * omega
+    m = cov + 0.5j * symplectic_form(cov.shape[0] // 4)
     min_eig = float(np.linalg.eigvalsh(m)[0])
     if min_eig < -tol_heis:
         raise StepInstability(
@@ -183,31 +179,25 @@ def channel_energy(state: GaussianState, grid: ModeGrid,
     return 0.5 * float(hw @ per_mode)
 
 
-def local_energy_density(state: GaussianState, x_grid,
-                         grid: ModeGrid, params: P.ExperimentParams,
-                         channel: str = "S",
-                         mean_second_moment: np.ndarray | None = None
-                         ) -> np.ndarray:
+def local_energy_density(x_grid, grid: ModeGrid,
+                         params: P.ExperimentParams, cols: np.ndarray,
+                         weights, channel: str = "S") -> np.ndarray:
     """Normal-ordered <eps(x)> = (pi hbar v_g / nu) <:rho(x)^2:>, J/m.
 
-    ``state`` is the joint state, or the marginal state of ``channel``
-    alone (its 2N quadratures).  ``mean_second_moment`` optionally
-    replaces mean*mean^T (channel block) by an ensemble average, for
-    shot-averaged profiles.  The density rows at ``x_grid`` are
+    The channel's normal-ordered second moment <R R^T> - I/2 over its 2N
+    quadratures, mean included, is given factored as
+    cols diag(weights) cols^T (``cols`` 2N x k), so
+    eps(x) = (pi hbar v_g / nu) sum_j w_j (u(x) . c_j)^2 costs one
+    n_x x 2N by 2N x k product.  The density rows u at ``x_grid`` are
     memoised for the last four (grid, nu, x_grid) combinations
     (``_density_rows.cache_clear()`` releases them).
     """
-    sl, chirality = _channel_slice(grid, channel)
-    if state.mean.size == 2 * grid.n_modes:
-        sl = slice(None)
+    _, chirality = _CHANNELS[channel]
     nu = params.nu_S if channel == "S" else params.nu_U
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    u = _density_rows(grid, nu, chirality, x.tobytes())
-    if mean_second_moment is None:
-        mean_second_moment = np.outer(state.mean[sl], state.mean[sl])
-    moment = (state.cov[sl, sl] - 0.5 * np.eye(2 * grid.n_modes)
-              + mean_second_moment)
-    return math.pi * P.HBAR * params.v_g / nu * ((u @ moment) * u).sum(1)
+    v = _density_rows(grid, nu, chirality, x.tobytes()) @ cols
+    v *= v
+    return math.pi * P.HBAR * params.v_g / nu * (v @ weights)
 
 
 # Hamiltonians ---------------------------------------------------------
@@ -387,7 +377,7 @@ def evolve(state: GaussianState, hamiltonian: np.ndarray, t: float,
     out = GaussianState(prop @ state.mean, prop @ state.cov @ prop.T)
     out.cov = 0.5 * (out.cov + out.cov.T)
     if check:
-        validate_state(out)
+        validate_state(out.cov)
     return out
 
 
@@ -473,14 +463,15 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
       every other direction, and MQ costs one ``expm_action`` per
       distinct (duration, scale) step and none for a zero-length step;
     * free flight is a per-mode rotation (``free_rotate``) of vectors
-      and covariance blocks, never a dense matrix product;
+      and column blocks, never a dense matrix product;
     * the post-measurement covariance is I/2 minus one and plus one
       rank-1 term (``_conditioning``); rotations leave I/2 alone, so at
       t_f it is M M^T/2 = (I - (RQ)(RQ)^T + (MQ)(MQ)^T)/2 plus two
-      rank-1 terms, and only the blocks that are used are formed: the U
-      diagonal for E_B, O(N r), and the 2N x 2N S block for the
-      profile, O(N^2 r).  No 4N x 4N array is formed unless
-      ``check_invariants`` is set.
+      rank-1 terms, and it is never assembled: E_B reads the U
+      diagonal, O(N r), and the profile reads the factors, with the
+      shot-averaged mean part, as 2r + 4 weighted columns
+      (``local_energy_density``), O(n_profile N r).  No 2N x 2N or
+      4N x 4N array is formed unless ``check_invariants`` is set.
 
     Only the shot stage depends on ``feedback_mode``, ``n_shots`` and
     ``seed``.  The window propagator is memoised by (params, grid,
@@ -546,9 +537,8 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     back = 1.0 / (4.0 * dv ** 2)             # weight of the back-action term
     gain = sigma / s_pred                    # posterior mean per unit outcome
     if check_invariants:
-        validate_state(GaussianState(
-            np.zeros(4 * n), 0.5 * np.eye(4 * n)
-            - np.outer(sigma, sigma) / s_pred + back * np.outer(kick, kick)))
+        validate_state(0.5 * np.eye(4 * n) - np.outer(sigma, sigma) / s_pred
+                       + back * np.outer(kick, kick))
 
     # shot-independent energy pieces
     cov_diag = 0.5 - sigma * sigma / s_pred + back * kick * kick
@@ -571,17 +561,14 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         free_rotate(kick, grid, params, t_i)], axis=1)).T
     rq = m.rq
 
-    def cov_excess(rows):
-        """rows x rows block of the covariance at t_f minus I/2 (sigma
-        carried to t_f is s_pred * a_vec)."""
-        return (0.5 * (m.mq[rows] @ m.mq[rows].T - rq[rows] @ rq[rows].T)
-                - s_pred * np.outer(a_vec[rows], a_vec[rows])
-                + back * np.outer(kick_f[rows], kick_f[rows]))
-
+    # the covariance at t_f is I/2 + (mq mq^T - rq rq^T)/2
+    # - s_pred a a^T + back kick kick^T (sigma carried to t_f is
+    # s_pred * a_vec)
     if check_invariants:
-        cov_t = 0.5 * np.eye(4 * n) + cov_excess(slice(None))
-        validate_state(GaussianState(np.zeros(4 * n),
-                                     0.5 * (cov_t + cov_t.T)))
+        cov_t = (0.5 * (np.eye(4 * n) + m.mq @ m.mq.T - rq @ rq.T)
+                 - s_pred * np.outer(a_vec, a_vec)
+                 + back * np.outer(kick_f, kick_f))
+        validate_state(0.5 * (cov_t + cov_t.T))
 
     # shots
     upsilon = math.sqrt(s_pred) * rng.standard_normal(n_shots)
@@ -613,19 +600,21 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     m2_u = float(np.mean(upsilon * upsilon))
     m2_f = float(np.mean(fb * fb))
     m2_x = float(np.mean(upsilon * fb))
-    cov_s = 0.5 * np.eye(2 * n) + cov_excess(s_sl)
+    # S block of the shot-averaged <R R^T> - I/2 at t_f as weighted
+    # columns; the cross term m2_x (a b^T + b a^T) is written as
+    # m2_x ((a + b)(a + b)^T - a a^T - b b^T)
+    a_s, b_s = a_vec[s_sl], b_vec[s_sl]
+    cols = np.column_stack([m.mq[s_sl], rq[s_sl], a_s, b_s, a_s + b_s,
+                            kick_f[s_sl]])
+    r = m.q.shape[1]
+    weights = np.concatenate([
+        np.full(r, 0.5), np.full(r, -0.5),
+        [m2_u - m2_x - s_pred, m2_f - m2_x, m2_x, back]])
     profiles = np.empty((profile_times.size, n_profile))
     for i, t_snap in enumerate(profile_times):
-        dt = t_snap - t_f
-        # the marginal state of S: its mean enters through mm_t
-        snap = GaussianState(np.zeros(2 * n), free_rotate(
-            free_rotate(cov_s, grid, params, dt).T, grid, params, dt).T)
-        a_t = free_rotate(a_vec[s_sl], grid, params, dt)
-        b_t = free_rotate(b_vec[s_sl], grid, params, dt)
-        mm_t = (m2_u * np.outer(a_t, a_t) + m2_f * np.outer(b_t, b_t)
-                + m2_x * (np.outer(a_t, b_t) + np.outer(b_t, a_t)))
         profiles[i] = local_energy_density(
-            snap, x_grid, grid, params, channel="S", mean_second_moment=mm_t)
+            x_grid, grid, params,
+            free_rotate(cols, grid, params, t_snap - t_f), weights)
 
     return ProtocolResult(
         E_A_oracle=float(np.mean(e_a_samples)),
@@ -639,6 +628,6 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         profile_times=profile_times,
         feedback_mode=feedback_mode,
         t_f=t_f,
-        subspace_rank=m.q.shape[1],
+        subspace_rank=r,
         symplectic_residual=m.symplectic_residual,
         wrap_margin_m=margin)

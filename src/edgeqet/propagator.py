@@ -210,9 +210,8 @@ class WindowPropagator:
 # 4N x r arrays each, ~60 MB at 1024 modes).
 @functools.lru_cache(maxsize=4)
 def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
-                      coupling_scale: float = 1.0,
-                      ramp_fraction: float = 0.05,
-                      n_ramp: int = 5) -> WindowPropagator:
+                      coupling_scale: float, ramp_fraction: float,
+                      n_ramp: int, /) -> WindowPropagator:
     """The propagator over the interaction window, on the coupling's
     subspace.
 
@@ -225,7 +224,9 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     The result depends on nothing but the arguments, all hashable, so
     the last four propagators built are memoised by argument value (an
     equal ``ExperimentParams`` built separately finds the same entry);
-    ``window_propagator.cache_clear()`` releases them.
+    ``window_propagator.cache_clear()`` releases them.  The arguments
+    are positional-only with no defaults: ``lru_cache`` keys on how
+    they are passed, so this keeps one key per setup.
     """
     t_i, t_f = interaction_window(params)
     f_s, f_u = _coupling_factors(params, grid)

@@ -228,13 +228,39 @@ def test_sweep_replays_from_manifest(tmp_path, extra):
     argv = (["sweep", "--sweep", sweep["key"], "--values",
              ",".join(repr(v) for v in sweep["values"]),
              "--tol", repr(manifest["rel_tol"]), "--out", str(replay)]
-            + [f"--set={k}={v!r}" for k, v in manifest["params"].items()
-               if k not in manifest["derived"]])
+            + _given_params(manifest))
     assert run(argv) == 0
     rows = [(d / "sweep.csv").read_text().splitlines() for d in
             (first, replay)]
     assert rows[0][1].startswith("8e-06,")      # the l = 8e-6 row
     assert rows[0] == rows[1]
+
+
+def test_simulate_replays_from_manifest(tmp_path):
+    """A simulate run at a non-default --profile-points replays
+    bit-exactly from its manifest alone."""
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert run(["simulate", "--shots", "20", "--seed", "4", "--modes", "16",
+                "--coupling-scale", "0.01", "--profile-points", "40",
+                "--tol", "1e-3", "--out", str(first)]) == 0
+    m = json.loads((first / "manifest.json").read_text())
+    argv = (["simulate", "--shots", str(m["shots"]), "--seed", str(m["seed"]),
+             "--modes", str(m["grid"]["n_modes"]), "--feedback", m["feedback"],
+             "--coupling-scale", repr(m["coupling_scale"]),
+             "--ramp-fraction", repr(m["ramp_fraction"]),
+             "--profile-points", str(m["profile_points"]),
+             "--tol", repr(m["rel_tol"]), "--out", str(replay)]
+            + _given_params(m))
+    assert run(argv) == 0
+    for name in ("shots.csv", "profile.csv", "summary.json"):
+        assert (first / name).read_bytes() == (replay / name).read_bytes()
+    assert len((replay / "profile.csv").read_text().splitlines()) == 41
+
+
+def _given_params(manifest):
+    """--set options for every manifest parameter not listed as derived."""
+    return [f"--set={k}={v!r}" for k, v in manifest["params"].items()
+            if k not in manifest["derived"]]
 
 
 def test_sweep_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,7 @@ from edgeqet import propagator
 from edgeqet.detector import delta_v, detector_from_params, signal_rms
 from edgeqet.energetics import compute_EA, compute_E1
 
-from dense_reference import run_protocol_dense
+from dense_reference import run_protocol_dense, s_energy_density
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +42,11 @@ def test_mode_grid_basics(params):
 
 def test_vacuum_state_and_validation(grid):
     vac = O.vacuum_state(grid)
-    O.validate_state(vac)
-    broken = O.GaussianState(vac.mean.copy(), vac.cov.copy())
-    broken.cov = 0.4 * np.eye(4 * grid.n_modes)  # below vacuum noise
-    with pytest.raises(O.StepInstability):
-        O.validate_state(broken)
-    asym = O.GaussianState(vac.mean.copy(), vac.cov.copy())
-    asym.cov[0, 1] = 1e-6
+    O.validate_state(vac.cov)
+    with pytest.raises(O.StepInstability):  # below vacuum noise
+        O.validate_state(0.4 * np.eye(4 * grid.n_modes))
+    asym = vac.cov.copy()
+    asym[0, 1] = 1e-6
     with pytest.raises(O.StepInstability, match="asymmetry"):
         O.validate_state(asym)
 
@@ -69,8 +67,41 @@ def test_vacuum_energies_are_zero(params, grid):
     assert O.channel_energy(vac, grid, params, "S") == 0.0
     assert O.channel_energy(vac, grid, params, "U") == 0.0
     x = np.linspace(-1e-4, 1e-4, 64)
-    prof = O.local_energy_density(vac, x, grid, params, channel="S")
+    prof = O.local_energy_density(x, grid, params,
+                                  vac.mean[:2 * grid.n_modes, None], [1.0])
     assert np.max(np.abs(prof)) < 1e-12 * P.HBAR * params.v_g / params.l ** 2
+
+
+def test_local_energy_density_factored_form(params, grid):
+    """A measured, displaced and freely evolved state, its normal-ordered
+    moment factored by eigh: the S profile matches the dense quadratic
+    form, and on both channels the ring integral is the channel energy."""
+    o = O.measurement_observable(params, grid)
+    dv = delta_v(detector_from_params(params))
+    _, state = O.measure_gaussian(O.vacuum_state(grid), o, dv,
+                                  outcome=2.0 * dv)
+    state = O.displace_feedback(state, 2.0 * dv, params, grid)
+    g_s, g_u, _ = O.build_hamiltonians(params, grid)
+    state = O.evolve(state, g_s + g_u, 2.0 * params.l / params.v_g)
+    n_x = 8 * grid.n_modes      # exact ring sums of the 2 k_N harmonics
+    x = np.linspace(-0.5 * grid.ring_length, 0.5 * grid.ring_length, n_x,
+                    endpoint=False)
+    for channel in ("S", "U"):
+        sl, _ = O._channel_slice(grid, channel)
+        mean = state.mean[sl]
+        moment = (state.cov[sl, sl] - 0.5 * np.eye(2 * grid.n_modes)
+                  + np.outer(mean, mean))
+        weights, cols = np.linalg.eigh(moment)
+        prof = O.local_energy_density(x, grid, params, cols, weights,
+                                      channel=channel)
+        if channel == "S":
+            want = s_energy_density(state.cov, np.outer(mean, mean), x,
+                                    grid, params)
+            assert np.max(np.abs(prof - want)) <= 1e-12 * np.max(
+                np.abs(want))
+        energy = O.channel_energy(state, grid, params, channel)
+        assert np.sum(prof) * grid.ring_length / n_x == pytest.approx(
+            energy, rel=1e-12)
 
 
 def test_observable_variance_matches_signal_rms(params, grid):
@@ -88,7 +119,7 @@ def test_measurement_conditioning(params, grid):
     outcome, post = O.measure_gaussian(vac, o, dv, outcome=0.0)
     assert outcome == 0.0
     assert np.all(post.mean == 0.0)
-    O.validate_state(post)
+    O.validate_state(post.cov)
     # infinitely weak pointer: no conditioning, no back-action
     _, weak = O.measure_gaussian(vac, o, math.inf, outcome=0.0)
     assert np.max(np.abs(weak.cov - vac.cov)) < 1e-12 * np.max(vac.cov)
@@ -160,7 +191,10 @@ def test_packet_moves_chirally_at_vg(params, grid):
     dt = 3 * params.l / params.v_g
 
     def centroid(s, channel):
-        prof = O.local_energy_density(s, x, grid, params, channel=channel)
+        # the covariance stays I/2: the mean alone carries the packet
+        sl, _ = O._channel_slice(grid, channel)
+        prof = O.local_energy_density(x, grid, params, s.mean[sl, None],
+                                      [1.0], channel=channel)
         prof = np.clip(prof, 0.0, None)
         sel = np.abs(x - x[np.argmax(prof)]) < 4 * params.l
         return float(np.sum(x[sel] * prof[sel]) / np.sum(prof[sel]))
@@ -375,6 +409,13 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         if "g" in changes:
             assert warm.subspace_rank > base.subspace_rank
 
+    # one setup has one cache key: every argument is positional-only
+    with pytest.raises(TypeError):
+        propagator.window_propagator(params, grid, coupling_scale=0.3,
+                                     ramp_fraction=0.05, n_ramp=3)
+    with pytest.raises(TypeError):
+        propagator.window_propagator(params, grid)
+
     # cached arrays are shared, so they are read-only
     m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
     u = O._density_rows(grid, params.nu_S, "left", want.profile_x.tobytes())
@@ -410,8 +451,7 @@ def test_window_propagator_invariants_at_512_modes(params):
     """Sudden switching at the physical coupling, 512 modes: M is
     symplectic on its subspace and conserves the total energy."""
     grid = O.default_grid(params, n_modes=512)
-    m = propagator.window_propagator(params, grid, coupling_scale=1.0,
-                            ramp_fraction=0.0)
+    m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
     assert m.symplectic_residual <= 1e-12
     # H = (1/2) R^T G R with G = G_S + G_U + G_int is conserved: probe
     # M^T G M = G on random directions
