@@ -65,6 +65,8 @@ _UNITS = {
     "E_B": ("J", 1e6 / P.E_CHARGE, "ueV"),
     "E_B_unregularized": ("J", 1e6 / P.E_CHARGE, "ueV"),
     "E_B_unregularized_shift": ("", 100.0, "%"),
+    "E_B_error": ("J", 1e6 / P.E_CHARGE, "ueV"),
+    "E_B_evals": ("", 1.0, ""),
     "E_B_order_estimate": ("J", 1e6 / P.E_CHARGE, "ueV"),
     "thermal": ("J", 1e6 / P.E_CHARGE, "ueV"),
     "detect_current": ("A", 1e9, "nA"),
@@ -280,6 +282,9 @@ def cmd_simulate(args) -> int:
     if args.shots < 2:
         raise UsageError(f"--shots must be at least 2 (the standard error "
                          f"needs two shots), got {args.shots}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, "
+                         f"got {args.seed}")
     params = _load(args)
     out = _out_dir(args)
     t0 = time.perf_counter()

@@ -44,18 +44,20 @@ class ConvergenceFailure(RuntimeError):
 
 class Estimate(float):
     """A float that also carries ``error_estimate``, the absolute error
-    estimate of the quadrature that produced it.  Arithmetic on it gives
-    a plain float."""
+    estimate of the quadrature that produced it, and ``n_evals``, the
+    integrand evaluations it took.  Arithmetic on it gives a plain
+    float."""
 
-    __slots__ = ("error_estimate",)
+    __slots__ = ("error_estimate", "n_evals")
 
-    def __new__(cls, value: float, error_estimate: float):
+    def __new__(cls, value: float, error_estimate: float, n_evals: int):
         self = super().__new__(cls, value)
         self.error_estimate = error_estimate
+        self.n_evals = n_evals
         return self
 
     def __getnewargs__(self):
-        return float(self), self.error_estimate
+        return float(self), self.error_estimate, self.n_evals
 
 
 def feedback_window(params: P.ExperimentParams) -> WindowProfile:
@@ -216,7 +218,8 @@ def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
     ``rel_tol``; the sign convention is that a positive value means the
     stated feedback polarity extracts energy.  The result is an
     :class:`Estimate` whose ``error_estimate`` is the node-doubling
-    difference in joules.
+    difference in joules and whose ``n_evals`` counts the tensor nodes
+    of every rule evaluated.
     The result changes sign with L: the underlying kernel (a Gaussian
     smoothed against an odd cubic pole) oscillates before settling onto
     its ~1/L^5 tail, so extraction at the default L = 2l turns into
@@ -236,7 +239,7 @@ def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
     res = _eb_integral(params, rel_tol, params.eps_uv, causal=causal)
     prefactor = _eb_prefactor(params)
     return Estimate(-prefactor * res.value,
-                    abs(prefactor * res.error_estimate))
+                    abs(prefactor * res.error_estimate), res.n_evals)
 
 
 def fit_scaling_exponent(params: P.ExperimentParams, L_values,
@@ -294,6 +297,8 @@ class EnergyBudget:
     E_B_unregularized: float    # J, E_B at eps_uv = 0
     # E_B_unregularized / E_B - 1; None when E_B is 0
     E_B_unregularized_shift: float | None
+    E_B_error: float            # J, E_B's quadrature error estimate
+    E_B_evals: int              # integrand evaluations of E_B
     E_B_order_estimate: float   # J
     thermal: float              # J
     detect_current: float       # A
@@ -326,6 +331,7 @@ def energy_budget(params: P.ExperimentParams,
         E_1_unregularized=compute_E1(unregularized),
         E_B=e_b, E_B_unregularized=e_b_unreg,
         E_B_unregularized_shift=e_b_unreg / e_b - 1.0 if e_b else None,
+        E_B_error=e_b.error_estimate, E_B_evals=e_b.n_evals,
         E_B_order_estimate=eb_order_estimate(params),
         thermal=P.thermal_energy(params.temperature),
         detect_current=j, eps_uv=params.eps_uv, omega_c=params.omega_c,

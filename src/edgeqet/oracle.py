@@ -468,18 +468,28 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
       rank-1 term (``_conditioning``); rotations leave I/2 alone, so at
       t_f it is M M^T/2 = (I - (RQ)(RQ)^T + (MQ)(MQ)^T)/2 plus two
       rank-1 terms, and it is never assembled: E_B reads the U
-      diagonal, O(N r), and the profile reads the factors, with the
-      shot-averaged mean part, as 2r + 4 weighted columns
-      (``local_energy_density``), O(n_profile N r).  No 2N x 2N or
-      4N x 4N array is formed unless ``check_invariants`` is set.
+      diagonal, O(N r), and the profile reads the factors as weighted
+      columns (``local_energy_density``): the covariance part from mq
+      and the S half of rq (r + r/2 columns, O(n_profile N r)), the
+      shot-averaged mean and the measurement terms from four more.
+      No 2N x 2N or 4N x 4N array is formed unless
+      ``check_invariants`` is set.
 
-    Only the shot stage depends on ``feedback_mode``, ``n_shots`` and
-    ``seed``.  The window propagator is memoised by (params, grid,
-    coupling_scale, ramp_fraction, n_ramp) and the profile's density
-    rows by (grid, nu_S, n_profile), four entries each, so repeated
-    calls on one setup skip both; the cached arrays are read-only, and
-    ``propagator.window_propagator.cache_clear()`` and
-    ``oracle._density_rows.cache_clear()`` release them.
+    Only the shot stage and the four mean and measurement columns of
+    the profile depend on ``feedback_mode``, ``n_shots`` and ``seed``.
+    The window propagator is memoised by (params, grid, coupling_scale,
+    ramp_fraction, n_ramp), four entries, and carries what else depends
+    on the setup alone: the U-variance excess diag(mq mq^T - rq rq^T)/2
+    (2N floats) and the covariance part of the profile, filled on first
+    use for each (profile points, snapshot time - t_f), eight entries
+    of n_profile floats each (``WindowPropagator.covariance_profile``).
+    The profile's density rows are memoised by (grid, nu_S, n_profile),
+    four entries.  So a repeated call on one setup makes no
+    exponential action and draws n_profile x 2N by 2N x 4 products
+    only.  The cached arrays are read-only;
+    ``propagator.window_propagator.cache_clear()`` releases the
+    propagators with their profiles, and
+    ``oracle._density_rows.cache_clear()`` the rows.
 
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
@@ -559,12 +569,12 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         free_rotate(gain, grid, params, t_i),        # per unit outcome
         free_rotate(d_unit, grid, params, t_i - params.T_delay),
         free_rotate(kick, grid, params, t_i)], axis=1)).T
-    rq = m.rq
 
     # the covariance at t_f is I/2 + (mq mq^T - rq rq^T)/2
     # - s_pred a a^T + back kick kick^T (sigma carried to t_f is
     # s_pred * a_vec)
     if check_invariants:
+        rq = m.rq
         cov_t = (0.5 * (np.eye(4 * n) + m.mq @ m.mq.T - rq @ rq.T)
                  - s_pred * np.outer(a_vec, a_vec)
                  + back * np.outer(kick_f, kick_f))
@@ -581,9 +591,8 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
 
     e_a_samples = e_a_const + q_a * upsilon ** 2
     # U-channel energy at t_f, mean part quadratic in (outcome, feedback)
-    excess_d = (0.5 * (np.einsum("ij,ij->i", m.mq[u_sl], m.mq[u_sl])
-                       - np.einsum("ij,ij->i", rq[u_sl], rq[u_sl]))
-                - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
+    excess_d = (m.u_excess - s_pred * a_vec[u_sl] ** 2
+                + back * kick_f[u_sl] ** 2)
     e_u_cov = 0.5 * float(hw @ (excess_d[:n] + excess_d[n:]))
     au, bu = a_vec[u_sl], b_vec[u_sl]
     qaa = 0.5 * float(hw2 @ (au * au))
@@ -600,21 +609,19 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     m2_u = float(np.mean(upsilon * upsilon))
     m2_f = float(np.mean(fb * fb))
     m2_x = float(np.mean(upsilon * fb))
-    # S block of the shot-averaged <R R^T> - I/2 at t_f as weighted
-    # columns; the cross term m2_x (a b^T + b a^T) is written as
+    # S block of the shot-averaged <R R^T> - I/2 at t_f: the memoised
+    # covariance part (mq mq^T - rq rq^T)/2 plus four weighted columns;
+    # the cross term m2_x (a b^T + b a^T) is written as
     # m2_x ((a + b)(a + b)^T - a a^T - b b^T)
     a_s, b_s = a_vec[s_sl], b_vec[s_sl]
-    cols = np.column_stack([m.mq[s_sl], rq[s_sl], a_s, b_s, a_s + b_s,
-                            kick_f[s_sl]])
-    r = m.q.shape[1]
-    weights = np.concatenate([
-        np.full(r, 0.5), np.full(r, -0.5),
-        [m2_u - m2_x - s_pred, m2_f - m2_x, m2_x, back]])
+    cols = np.column_stack([a_s, b_s, a_s + b_s, kick_f[s_sl]])
+    weights = np.array([m2_u - m2_x - s_pred, m2_f - m2_x, m2_x, back])
     profiles = np.empty((profile_times.size, n_profile))
     for i, t_snap in enumerate(profile_times):
-        profiles[i] = local_energy_density(
-            x_grid, grid, params,
-            free_rotate(cols, grid, params, t_snap - t_f), weights)
+        dt = t_snap - t_f
+        profiles[i] = m.covariance_profile(x_grid, dt) + local_energy_density(
+            x_grid, grid, params, free_rotate(cols, grid, params, dt),
+            weights)
 
     return ProtocolResult(
         E_A_oracle=float(np.mean(e_a_samples)),
@@ -628,6 +635,6 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         profile_times=profile_times,
         feedback_mode=feedback_mode,
         t_f=t_f,
-        subspace_rank=r,
+        subspace_rank=m.q.shape[1],
         symplectic_residual=m.symplectic_residual,
         wrap_margin_m=margin)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import params as P
 from .oracle import (ModeGrid, _coupling_nodes, _omega_times,
-                     density_basis, free_rotate, interaction_window)
+                     density_basis, free_rotate, interaction_window,
+                     local_energy_density)
 
 #: Relative singular-value cut of the subspace bases and of the coupling
 #: factors: directions below SVD_CUT times the largest singular value are
@@ -174,6 +175,11 @@ def _step_propagator(grid: ModeGrid, params: P.ExperimentParams, factors,
     return q, l
 
 
+# snapshots per setup that keep their covariance profile (8 kB each at
+# 1024 profile points)
+_PROFILE_ENTRIES = 8
+
+
 @dataclass(frozen=True)
 class WindowPropagator:
     """M = R(span) (I - q q^T) + mq q^T, the window propagator, exact up
@@ -182,9 +188,12 @@ class WindowPropagator:
     q (4N x r, orthonormal) spans every direction the coupling reads
     during the window; M moves the rest by free flight R alone, so
     mq = M q determines M.  ``symplectic_residual`` is
-    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M.  q and
-    mq are read-only: ``window_propagator`` hands one instance to every
-    caller with the same setup.
+    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M.
+    ``u_excess`` is diag(mq mq^T - rq rq^T)/2 on the U rows (2N): what M
+    adds to the U variances of the vacuum, I/2.  q, mq, u_excess and
+    the memoised ``covariance_profile`` arrays are read-only:
+    ``window_propagator`` hands one instance to every caller with the
+    same setup.
     """
 
     q: np.ndarray
@@ -193,6 +202,10 @@ class WindowPropagator:
     grid: ModeGrid
     params: P.ExperimentParams
     symplectic_residual: float
+    u_excess: np.ndarray
+    # (profile points, dt) -> covariance_profile, oldest first
+    _profiles: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def rq(self) -> np.ndarray:
@@ -203,6 +216,34 @@ class WindowPropagator:
         c = self.q.T @ a
         return (free_rotate(a - self.q @ c, self.grid, self.params,
                             self.span) + self.mq @ c)
+
+    def covariance_profile(self, x: np.ndarray, dt: float) -> np.ndarray:
+        """S energy density (J/m) at the points ``x`` of the moment
+        (mq mq^T - rq rq^T)/2, carried freely a time ``dt`` past the
+        window.
+
+        This is the part of the S profile that M adds to the vacuum,
+        whatever the measurement and feedback: ``local_energy_density``
+        of the columns R(dt) mq and R(dt) rq with weights +1/2 and -1/2.
+        The U half of q has no S rows, so only the first r/2 columns of
+        rq enter.  The last _PROFILE_ENTRIES (x, dt) are memoised as
+        read-only arrays of len(x) floats each.
+        """
+        key = (x.tobytes(), dt)
+        if key not in self._profiles:
+            n, half = self.grid.n_modes, self.q.shape[1] // 2
+            rq_s = free_rotate(self.q[:2 * n, :half], self.grid, self.params,
+                               self.span)
+            cols = free_rotate(np.hstack([self.mq[:2 * n], rq_s]),
+                               self.grid, self.params, dt)
+            weights = np.repeat([0.5, -0.5], [self.mq.shape[1], half])
+            profile = local_energy_density(x, self.grid, self.params, cols,
+                                           weights)
+            profile.flags.writeable = False
+            if len(self._profiles) == _PROFILE_ENTRIES:
+                del self._profiles[next(iter(self._profiles))]
+            self._profiles[key] = profile
+        return self._profiles[key]
 
 
 # A scan over feedback modes and a few coupling strengths on one grid
@@ -254,5 +295,11 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
         mq = free_rotate(mq, grid, params, dt) + l_step @ (q_step.T @ mq)
     residual = float(np.max(np.abs(mq.T @ _omega_times(mq)
                                    - q.T @ _omega_times(q))))
+    u = slice(2 * grid.n_modes, None)
+    rq_u = free_rotate(q[u], grid, params, t_f - t_i)
+    u_excess = 0.5 * (np.einsum("ij,ij->i", mq[u], mq[u])
+                      - np.einsum("ij,ij->i", rq_u, rq_u))
     q.flags.writeable = mq.flags.writeable = False
-    return WindowPropagator(q, mq, t_f - t_i, grid, params, residual)
+    u_excess.flags.writeable = False
+    return WindowPropagator(q, mq, t_f - t_i, grid, params, residual,
+                            u_excess)

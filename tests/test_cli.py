@@ -99,6 +99,9 @@ def test_budget_artifacts(tmp_path, capsys):
     b = payload["budget"]
     assert b["E_A"] > b["E_B"] > 0
     assert b["delta_v"] == pytest.approx(12.43e-6, rel=1e-3)
+    # E_B's quadrature error estimate and evaluation count
+    assert 0.0 < b["E_B_error"] <= 1e-4 * b["E_B"]
+    assert isinstance(b["E_B_evals"], int) and b["E_B_evals"] > 0
     csv_text = (tmp_path / "budget.csv").read_text()
     assert csv_text.splitlines()[0].startswith("quantity,")
     assert "True" in csv_text
@@ -328,6 +331,14 @@ def test_simulate_needs_two_shots(tmp_path, capsys, shots):
                 "--out", str(tmp_path)]) == 1
     assert "--shots" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["simulate", "--seed", "-1", "--modes", "16",
+                "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option, value, message", [

@@ -324,6 +324,11 @@ def test_energy_budget_aggregates(params, eb_default):
     assert budget.thermal == pytest.approx(P.KB * params.temperature)
     assert budget.detect_current > 0
     assert budget.E_A > budget.E_B > 0
+    # E_B's quadrature diagnostics travel with the budget
+    assert budget.E_B_error == eb_default.error_estimate
+    assert budget.E_B_evals == eb_default.n_evals
+    assert math.isfinite(budget.E_B_error) and budget.E_B_error > 0
+    assert isinstance(budget.E_B_evals, int) and budget.E_B_evals > 0
     d = budget.as_dict()
     assert set(d) >= {"delta_v", "signal_rms", "signal_rms_unregularized",
                       "E_A", "E_1", "E_1_unregularized", "E_B",
@@ -355,4 +360,5 @@ def test_EB_estimate_is_a_float_with_its_error(params, eb_default):
                  pickle.loads(pickle.dumps(eb_default))):
         assert twin == eb_default
         assert twin.error_estimate == eb_default.error_estimate
+        assert twin.n_evals == eb_default.n_evals
     assert type(2.0 * eb_default) is float

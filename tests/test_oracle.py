@@ -1,7 +1,9 @@
 """Gaussian protocol simulator: state algebra, protocol elements, and
 the shot-level run driver."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -356,7 +358,8 @@ def _count_actions(monkeypatch):
 
 def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     """A second call on one setup, with another feedback mode and seed,
-    builds neither the window propagator nor the profile rows and
+    builds neither the window propagator nor the profile rows, draws
+    the covariance part of its profile from the propagator's memo and
     returns what a cold call returns; a change to any input of the
     propagator builds a fresh one."""
     actions = _count_actions(monkeypatch)
@@ -364,13 +367,21 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     basis = O.density_basis
     monkeypatch.setattr(O, "density_basis",
                         lambda *a: rows.append(a) or basis(*a))
+    # columns of every local_energy_density call, from run_protocol and
+    # from the propagator's covariance_profile
+    cols = []
+    density = O.local_energy_density
+    for module in (O, propagator):
+        monkeypatch.setattr(module, "local_energy_density",
+                            lambda x, g, p, c, w: cols.append(c.shape[1])
+                            or density(x, g, p, c, w))
     grid = O.default_grid(params, n_modes=64)
-    setup = dict(coupling_scale=0.3, ramp_fraction=0.05, n_ramp=3)
+    setup = dict(coupling_scale=0.3, ramp_fraction=0.05, n_ramp=3,
+                 n_profile=64)
 
     def run(p=params, g=grid, mode="correlated", seed=1, **changes):
         return O.run_protocol(p, g, feedback_mode=mode, n_shots=50,
-                              seed=seed, n_profile=64,
-                              **{**setup, **changes})
+                              seed=seed, **{**setup, **changes})
 
     def cold(*args, **kwargs):
         propagator.window_propagator.cache_clear()
@@ -384,16 +395,42 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         assert a.symplectic_residual == b.symplectic_residual
 
     want = cold(mode="scrambled", seed=2)
+    # a cold call fills the memo from mq and the S half of rq (r + r/2
+    # columns), then adds the four shot columns
+    r = want.subspace_rank
+    assert cols == [r + r // 2, 4]
     cold()
     before = len(actions), len(rows)
+    cols.clear()
     assert_same(run(mode="scrambled", seed=2), want)
     assert (len(actions), len(rows)) == before
+    assert cols == [4]
+
+    # another n_profile or snapshot time fills one more memo entry on
+    # the same propagator and matches a cold call
+    _, t_f = O.interaction_window(params)
+    for changes in (dict(n_profile=96),
+                    dict(profile_times=[t_f + 2 * params.l / params.v_g])):
+        run()
+        m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
+        entries = len(m._profiles)
+        cols.clear()
+        warm = run(**changes)
+        assert len(m._profiles) == entries + 1
+        assert cols == [r + r // 2, 4]
+        assert_same(warm, cold(**changes))
+    # the memo keeps the last _PROFILE_ENTRIES snapshots
+    many = [t_f + k * 0.1 * params.l / params.v_g for k in range(10)]
+    run(profile_times=many)
+    m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
+    assert len(m._profiles) == propagator._PROFILE_ENTRIES < len(many)
 
     # an equal parameter set built separately finds the same entry
     twin = P.ExperimentParams(**params.as_dict())
     assert twin is not params and twin == params
+    n = len(actions)
     run(p=twin, mode="off", seed=3)
-    assert len(actions) == before[0]
+    assert len(actions) == n
     assert propagator.window_propagator.cache_info().currsize == 1
 
     # 128 modes with the same parameters: another subspace, rank 152
@@ -417,11 +454,34 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         propagator.window_propagator(params, grid)
 
     # cached arrays are shared, so they are read-only
+    run()
     m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
     u = O._density_rows(grid, params.nu_S, "left", want.profile_x.tobytes())
-    for a in (m.q, m.mq, u):
+    memo = list(m._profiles.values())
+    assert len(memo) == 1
+    for a in (m.q, m.mq, m.u_excess, u, *memo):
         with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+            a[(0,) * a.ndim] = 1.0
+    # and cache_clear releases the memo with its propagator
+    released = weakref.ref(memo[0])
+    del m, memo, a
+    propagator.window_propagator.cache_clear()
+    gc.collect()
+    assert released() is None
+
+
+@pytest.mark.parametrize("n_modes", [64, 128])
+def test_covariance_profile_drops_only_zero_columns(params, n_modes):
+    """The U half of q has no S rows, so the S rows of rq in those
+    columns, which covariance_profile leaves out, are exactly zero; no
+    column it keeps is."""
+    grid = O.default_grid(params, n_modes=n_modes)
+    m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
+    s_rows, half = slice(0, 2 * n_modes), m.q.shape[1] // 2
+    rq_s = m.rq[s_rows]
+    assert np.all(rq_s[:, half:] == 0.0)
+    assert np.all(np.any(rq_s[:, :half] != 0.0, axis=0))
+    assert np.all(np.any(m.mq[s_rows] != 0.0, axis=0))
 
 
 def test_step_basis_is_complete(params):
