@@ -285,15 +285,19 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, "
                          f"got {args.seed}")
+    if args.modes < 1:
+        raise UsageError(f"--modes must be at least 1, got {args.modes}")
     params = _load(args)
-    out = _out_dir(args)
     t0 = time.perf_counter()
     grid = default_grid(params, n_modes=args.modes)
+    # run_protocol checks the remaining options: it raises before the
+    # output directory exists
     result = run_protocol(
         params, grid, feedback_mode=args.feedback, n_shots=args.shots,
         seed=args.seed, coupling_scale=args.coupling_scale,
         ramp_fraction=args.ramp_fraction, n_profile=args.profile_points)
 
+    out = _out_dir(args)
     _write_csv(out / "shots.csv", ["shot", "outcome_V", "E_B_J"],
                [[i, float(u), float(e)] for i, (u, e) in
                 enumerate(zip(result.outcome_samples, result.e_b_samples))])

@@ -337,23 +337,28 @@ def displace_feedback(state: GaussianState, outcome: float,
 
 
 def free_rotate(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
-                t: float) -> np.ndarray:
+                t: float, out: np.ndarray | None = None) -> np.ndarray:
     """Exact free evolution of the rows of ``a`` over time t.
 
     Each mode's (x, p) pair turns by the angle v_g k t, the same on both
     channels: the free propagator applied without building it.  ``a``
     is a vector or a matrix with the 4N rows of R, or the 2N rows of
-    one channel.
+    one channel.  The result goes to ``out``, which may be ``a`` itself
+    (then the temporaries are two N-row blocks), or to a new array.
     """
     n = grid.n_modes
     angle = params.v_g * grid.k * t
     shape = (n,) + (1,) * (a.ndim - 1)
     cs, sn = np.cos(angle).reshape(shape), np.sin(angle).reshape(shape)
-    out = np.empty_like(a)
+    if out is None:
+        out = np.empty_like(a)
     for base in range(0, a.shape[0], 2 * n):
         x, p = a[base:base + n], a[base + n:base + 2 * n]
-        out[base:base + n] = cs * x + sn * p
-        out[base + n:base + 2 * n] = cs * p - sn * x
+        x_new = cs * x
+        x_new += sn * p
+        p_new = np.multiply(cs, p, out=out[base + n:base + 2 * n])
+        p_new -= sn * x
+        out[base:base + n] = x_new
     return out
 
 
@@ -494,6 +499,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
     of channel S at the requested times (>= t_f, default exactly t_f).
+    Its covariance part (mq mq^T - rq rq^T)/2 is a difference of terms
+    of the size of the profile's maximum, so samples below ~1e-14 of
+    that maximum are rounding, and so are their signs.
     ``subspace_rank`` and ``symplectic_residual`` report the size of Q
     and how far M is from symplectic on it; ``wrap_margin_m`` is the
     ``wrap_margin`` at the last profile time.  ``check_invariants``

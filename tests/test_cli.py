@@ -347,16 +347,18 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     ("--profile-points", "0", "n_profile"),
     ("--coupling-scale", "nan", "coupling_scale"),
     ("--coupling-scale", "inf", "coupling_scale"),
+    ("--modes", "0", "--modes"), ("--modes", "-3", "--modes"),
 ])
 def test_simulate_rejects_bad_options_before_writing(
         tmp_path, monkeypatch, capsys, option, value, message):
     # a small node cap keeps an unchecked --tol from doubling for long
     monkeypatch.setattr(energetics, "_EB_MAX_NODES",
                         2 * energetics._EB_START_NODES)
+    out = tmp_path / "out"
     assert run(["simulate", "--shots", "20", "--modes", "16",
-                option, value, "--out", str(tmp_path)]) == 1
+                option, value, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
 
 
 def test_simulate_zero_spread_significance_is_null(tmp_path, capsys):

@@ -3,6 +3,7 @@ the shot-level run driver."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -182,6 +183,11 @@ def test_free_evolution_conserves_energy(params, grid):
     # and the exact per-mode rotation agrees with the expm route
     assert O.free_rotate(state.mean, grid, params, t_f) == pytest.approx(
         evolved.mean, abs=1e-12)
+    # written into its own input, it gives the same bits
+    block = np.random.default_rng(1).standard_normal((4 * grid.n_modes, 3))
+    want = O.free_rotate(block, grid, params, t_f)
+    assert O.free_rotate(block, grid, params, t_f, out=block) is block
+    assert np.array_equal(block, want)
 
 
 def test_packet_moves_chirally_at_vg(params, grid):
@@ -470,6 +476,23 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     assert released() is None
 
 
+def test_window_propagator_build_memory(params):
+    """A cold build at 128 modes with the 5% ramp peaks (traced) at a
+    small multiple of what it returns, q and mq: it holds only what the
+    rest of the ramp schedule still needs."""
+    grid = O.default_grid(params, n_modes=128)
+    propagator.window_propagator.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m = propagator.window_propagator(params, grid, 1.0, 0.05, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * (m.q.nbytes + m.mq.nbytes)
+
+
 @pytest.mark.parametrize("n_modes", [64, 128])
 def test_covariance_profile_drops_only_zero_columns(params, n_modes):
     """The U half of q has no S rows, so the S rows of rq in those
@@ -486,11 +509,12 @@ def test_covariance_profile_drops_only_zero_columns(params, n_modes):
 
 def test_step_basis_is_complete(params):
     """Density vectors at held-out points of both intervals lie in the
-    span of the step basis to within the cut (times the sample count's
-    growth of the largest singular value)."""
+    span of the step basis, built from its S block, to within the cut
+    (times the sample count's growth of the largest singular value)."""
     grid = O.default_grid(params, n_modes=128)
     tau = 0.3 * params.l / params.v_g
-    q = propagator._step_basis(grid, params, tau)
+    b = propagator._step_basis(grid, params, tau)
+    q = propagator._dense(b, grid, params)
     n = grid.n_modes
     rng = np.random.default_rng(4)
     reach = params.b + params.v_g * tau
@@ -507,18 +531,49 @@ def test_step_basis_is_complete(params):
     assert q.shape[1] < 2 * n
 
 
-def test_window_propagator_invariants_at_512_modes(params):
-    """Sudden switching at the physical coupling, 512 modes: M is
-    symplectic on its subspace and conserves the total energy."""
-    grid = O.default_grid(params, n_modes=512)
-    m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
-    assert m.symplectic_residual <= 1e-12
-    # H = (1/2) R^T G R with G = G_S + G_U + G_int is conserved: probe
-    # M^T G M = G on random directions
+def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
+                              residual):
+    """M is symplectic on its subspace, every step propagator the build
+    makes conserves the energy of its own Hamiltonian, and with a
+    constant coupling so does M."""
+    steps = []
+    build = propagator._step_propagators
+    monkeypatch.setattr(propagator, "_step_propagators",
+                        lambda *a: steps.append((a[3], build(*a)))
+                        or steps[-1][1])
+    grid = O.default_grid(params, n_modes=n_modes)
+    propagator.window_propagator.cache_clear()
+    m = propagator.window_propagator(params, grid, 1.0, ramp_fraction, 5)
+    assert m.symplectic_residual <= residual
+    # H = (1/2) R^T G R with G = G_S + G_U + scale G_int is conserved:
+    # probe E^T G E = G on random directions
     g_s, g_u, g_int = O.build_hamiltonians(params, grid)
-    g = g_s + g_u + g_int
     z = np.random.default_rng(0).standard_normal((4 * grid.n_modes, 8))
-    w = m @ z
-    before = z.T @ g @ z
-    assert np.max(np.abs(w.T @ g @ w - before)) <= 1e-12 * np.max(
-        np.abs(before))
+
+    def assert_conserved(w, g):
+        before = z.T @ g @ z
+        assert np.max(np.abs(w.T @ g @ w - before)) <= 1e-12 * np.max(
+            np.abs(before))
+
+    if ramp_fraction == 0.0:
+        assert_conserved(m @ z, g_s + g_u + g_int)
+    # the plateau, and for a ramp its steps, which share a duration
+    assert len(steps) == (1 if ramp_fraction == 0.0 else 2)
+    for dt, (b, ls) in steps:
+        q = propagator._dense(b, grid, params)
+        for scale, l in ls.items():
+            assert_conserved(O.free_rotate(z, grid, params, dt)
+                             + l @ (q.T @ z), g_s + g_u + scale * g_int)
+
+
+def test_window_propagator_invariants_at_512_modes(params, monkeypatch):
+    """Sudden switching at the physical coupling, 512 modes."""
+    _assert_window_invariants(params, monkeypatch, 512, 0.0, 1e-12)
+
+
+def test_window_propagator_invariants_ramped_at_256_modes(params,
+                                                          monkeypatch):
+    """The 5% ramp at the physical coupling, 256 modes: the ramp steps
+    add doublings of their own, and a ramped M conserves no energy (the
+    ramp does work), so each step is checked on its own."""
+    _assert_window_invariants(params, monkeypatch, 256, 0.05, 1e-13)
