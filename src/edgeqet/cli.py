@@ -228,7 +228,6 @@ def cmd_budget(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _load(args)
-    out = _out_dir(args)
     key = args.sweep
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -248,6 +247,8 @@ def cmd_sweep(args) -> int:
         e_b = compute_EB(p, rel_tol=args.tol)
         rows.append([float(v), float(e_b), float(e_b.error_estimate),
                      float(eb_order_estimate(p))])
+    # every point has passed its checks before the output directory exists
+    out = _out_dir(args)
     _write_csv(out / "sweep.csv",
                [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"], rows)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import params as P
 from .detector import delta_v, detector_from_params, sense_window
-from .energetics import feedback_window
+from .energetics import _gauss_legendre, feedback_window
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,9 +233,7 @@ def _coupling_nodes(params: P.ExperimentParams, grid: ModeGrid,
     u_s, u_u are the weighted density vectors at the nodes, and kernel
     is the Coulomb kernel between nodes, joules.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    xq = 0.5 * params.b * (nodes + 1.0)
-    wq = 0.5 * params.b * weights
+    xq, wq = _gauss_legendre(n_quad, 0.0, params.b)
     f_kernel = 1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)
     pref = P.E_CHARGE ** 2 / (4.0 * math.pi * params.epsilon)
     u_s = density_basis(grid, params.nu_S, xq, "left") * wq[:, None]

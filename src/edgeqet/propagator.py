@@ -11,7 +11,9 @@ step of the coupling schedule, doubled in the same low-rank form.
 
 The build holds only what the rest of the schedule still needs.
 ``window_propagator`` computes the window basis first and keeps its S
-block (Q is block-diagonal: the U block is the S block turned by b/v).
+block (Q is block-diagonal: the U block is the S block turned by b/v);
+with sudden switching the plateau is the window, and its last doubling
+level takes that basis instead of computing it again.
 It then builds the distinct coupled steps, longest first, so that the
 plateau's doubling temporaries never sit beside the finished ramp
 steps; ramp steps share their duration, so they share each level's
@@ -215,9 +217,12 @@ def _doublings(grid: ModeGrid, params: P.ExperimentParams, dt: float,
 
 
 def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
-                      dt: float, scales):
+                      dt: float, scales, window):
     """(b, {scale: l}): exp(dt A_scale) = R(dt) + l Q^T for each of
     ``scales``, with Q = Q_dt given by its S block b (``_step_basis``).
+    ``window`` = (span, B_span) is the window's basis, already built: a
+    level of duration span (sudden switching) uses it instead of
+    building it again.
 
     A = Omega (hw + hw + scale K) / hbar, with K = f_s f_u^T from
     ``factors`` = (f_s, f_u, ||K||_1 bound).  One ``expm_action`` per
@@ -247,7 +252,11 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
             return _omega_times(gx)
         return apply
 
-    b = _step_basis(grid, params, h)
+    def basis(tau):
+        return (window[1] if tau == window[0]
+                else _step_basis(grid, params, tau))
+
+    b = basis(h)
     q = _dense(b, grid, params)
     rq = free_rotate(q, grid, params, h)
     ls = {}
@@ -256,7 +265,7 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
         ls[scale] -= rq
     del q, rq
     for _ in range(k):
-        b2 = _step_basis(grid, params, 2.0 * h)
+        b2 = basis(2.0 * h)
         b_u = _u_block(b, grid, params)
         p0 = b.T @ b2
         g = b.T @ free_rotate(b2, grid, params, h)
@@ -393,7 +402,7 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     steps = {}
     for dt in sorted(scales, reverse=True):
         b, ls = _step_propagators(grid, params, (f_s, f_u, k_norm), dt,
-                                  list(scales[dt]))
+                                  list(scales[dt]), (span, window))
         for scale, l in ls.items():
             steps[dt, scale] = b, l
         del b, ls

@@ -192,6 +192,19 @@ def test_sweep_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, values", [
+    ("L", "abc"), ("L", ""), ("L", "3e-5,2e-5,4e-5"), ("warp", "1,2"),
+    ("L", "1e-5,2e-5"),                 # L < 2l at the first point
+])
+def test_sweep_rejects_bad_values_before_writing(tmp_path, capsys, key,
+                                                 values):
+    out = tmp_path / "new"
+    assert run(["sweep", "--out", str(out), "--sweep", key,
+                "--values", values]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, values, extra", [
     ("l", "8e-6,1e-5", {}),
     ("R", "1e4,2e4", {}),

@@ -123,6 +123,39 @@ def test_feedback_window_geometry(params):
     assert lam.amplitude == params.lambda_amp
 
 
+# Gauss-Legendre rules ---------------------------------------------------
+
+def test_legendre_rule_is_read_only():
+    for array in E._legendre_rule(16):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 96, 1024])
+def test_gauss_legendre_matches_direct_mapping(params, n):
+    """The cached rule maps onto [lo, hi] with the same bits as a rule
+    built afresh."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    for lo, hi in ((0.0, params.b), (-3.0 * params.l, 7.0 * params.l)):
+        half = 0.5 * (hi - lo)
+        x, wx = E._gauss_legendre(n, lo, hi)
+        assert np.array_equal(x, lo + half * (t + 1.0))
+        assert np.array_equal(wx, half * w)
+
+
+def test_EB_sweep_builds_each_rule_once(params, monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: built.append(n) or leggauss(n))
+    E._legendre_rule.cache_clear()
+    for mult in (2, 3, 4):
+        compute_EB(params.replace(L=mult * params.l), rel_tol=1e-4)
+    assert len(built) == len(set(built))
+    assert {16, 32} <= set(built)
+
+
 # E_B --------------------------------------------------------------------
 
 def test_faddeeva_matches_wofz(params):

@@ -577,3 +577,48 @@ def test_window_propagator_invariants_ramped_at_256_modes(params,
     add doublings of their own, and a ramped M conserves no energy (the
     ramp does work), so each step is checked on its own."""
     _assert_window_invariants(params, monkeypatch, 256, 0.05, 1e-13)
+
+
+def test_coupling_nodes_match_direct_rule(params, grid):
+    """The coupling's 96-point rule, shared with E_B, gives the same
+    bits as a rule built afresh and mapped onto [0, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    xq = 0.5 * params.b * (nodes + 1.0)
+    wq = 0.5 * params.b * weights
+    u_s, u_u, kernel = O._coupling_nodes(params, grid)
+    assert np.array_equal(
+        u_s, O.density_basis(grid, params.nu_S, xq, "left") * wq[:, None])
+    assert np.array_equal(
+        u_u, O.density_basis(grid, params.nu_U, xq, "right") * wq[:, None])
+    assert np.array_equal(
+        kernel, P.E_CHARGE ** 2 / (4.0 * math.pi * params.epsilon)
+        * (1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)))
+
+
+@pytest.mark.parametrize("doublings", [None, 0])
+def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
+    """With sudden switching the plateau is the window: its basis is
+    built once, at the plateau's last doubling level (or its short step
+    when there are no doublings), with the same bits as a build that
+    recomputes it."""
+    grid = O.default_grid(params, n_modes=16)
+    if doublings is not None:
+        monkeypatch.setattr(propagator, "_doublings", lambda *a: doublings)
+    t_i, t_f = O.interaction_window(params)
+    taus = []
+    step_basis = propagator._step_basis
+    monkeypatch.setattr(propagator, "_step_basis",
+                        lambda g, p, tau: taus.append(tau)
+                        or step_basis(g, p, tau))
+    propagator.window_propagator.cache_clear()
+    m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
+    assert taus.count(t_f - t_i) == 1
+    # the same build with no basis handed on
+    build = propagator._step_propagators
+    monkeypatch.setattr(propagator, "_step_propagators",
+                        lambda *a: build(*a[:-1], (math.nan, None)))
+    propagator.window_propagator.cache_clear()
+    fresh = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
+    propagator.window_propagator.cache_clear()
+    assert taus.count(t_f - t_i) == 3
+    assert np.array_equal(m.q, fresh.q) and np.array_equal(m.mq, fresh.mq)
