@@ -353,6 +353,10 @@ def cmd_convert(args) -> int:
     params = _load(args)
     if (args.current is None) == (args.energy_density is None):
         raise UsageError("pass exactly one of --current / --energy-density")
+    for flag, value in (("--current", args.current),
+                        ("--energy-density", args.energy_density)):
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value!r}")
     if args.current is not None:
         j = args.current
         eps = energy_density_from_current(j, params)
@@ -412,17 +416,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="run the Gaussian protocol oracle")
-    p_sim.add_argument("--shots", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--modes", type=int, default=256)
+    p_sim.add_argument("--shots", type=int, default=1000,
+                       help="shots to draw, at least 2 (default 1000)")
+    p_sim.add_argument("--seed", type=int, default=0,
+                       help="seed of the outcome draws, >= 0 (default 0)")
+    p_sim.add_argument("--modes", type=int, default=256,
+                       help="momentum modes per channel, at least 1 "
+                            "(default 256)")
     p_sim.add_argument("--feedback", default="correlated",
-                       choices=("correlated", "scrambled", "off"))
+                       choices=("correlated", "scrambled", "off"),
+                       help="feedback from each shot's own outcome, from "
+                            "a permutation of the outcomes, or none "
+                            "(default correlated)")
     p_sim.add_argument("--coupling-scale", type=float, default=1.0,
-                       dest="coupling_scale")
+                       dest="coupling_scale",
+                       help="factor on the Coulomb coupling, finite "
+                            "(default 1.0)")
     p_sim.add_argument("--ramp-fraction", type=float, default=0.05,
-                       dest="ramp_fraction")
+                       dest="ramp_fraction",
+                       help="share of the interaction window over which "
+                            "the coupling ramps up, and again down, in "
+                            "[0, 0.5]; 0 switches it suddenly "
+                            "(default 0.05)")
     p_sim.add_argument("--profile-points", type=int, default=512,
-                       dest="profile_points")
+                       dest="profile_points",
+                       help="points of the energy-density profile, at "
+                            "least 1 (default 512)")
 
     p_conv = sub.add_parser("convert", parents=[common],
                             help="convert current <-> energy density")

@@ -478,20 +478,25 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
       No 2N x 2N or 4N x 4N array is formed unless
       ``check_invariants`` is set.
 
-    Only the shot stage and the four mean and measurement columns of
-    the profile depend on ``feedback_mode``, ``n_shots`` and ``seed``.
-    The window propagator is memoised by (params, grid, coupling_scale,
-    ramp_fraction, n_ramp), four entries, and carries what else depends
-    on the setup alone: the U-variance excess diag(mq mq^T - rq rq^T)/2
-    (2N floats) and the covariance part of the profile, filled on first
-    use for each (profile points, snapshot time - t_f), eight entries
-    of n_profile floats each (``WindowPropagator.covariance_profile``).
-    The profile's density rows are memoised by (grid, nu_S, n_profile),
-    four entries.  So a repeated call on one setup makes no
-    exponential action and draws n_profile x 2N by 2N x 4 products
-    only.  The cached arrays are read-only;
-    ``propagator.window_propagator.cache_clear()`` releases the
-    propagators with their profiles, and
+    The run has two stages.  The setup stage
+    (``propagator.protocol_setup``) depends only on (params, grid,
+    coupling_scale, ramp_fraction, n_ramp) and is memoised by them,
+    four entries.  It holds the window propagator, the measurement's
+    predictive variance and back-action weight, the three vectors
+    carried to t_f and every coefficient of the shot energies, and,
+    filled on first use for each (profile points, snapshot time - t_f),
+    the profile's covariance part and its four shot-column terms, eight
+    entries of 5 n_profile floats each
+    (``propagator.ProtocolSetup.profile_terms``).  The profile's density
+    rows are memoised by (grid, nu_S, profile points), four entries.
+    The shot stage draws the outcomes from ``seed``, forms the shot
+    energies and their means, and the profile as covariance part +
+    terms @ weights, the weights being the shots' second moments.  So a
+    repeated call on one setup makes no exponential action, no free
+    rotation and no density product.  The cached arrays are read-only
+    and no result shares them;
+    ``propagator.protocol_setup.cache_clear()`` releases the setups with
+    their propagators and profiles, and
     ``oracle._density_rows.cache_clear()`` the rows.
 
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
@@ -527,7 +532,7 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
             f"coupling_scale must be finite, got {coupling_scale!r}")
     if grid is None:
         grid = default_grid(params)
-    t_i, t_f = interaction_window(params)
+    _, t_f = interaction_window(params)
     if profile_times is None:
         profile_times = [t_f]
     profile_times = np.asarray(sorted(float(t) for t in profile_times))
@@ -538,56 +543,16 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         raise ValueError(f"the ring wraps around: wrap margin "
                          f"{margin:.3g} m < 0; use a longer ring")
 
-    rng = np.random.default_rng(seed)
-    n = grid.n_modes
-    hw = grid.mode_energies(params.v_g)
-    hw2 = np.concatenate([hw, hw])
-    u_sl = slice(2 * n, 4 * n)
-    s_sl = slice(0, 2 * n)
+    from .propagator import protocol_setup, validate_setup
 
-    # measurement conditioning at t = 0 (vacuum prior, Cov = I/2)
-    o = measurement_observable(params, grid)
-    dv = delta_v(detector_from_params(params))
-    sigma = 0.5 * o
-    s_pred, kick = _conditioning(sigma, o, dv)
-    back = 1.0 / (4.0 * dv ** 2)             # weight of the back-action term
-    gain = sigma / s_pred                    # posterior mean per unit outcome
+    st = protocol_setup(params, grid, coupling_scale, ramp_fraction,
+                        n_ramp)
     if check_invariants:
-        validate_state(0.5 * np.eye(4 * n) - np.outer(sigma, sigma) / s_pred
-                       + back * np.outer(kick, kick))
-
-    # shot-independent energy pieces
-    cov_diag = 0.5 - sigma * sigma / s_pred + back * kick * kick
-    # S-channel covariance part of the post-measurement energy
-    e_a_const = 0.5 * float(hw @ (cov_diag[:n] + cov_diag[n:2 * n] - 1.0))
-    q_a = 0.5 * float(hw2 @ (gain[s_sl] ** 2))  # E_A mean part per outcome^2
-
-    d_unit = feedback_displacement(params, grid)
-    q_1 = 0.5 * float(hw2 @ (d_unit[u_sl] ** 2))  # E_1 per feedback^2
-
-    # the measurement response turns freely from t = 0 to t_i, the
-    # feedback displacement from T to t_i; M carries both on to t_f
-    from .propagator import window_propagator
-
-    m = window_propagator(params, grid, coupling_scale, ramp_fraction,
-                          n_ramp)
-    a_vec, b_vec, kick_f = (m @ np.stack([
-        free_rotate(gain, grid, params, t_i),        # per unit outcome
-        free_rotate(d_unit, grid, params, t_i - params.T_delay),
-        free_rotate(kick, grid, params, t_i)], axis=1)).T
-
-    # the covariance at t_f is I/2 + (mq mq^T - rq rq^T)/2
-    # - s_pred a a^T + back kick kick^T (sigma carried to t_f is
-    # s_pred * a_vec)
-    if check_invariants:
-        rq = m.rq
-        cov_t = (0.5 * (np.eye(4 * n) + m.mq @ m.mq.T - rq @ rq.T)
-                 - s_pred * np.outer(a_vec, a_vec)
-                 + back * np.outer(kick_f, kick_f))
-        validate_state(0.5 * (cov_t + cov_t.T))
+        validate_setup(st)
 
     # shots
-    upsilon = math.sqrt(s_pred) * rng.standard_normal(n_shots)
+    rng = np.random.default_rng(seed)
+    upsilon = math.sqrt(st.s_pred) * rng.standard_normal(n_shots)
     if feedback_mode == "correlated":
         fb = upsilon
     elif feedback_mode == "scrambled":
@@ -595,17 +560,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     else:
         fb = np.zeros(n_shots)
 
-    e_a_samples = e_a_const + q_a * upsilon ** 2
-    # U-channel energy at t_f, mean part quadratic in (outcome, feedback)
-    excess_d = (m.u_excess - s_pred * a_vec[u_sl] ** 2
-                + back * kick_f[u_sl] ** 2)
-    e_u_cov = 0.5 * float(hw @ (excess_d[:n] + excess_d[n:]))
-    au, bu = a_vec[u_sl], b_vec[u_sl]
-    qaa = 0.5 * float(hw2 @ (au * au))
-    qbb = 0.5 * float(hw2 @ (bu * bu))
-    qab = float(hw2 @ (au * bu))
-    e_b_samples = (e_u_cov + qaa * upsilon ** 2 + qbb * fb ** 2
-                   + qab * upsilon * fb) - q_1 * fb ** 2
+    e_a_samples = st.e_a_const + st.q_a * upsilon ** 2
+    e_b_samples = (st.e_u_cov + st.qaa * upsilon ** 2 + st.qbb * fb ** 2
+                   + st.qab * upsilon * fb) - st.q_1 * fb ** 2
     e_b_mean = float(np.mean(e_b_samples))
     e_b_stderr = float(np.std(e_b_samples, ddof=1) / math.sqrt(n_shots))
 
@@ -615,24 +572,21 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     m2_u = float(np.mean(upsilon * upsilon))
     m2_f = float(np.mean(fb * fb))
     m2_x = float(np.mean(upsilon * fb))
-    # S block of the shot-averaged <R R^T> - I/2 at t_f: the memoised
-    # covariance part (mq mq^T - rq rq^T)/2 plus four weighted columns;
-    # the cross term m2_x (a b^T + b a^T) is written as
-    # m2_x ((a + b)(a + b)^T - a a^T - b b^T)
-    a_s, b_s = a_vec[s_sl], b_vec[s_sl]
-    cols = np.column_stack([a_s, b_s, a_s + b_s, kick_f[s_sl]])
-    weights = np.array([m2_u - m2_x - s_pred, m2_f - m2_x, m2_x, back])
+    # S block of the shot-averaged <R R^T> - I/2 at t_f: the covariance
+    # part (mq mq^T - rq rq^T)/2 plus the columns a, b, a + b and kick
+    # with these weights; the cross term m2_x (a b^T + b a^T) is written
+    # as m2_x ((a + b)(a + b)^T - a a^T - b b^T)
+    weights = np.array([m2_u - m2_x - st.s_pred, m2_f - m2_x, m2_x,
+                        st.back])
     profiles = np.empty((profile_times.size, n_profile))
     for i, t_snap in enumerate(profile_times):
-        dt = t_snap - t_f
-        profiles[i] = m.covariance_profile(x_grid, dt) + local_energy_density(
-            x_grid, grid, params, free_rotate(cols, grid, params, dt),
-            weights)
+        cov, terms = st.profile_terms(x_grid, t_snap - t_f)
+        profiles[i] = cov + terms @ weights
 
     return ProtocolResult(
         E_A_oracle=float(np.mean(e_a_samples)),
         E_B_oracle=e_b_mean,
-        E_1_oracle=q_1 * float(np.mean(fb ** 2)),
+        E_1_oracle=st.q_1 * float(np.mean(fb ** 2)),
         E_B_stderr=e_b_stderr,
         outcome_samples=upsilon,
         e_b_samples=e_b_samples,
@@ -641,6 +595,6 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         profile_times=profile_times,
         feedback_mode=feedback_mode,
         t_f=t_f,
-        subspace_rank=m.q.shape[1],
-        symplectic_residual=m.symplectic_residual,
+        subspace_rank=st.window.q.shape[1],
+        symplectic_residual=st.window.symplectic_residual,
         wrap_margin_m=margin)

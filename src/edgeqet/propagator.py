@@ -21,8 +21,14 @@ basis, which lives for that level only.  Only then does it run the
 chain mq <- R mq + l (Q^T mq) over the schedule, in place, and drop
 each step after its last use; q is made dense after the chain.
 
+The same module holds the setup stage of ``oracle.run_protocol``
+(``protocol_setup``): the window propagator together with everything
+else a run computes from its setup alone, memoised per setup.  It calls
+the oracle's measurement, feedback and profile functions through the
+``oracle`` module, so that a wrapper or stub put there is seen.
+
 ``oracle.run_protocol`` imports this module when it is first called, so
-commands that never simulate do not load it.
+commands that never simulate neither load nor compile it.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import oracle as O
 from . import params as P
-from .oracle import (ModeGrid, _coupling_nodes, _omega_times,
+from .detector import delta_v, detector_from_params
+from .oracle import (ModeGrid, _conditioning, _coupling_nodes, _omega_times,
                      density_basis, free_rotate, interaction_window,
-                     local_energy_density)
+                     validate_state)
 
 #: Relative singular-value cut of the subspace bases and of the coupling
 #: factors: directions below SVD_CUT times the largest singular value are
@@ -285,11 +293,6 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     return b, ls
 
 
-# snapshots per setup that keep their covariance profile (8 kB each at
-# 1024 profile points)
-_PROFILE_ENTRIES = 8
-
-
 @dataclass(frozen=True)
 class WindowPropagator:
     """M = R(span) (I - q q^T) + mq q^T, the window propagator, exact up
@@ -298,12 +301,9 @@ class WindowPropagator:
     q (4N x r, orthonormal) spans every direction the coupling reads
     during the window; M moves the rest by free flight R alone, so
     mq = M q determines M.  ``symplectic_residual`` is
-    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M.
-    ``u_excess`` is diag(mq mq^T - rq rq^T)/2 on the U rows (2N): what M
-    adds to the U variances of the vacuum, I/2.  q, mq, u_excess and
-    the memoised ``covariance_profile`` arrays are read-only:
-    ``window_propagator`` hands one instance to every caller with the
-    same setup.
+    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M.  q and
+    mq are read-only: ``protocol_setup`` memoises the propagator with
+    the rest of a run's setup and shares it between calls.
     """
 
     q: np.ndarray
@@ -312,10 +312,6 @@ class WindowPropagator:
     grid: ModeGrid
     params: P.ExperimentParams
     symplectic_residual: float
-    u_excess: np.ndarray
-    # (profile points, dt) -> covariance_profile, oldest first
-    _profiles: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
     @property
     def rq(self) -> np.ndarray:
@@ -327,44 +323,10 @@ class WindowPropagator:
         return (free_rotate(a - self.q @ c, self.grid, self.params,
                             self.span) + self.mq @ c)
 
-    def covariance_profile(self, x: np.ndarray, dt: float) -> np.ndarray:
-        """S energy density (J/m) at the points ``x`` of the moment
-        (mq mq^T - rq rq^T)/2, carried freely a time ``dt`` past the
-        window.
 
-        This is the part of the S profile that M adds to the vacuum,
-        whatever the measurement and feedback: ``local_energy_density``
-        of the columns R(dt) mq and R(dt) rq with weights +1/2 and -1/2.
-        The U half of q has no S rows, so only the first r/2 columns of
-        rq enter.  The last _PROFILE_ENTRIES (x, dt) are memoised as
-        read-only arrays of len(x) floats each.
-        """
-        key = (x.tobytes(), dt)
-        if key not in self._profiles:
-            n, half = self.grid.n_modes, self.q.shape[1] // 2
-            rq_s = free_rotate(self.q[:2 * n, :half], self.grid, self.params,
-                               self.span)
-            cols = free_rotate(np.hstack([self.mq[:2 * n], rq_s]),
-                               self.grid, self.params, dt)
-            weights = np.repeat([0.5, -0.5], [self.mq.shape[1], half])
-            profile = local_energy_density(x, self.grid, self.params, cols,
-                                           weights)
-            profile.flags.writeable = False
-            if len(self._profiles) == _PROFILE_ENTRIES:
-                del self._profiles[next(iter(self._profiles))]
-            self._profiles[key] = profile
-        return self._profiles[key]
-
-
-# A scan over feedback modes and a few coupling strengths on one grid
-# reuses every propagator it builds; four entries bound the memory (two
-# 4N x r arrays each, 61 MB at 1024 modes, 4.6 MB at 256).  A cold build
-# peaks at 2.1 to 3.1 times what it returns: 129 MB traced at 1024 modes,
-# 11 MB at 256, 3.9 MB at 128.
-@functools.lru_cache(maxsize=4)
 def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
                       coupling_scale: float, ramp_fraction: float,
-                      n_ramp: int, /) -> WindowPropagator:
+                      n_ramp: int) -> WindowPropagator:
     """The propagator over the interaction window, on the coupling's
     subspace.
 
@@ -375,14 +337,10 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     No 4N x 4N matrix is formed.  The build holds only what the rest of
     the schedule needs: the window basis as its S block, then every
     distinct step, built longest first, then mq, updated in place, each
-    step dropped after its last use.
-
-    The result depends on nothing but the arguments, all hashable, so
-    the last four propagators built are memoised by argument value (an
-    equal ``ExperimentParams`` built separately finds the same entry);
-    ``window_propagator.cache_clear()`` releases them.  The arguments
-    are positional-only with no defaults: ``lru_cache`` keys on how
-    they are passed, so this keeps one key per setup.
+    step dropped after its last use.  It peaks at 2.1 to 3.1 times what
+    it returns: 129 MB traced at 1024 modes, 11 MB at 256, 3.9 MB at
+    128.  Each call builds afresh; ``protocol_setup`` memoises the
+    result with the rest of a run's setup.
     """
     t_i, t_f = interaction_window(params)
     span = t_f - t_i
@@ -424,10 +382,163 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     q = _dense(window, grid, params)
     residual = float(np.max(np.abs(mq.T @ _omega_times(mq)
                                    - q.T @ _omega_times(q))))
-    u = slice(2 * grid.n_modes, None)
-    rq_u = free_rotate(q[u], grid, params, span)
-    u_excess = 0.5 * (np.einsum("ij,ij->i", mq[u], mq[u])
-                      - np.einsum("ij,ij->i", rq_u, rq_u))
     q.flags.writeable = mq.flags.writeable = False
-    u_excess.flags.writeable = False
-    return WindowPropagator(q, mq, span, grid, params, residual, u_excess)
+    return WindowPropagator(q, mq, span, grid, params, residual)
+
+
+# snapshots per setup that keep their profile terms (40 kB each at 1024
+# profile points)
+_PROFILE_ENTRIES = 8
+
+
+@dataclass(frozen=True)
+class ProtocolSetup:
+    """What ``oracle.run_protocol`` computes from its setup alone.
+
+    The setup is (params, grid, coupling_scale, ramp_fraction, n_ramp).
+    It fixes the measurement at t = 0, the window propagator M, the
+    measurement response, feedback displacement and back-action kick
+    carried to t_f, and every coefficient of the shot energies: a shot
+    with outcome u (variance ``s_pred``) and feedback value f has
+    E_A = e_a_const + q_a u^2,  E_1 = q_1 f^2  and
+    E_B = e_u_cov + qaa u^2 + qbb f^2 + qab u f - q_1 f^2.
+    The arrays, and those of the memoised ``profile_terms``, are
+    read-only: ``protocol_setup`` hands one instance to every caller
+    with the same setup.
+    """
+
+    window: WindowPropagator
+    s_pred: float          # V^2, predictive variance of the outcome
+    back: float            # 1/V^2, weight of the back-action term
+    a_vec: np.ndarray      # posterior mean per unit outcome, at t_f
+    b_vec: np.ndarray      # feedback displacement per unit value, at t_f
+    kick_f: np.ndarray     # back-action direction Omega o, at t_f
+    e_a_const: float       # J
+    q_a: float             # J/V^2
+    q_1: float             # J/V^2
+    e_u_cov: float         # J
+    qaa: float             # J/V^2
+    qbb: float             # J/V^2
+    qab: float             # J/V^2
+    # (profile points, dt) -> profile_terms, oldest first
+    _profiles: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def profile_terms(self, x: np.ndarray, dt: float):
+        """(cov, terms): the S energy density (J/m) at the points ``x``,
+        a time ``dt`` past t_f, split by how it depends on the shots.
+
+        ``cov`` (len(x)) is what M adds to the vacuum,
+        (mq mq^T - rq rq^T)/2: ``local_energy_density`` of R(dt) mq and
+        the S half of R(dt) rq with weights +1/2 and -1/2 (the U half of
+        q has no S rows).  ``terms`` (len(x) x 4) are the energy
+        densities of the unit moments of the columns a, b, a + b and the
+        kick, carried by R(dt), so that a profile with moment weights w
+        is cov + terms @ w.  The last _PROFILE_ENTRIES (x, dt) are
+        memoised.
+        """
+        key = (x.tobytes(), dt)
+        if key not in self._profiles:
+            m = self.window
+            grid, params = m.grid, m.params
+            s_sl, half = slice(0, 2 * grid.n_modes), m.q.shape[1] // 2
+            rq_s = free_rotate(m.q[s_sl, :half], grid, params, m.span)
+            cols = free_rotate(np.hstack([m.mq[s_sl], rq_s]), grid, params,
+                               dt)
+            weights = np.repeat([0.5, -0.5], [m.mq.shape[1], half])
+            cov = O.local_energy_density(x, grid, params, cols, weights)
+            a_s, b_s = self.a_vec[s_sl], self.b_vec[s_sl]
+            cols = free_rotate(np.column_stack(
+                [a_s, b_s, a_s + b_s, self.kick_f[s_sl]]), grid, params, dt)
+            terms = O.local_energy_density(x, grid, params, cols, np.eye(4))
+            cov.flags.writeable = terms.flags.writeable = False
+            if len(self._profiles) == _PROFILE_ENTRIES:
+                del self._profiles[next(iter(self._profiles))]
+            self._profiles[key] = cov, terms
+        return self._profiles[key]
+
+
+# A scan over feedback modes and a few coupling strengths on one grid
+# reuses every setup it builds; four entries bound the memory.  The
+# window propagator is most of an entry (two 4N x r arrays, 61 MB at
+# 1024 modes, 4.6 MB at 256); the rest is three 4N vectors and at most
+# 320 kB of profile terms at 1024 profile points.
+@functools.lru_cache(maxsize=4)
+def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
+                   coupling_scale: float, ramp_fraction: float,
+                   n_ramp: int, /) -> ProtocolSetup:
+    """The shot-independent stage of ``oracle.run_protocol``.
+
+    The result depends on nothing but the arguments, all hashable, so
+    the last four setups built are memoised by argument value (an equal
+    ``ExperimentParams`` built separately finds the same entry);
+    ``protocol_setup.cache_clear()`` releases them with their
+    propagators and profile terms.  The arguments are positional-only
+    with no defaults: ``lru_cache`` keys on how they are passed, so
+    this keeps one key per setup.
+    """
+    t_i, _ = interaction_window(params)
+    n = grid.n_modes
+    hw = grid.mode_energies(params.v_g)
+    hw2 = np.concatenate([hw, hw])
+    u_sl = slice(2 * n, 4 * n)
+    s_sl = slice(0, 2 * n)
+
+    # measurement conditioning at t = 0 (vacuum prior, Cov = I/2)
+    o = O.measurement_observable(params, grid)
+    dv = delta_v(detector_from_params(params))
+    sigma = 0.5 * o
+    s_pred, kick = _conditioning(sigma, o, dv)
+    back = 1.0 / (4.0 * dv ** 2)             # weight of the back-action term
+    gain = sigma / s_pred                    # posterior mean per unit outcome
+
+    # S-channel covariance part of the post-measurement energy
+    cov_diag = 0.5 - sigma * sigma / s_pred + back * kick * kick
+    e_a_const = 0.5 * float(hw @ (cov_diag[:n] + cov_diag[n:2 * n] - 1.0))
+    q_a = 0.5 * float(hw2 @ (gain[s_sl] ** 2))  # E_A mean part per outcome^2
+
+    d_unit = O.feedback_displacement(params, grid)
+    q_1 = 0.5 * float(hw2 @ (d_unit[u_sl] ** 2))  # E_1 per feedback^2
+
+    # the measurement response turns freely from t = 0 to t_i, the
+    # feedback displacement from T to t_i; M carries both on to t_f
+    m = window_propagator(params, grid, coupling_scale, ramp_fraction,
+                          n_ramp)
+    a_vec, b_vec, kick_f = (m @ np.stack([
+        free_rotate(gain, grid, params, t_i),        # per unit outcome
+        free_rotate(d_unit, grid, params, t_i - params.T_delay),
+        free_rotate(kick, grid, params, t_i)], axis=1)).T
+
+    # U-channel energy at t_f: the covariance I/2 + (mq mq^T - rq rq^T)/2
+    # - s_pred a a^T + back kick kick^T (sigma carried to t_f is
+    # s_pred * a_vec) on its diagonal, the mean quadratic in (outcome,
+    # feedback)
+    rq_u = free_rotate(m.q[u_sl], grid, params, m.span)
+    excess_d = (0.5 * (np.einsum("ij,ij->i", m.mq[u_sl], m.mq[u_sl])
+                       - np.einsum("ij,ij->i", rq_u, rq_u))
+                - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
+    e_u_cov = 0.5 * float(hw @ (excess_d[:n] + excess_d[n:]))
+    au, bu = a_vec[u_sl], b_vec[u_sl]
+    for a in (a_vec, b_vec, kick_f):
+        a.flags.writeable = False
+    return ProtocolSetup(
+        window=m, s_pred=s_pred, back=back, a_vec=a_vec, b_vec=b_vec,
+        kick_f=kick_f, e_a_const=e_a_const, q_a=q_a, q_1=q_1,
+        e_u_cov=e_u_cov, qaa=0.5 * float(hw2 @ (au * au)),
+        qbb=0.5 * float(hw2 @ (bu * bu)), qab=float(hw2 @ (au * bu)))
+
+
+def validate_setup(st: ProtocolSetup) -> None:
+    """``validate_state`` on the full covariance just after the
+    measurement and at t_f (O(N^3) each)."""
+    m = st.window
+    n = m.grid.n_modes
+    o = O.measurement_observable(m.params, m.grid)
+    sigma, kick = 0.5 * o, _omega_times(o)
+    validate_state(0.5 * np.eye(4 * n) - np.outer(sigma, sigma) / st.s_pred
+                   + st.back * np.outer(kick, kick))
+    rq = m.rq
+    cov_t = (0.5 * (np.eye(4 * n) + m.mq @ m.mq.T - rq @ rq.T)
+             - st.s_pred * np.outer(st.a_vec, st.a_vec)
+             + st.back * np.outer(st.kick_f, st.kick_f))
+    validate_state(0.5 * (cov_t + cov_t.T))

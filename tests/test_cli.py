@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, and reproducibility."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import edgeqet
-from edgeqet import cli, energetics, oracle
+from edgeqet import cli, energetics, oracle, propagator
 from edgeqet import params as P
 
 
@@ -390,8 +391,22 @@ def test_simulate_degenerate_observable_exit_code(tmp_path, monkeypatch,
                                                   capsys):
     monkeypatch.setattr(oracle, "measurement_observable",
                         lambda params, grid: np.zeros(4 * grid.n_modes))
+    # the observable is part of run_protocol's memoised setup
+    propagator.protocol_setup.cache_clear()
     assert run(["simulate", "--modes", "16", "--out", str(tmp_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_simulate_options_have_help():
+    """Every simulate option says what it sets, its default and bound."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices["simulate"]._actions
+    assert {"--shots", "--seed", "--modes", "--feedback", "--coupling-scale",
+            "--ramp-fraction", "--profile-points"} <= {
+        opt for a in actions for opt in a.option_strings}
+    for action in actions:
+        assert action.help, action.option_strings
 
 
 def test_write_json_refuses_non_finite(tmp_path):
@@ -421,3 +436,13 @@ def test_convert_requires_exactly_one_flag(capsys):
     assert run(["convert", "--current", "1e-8",
                 "--energy-density", "1e-17"]) == 1
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--current", "--energy-density"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_convert_rejects_non_finite(capsys, flag, value):
+    # "--current -inf" would parse "-inf" as an option; "=" passes it on
+    assert run(["convert", f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be finite" in captured.err
+    assert "round trip" not in captured.out

@@ -346,7 +346,7 @@ def test_run_protocol_one_action_per_distinct_step(params, monkeypatch,
     no dense expm is taken."""
     seen, dense = _count_actions(monkeypatch), []
     monkeypatch.setattr(O, "expm", lambda a: dense.append(a))
-    propagator.window_propagator.cache_clear()
+    propagator.protocol_setup.cache_clear()
     O.run_protocol(params, O.default_grid(params, n_modes=16), n_shots=2,
                    ramp_fraction=ramp_fraction, n_ramp=n_ramp, n_profile=16)
     assert len(seen) == calls
@@ -365,22 +365,35 @@ def _count_actions(monkeypatch):
 def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     """A second call on one setup, with another feedback mode and seed,
     builds neither the window propagator nor the profile rows, draws
-    the covariance part of its profile from the propagator's memo and
-    returns what a cold call returns; a change to any input of the
-    propagator builds a fresh one."""
+    its whole profile from the setup's memo and returns what a cold
+    call returns; a change to any input of the setup builds a fresh
+    one."""
     actions = _count_actions(monkeypatch)
     rows = []
     basis = O.density_basis
     monkeypatch.setattr(O, "density_basis",
                         lambda *a: rows.append(a) or basis(*a))
-    # columns of every local_energy_density call, from run_protocol and
-    # from the propagator's covariance_profile
+    # columns of every local_energy_density call, from run_protocol's
+    # setup stage
     cols = []
     density = O.local_energy_density
+    monkeypatch.setattr(O, "local_energy_density",
+                        lambda x, g, p, c, w: cols.append(c.shape[1])
+                        or density(x, g, p, c, w))
+    # the setup-only work a warm call must not repeat
+    setup_calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: setup_calls.append(name)
+                            or fn(*a, **k))
+
     for module in (O, propagator):
-        monkeypatch.setattr(module, "local_energy_density",
-                            lambda x, g, p, c, w: cols.append(c.shape[1])
-                            or density(x, g, p, c, w))
+        count(module, "free_rotate")
+    count(O, "measurement_observable")
+    count(O, "feedback_displacement")
+    count(propagator.WindowPropagator, "__matmul__")
     grid = O.default_grid(params, n_modes=64)
     setup = dict(coupling_scale=0.3, ramp_fraction=0.05, n_ramp=3,
                  n_profile=64)
@@ -390,7 +403,7 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
                               seed=seed, **{**setup, **changes})
 
     def cold(*args, **kwargs):
-        propagator.window_propagator.cache_clear()
+        propagator.protocol_setup.cache_clear()
         O._density_rows.cache_clear()
         return run(*args, **kwargs)
 
@@ -402,34 +415,37 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
 
     want = cold(mode="scrambled", seed=2)
     # a cold call fills the memo from mq and the S half of rq (r + r/2
-    # columns), then adds the four shot columns
+    # columns), then from the four shot columns
     r = want.subspace_rank
     assert cols == [r + r // 2, 4]
+    assert setup_calls
     cold()
     before = len(actions), len(rows)
     cols.clear()
+    setup_calls.clear()
     assert_same(run(mode="scrambled", seed=2), want)
     assert (len(actions), len(rows)) == before
-    assert cols == [4]
+    assert cols == []
+    assert setup_calls == []
 
     # another n_profile or snapshot time fills one more memo entry on
-    # the same propagator and matches a cold call
+    # the same setup and matches a cold call
     _, t_f = O.interaction_window(params)
     for changes in (dict(n_profile=96),
                     dict(profile_times=[t_f + 2 * params.l / params.v_g])):
         run()
-        m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
-        entries = len(m._profiles)
+        st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
+        entries = len(st._profiles)
         cols.clear()
         warm = run(**changes)
-        assert len(m._profiles) == entries + 1
+        assert len(st._profiles) == entries + 1
         assert cols == [r + r // 2, 4]
         assert_same(warm, cold(**changes))
     # the memo keeps the last _PROFILE_ENTRIES snapshots
     many = [t_f + k * 0.1 * params.l / params.v_g for k in range(10)]
     run(profile_times=many)
-    m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
-    assert len(m._profiles) == propagator._PROFILE_ENTRIES < len(many)
+    st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
+    assert len(st._profiles) == propagator._PROFILE_ENTRIES < len(many)
 
     # an equal parameter set built separately finds the same entry
     twin = P.ExperimentParams(**params.as_dict())
@@ -437,7 +453,7 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     n = len(actions)
     run(p=twin, mode="off", seed=3)
     assert len(actions) == n
-    assert propagator.window_propagator.cache_info().currsize == 1
+    assert propagator.protocol_setup.cache_info().currsize == 1
 
     # 128 modes with the same parameters: another subspace, rank 152
     # against 90 at 64 modes
@@ -454,26 +470,62 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
 
     # one setup has one cache key: every argument is positional-only
     with pytest.raises(TypeError):
-        propagator.window_propagator(params, grid, coupling_scale=0.3,
-                                     ramp_fraction=0.05, n_ramp=3)
+        propagator.protocol_setup(params, grid, coupling_scale=0.3,
+                          ramp_fraction=0.05, n_ramp=3)
     with pytest.raises(TypeError):
-        propagator.window_propagator(params, grid)
+        propagator.protocol_setup(params, grid)
 
     # cached arrays are shared, so they are read-only
     run()
-    m = propagator.window_propagator(params, grid, 0.3, 0.05, 3)
+    st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
     u = O._density_rows(grid, params.nu_S, "left", want.profile_x.tobytes())
-    memo = list(m._profiles.values())
-    assert len(memo) == 1
-    for a in (m.q, m.mq, m.u_excess, u, *memo):
+    memo = [a for terms in st._profiles.values() for a in terms]
+    assert len(memo) == 2
+    for a in (st.window.q, st.window.mq, st.a_vec, st.b_vec, st.kick_f, u,
+              *memo):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
-    # and cache_clear releases the memo with its propagator
+    # and cache_clear releases the memo with its setup
     released = weakref.ref(memo[0])
-    del m, memo, a
-    propagator.window_propagator.cache_clear()
+    del st, memo, a
+    propagator.protocol_setup.cache_clear()
     gc.collect()
     assert released() is None
+
+
+def _memoised_arrays(st):
+    """Every array a setup holds, its profile memo included."""
+    arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
+    arrays += [st.window.q, st.window.mq]
+    return arrays + [a for terms in st._profiles.values() for a in terms]
+
+
+def test_run_protocol_results_never_alias_the_memo(params):
+    """Writing into a warm result changes neither the memo nor the next
+    warm call, which still equals a cold call; every memoised array is
+    read-only."""
+    grid = O.default_grid(params, n_modes=32)
+    kwargs = dict(feedback_mode="correlated", n_shots=40, seed=4,
+                  coupling_scale=0.5, ramp_fraction=0.0, n_profile=48)
+    propagator.protocol_setup.cache_clear()
+    O.run_protocol(params, grid, **kwargs)
+    warm = O.run_protocol(params, grid, **kwargs)
+    for a in (warm.e_b_samples, warm.outcome_samples,
+              warm.energy_density_profile):
+        a[...] = math.nan
+    again = O.run_protocol(params, grid, **kwargs)
+    st = propagator.protocol_setup(params, grid, 0.5, 0.0, 5)
+    arrays = _memoised_arrays(st)
+    assert len(arrays) == 7
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    propagator.protocol_setup.cache_clear()
+    cold = O.run_protocol(params, grid, **kwargs)
+    for name in ("e_b_samples", "outcome_samples", "energy_density_profile"):
+        assert np.array_equal(getattr(again, name), getattr(cold, name))
+    assert again.E_B_oracle == cold.E_B_oracle
 
 
 def test_window_propagator_build_memory(params):
@@ -481,7 +533,6 @@ def test_window_propagator_build_memory(params):
     small multiple of what it returns, q and mq: it holds only what the
     rest of the ramp schedule still needs."""
     grid = O.default_grid(params, n_modes=128)
-    propagator.window_propagator.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -496,8 +547,9 @@ def test_window_propagator_build_memory(params):
 @pytest.mark.parametrize("n_modes", [64, 128])
 def test_covariance_profile_drops_only_zero_columns(params, n_modes):
     """The U half of q has no S rows, so the S rows of rq in those
-    columns, which covariance_profile leaves out, are exactly zero; no
-    column it keeps is."""
+    columns, which the profile's covariance part leaves out
+    (``_ProtocolSetup.profile_terms``), are exactly zero; no column it
+    keeps is."""
     grid = O.default_grid(params, n_modes=n_modes)
     m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
     s_rows, half = slice(0, 2 * n_modes), m.q.shape[1] // 2
@@ -542,7 +594,6 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
                         lambda *a: steps.append((a[3], build(*a)))
                         or steps[-1][1])
     grid = O.default_grid(params, n_modes=n_modes)
-    propagator.window_propagator.cache_clear()
     m = propagator.window_propagator(params, grid, 1.0, ramp_fraction, 5)
     assert m.symplectic_residual <= residual
     # H = (1/2) R^T G R with G = G_S + G_U + scale G_int is conserved:
@@ -610,15 +661,12 @@ def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
     monkeypatch.setattr(propagator, "_step_basis",
                         lambda g, p, tau: taus.append(tau)
                         or step_basis(g, p, tau))
-    propagator.window_propagator.cache_clear()
     m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
     assert taus.count(t_f - t_i) == 1
     # the same build with no basis handed on
     build = propagator._step_propagators
     monkeypatch.setattr(propagator, "_step_propagators",
                         lambda *a: build(*a[:-1], (math.nan, None)))
-    propagator.window_propagator.cache_clear()
     fresh = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
-    propagator.window_propagator.cache_clear()
     assert taus.count(t_f - t_i) == 3
     assert np.array_equal(m.q, fresh.q) and np.array_equal(m.mq, fresh.mq)
