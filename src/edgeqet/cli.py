@@ -366,10 +366,12 @@ def cmd_convert(args) -> int:
     eps_disp = eps / P.E_CHARGE * 1e6 / 1e6  # J/m -> ueV/um
     print(f"current         j   = {j:.6g} A ({j * 1e9:.6g} nA)")
     print(f"energy density  eps = {eps:.6g} J/m ({eps_disp:.6g} ueV/um)")
+    # eps grows as j^2, so the round trip gives |j|
     round_trip = current_from_energy_density(
         energy_density_from_current(j, params), params)
-    ok = math.isclose(round_trip, j, rel_tol=1e-12, abs_tol=1e-30)
-    print(f"round trip: {round_trip:.6g} A ({'consistent' if ok else 'MISMATCH'})")
+    ok = math.isclose(round_trip, abs(j), rel_tol=1e-12, abs_tol=1e-30)
+    print(f"round trip: |j| = {round_trip:.6g} A "
+          f"({'consistent' if ok else 'MISMATCH'})")
     return 0 if ok else 2
 
 

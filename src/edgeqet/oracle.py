@@ -231,7 +231,11 @@ def _coupling_nodes(params: P.ExperimentParams, grid: ModeGrid,
 
     Gauss-Legendre on [0, b] for both coupling coordinates: the rows of
     u_s, u_u are the weighted density vectors at the nodes, and kernel
-    is the Coulomb kernel between nodes, joules.
+    is the Coulomb kernel between nodes, joules.  The window propagator
+    relies on the mirror symmetry this gives, K^T = R(b/v) K R(b/v) with
+    R the free flight: the nodes are symmetric about b/2, the kernel
+    depends on |x - y| only and nu_S, nu_U enter as a constant factor
+    (``propagator._mirror_residual`` checks it).
     """
     xq, wq = _gauss_legendre(n_quad, 0.0, params.b)
     f_kernel = 1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)

@@ -9,17 +9,28 @@ propagator M over the interaction window is R(T)(I - Q Q^T) + (MQ) Q^T
 and only MQ has to be computed: one exponential action per distinct
 step of the coupling schedule, doubled in the same low-rank form.
 
+Only half of MQ is propagated.  Q is block-diagonal, [[B, 0], [0, B_U]]
+with the U block B_U the S block turned by b/v, and the mirror
+x -> b - x with S and U swapped (Pi, ``_mirror_blocks``) maps [B; 0]
+onto [0; B_U] and commutes with free flight and with the coupling:
+the coupling's nodes on [0, b] are symmetric and its kernel depends on
+|x - y| only.  So the U-half columns of every step and of MQ are Pi of
+their S-half columns: each exponential action, doubling and chain step
+acts on the S half alone, and the U half of MQ is formed at the end.
+The build checks the symmetry first, from the coupling's factors
+(``_mirror_residual``), and refuses a coupling that breaks it.
+
 The build holds only what the rest of the schedule still needs.
 ``window_propagator`` computes the window basis first and keeps its S
-block (Q is block-diagonal: the U block is the S block turned by b/v);
-with sudden switching the plateau is the window, and its last doubling
-level takes that basis instead of computing it again.
+block; with sudden switching the plateau is the window, and its last
+doubling level takes that basis instead of computing it again.
 It then builds the distinct coupled steps, longest first, so that the
 plateau's doubling temporaries never sit beside the finished ramp
 steps; ramp steps share their duration, so they share each level's
 basis, which lives for that level only.  Only then does it run the
-chain mq <- R mq + l (Q^T mq) over the schedule, in place, and drop
-each step after its last use; q is made dense after the chain.
+chain mq <- R mq + l (Q^T mq) over the schedule on the S half of mq,
+in place, and drop each step after its last use; q and the U half of
+mq are made after the chain.
 
 The same module holds the setup stage of ``oracle.run_protocol``
 (``protocol_setup``): the window propagator together with everything
@@ -43,15 +54,23 @@ import numpy as np
 from . import oracle as O
 from . import params as P
 from .detector import delta_v, detector_from_params
-from .oracle import (ModeGrid, _conditioning, _coupling_nodes, _omega_times,
-                     density_basis, free_rotate, interaction_window,
-                     validate_state)
+from .oracle import (ModeGrid, StepInstability, _conditioning,
+                     _coupling_nodes, _omega_times, density_basis,
+                     free_rotate, interaction_window, validate_state)
 
 #: Relative singular-value cut of the subspace bases and of the coupling
 #: factors: directions below SVD_CUT times the largest singular value are
 #: dropped.  It is the one approximation the window propagator adds to
 #: the discretization.
 SVD_CUT = 1e-15
+
+#: Bound on the relative mirror residual ||K^T - R(b/v) K R(b/v)|| / ||K||
+#: of the coupling (``_mirror_residual``), above which the window
+#: propagator refuses to take the U half of mq from the S half.  The
+#: default parameters give 1e-15 at 64 modes and 3e-14 at 1024 (the
+#: rounding of the turn b/v); a channel-dependent velocity or kernel
+#: gives O(1).
+MIRROR_TOL = 1e-11
 
 # theta_m of Al-Mohy & Higham (2011), Table 3.1: m Taylor terms give
 # exp(A) to double precision when ||A||_1 <= theta_m.  Their table goes
@@ -164,17 +183,86 @@ def _dense(b: np.ndarray, grid: ModeGrid,
     return q
 
 
-def _project(b: np.ndarray, b_u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q^T x for Q = [[b, 0], [0, b_u]], without the zero blocks."""
+def _project(b: np.ndarray, b_u: np.ndarray, x: np.ndarray):
+    """(c_s, c_u) = Q^T x for Q = [[b, 0], [0, b_u]], without the zero
+    blocks: c_s from the S rows of x, c_u from its U rows."""
     n2 = b.shape[0]
-    return np.vstack([b.T @ x[:n2], b_u.T @ x[n2:]])
+    return b.T @ x[:n2], b_u.T @ x[n2:]
 
 
-def _add_product(out: np.ndarray, a: np.ndarray, c: np.ndarray) -> None:
-    """out += a @ c, one channel's rows at a time (a 2N-row temporary)."""
-    n2 = out.shape[0] // 2
-    for rows in (slice(0, n2), slice(n2, None)):
-        out[rows] += a[rows] @ c
+def _mirror_blocks(grid: ModeGrid, params: P.ExperimentParams):
+    """((rows, other, t), ...): the rows ``rows`` of Pi a are R(t) of the
+    rows ``other`` of a, for the S <-> U mirror Pi.
+
+    Pi sends the S rows to R(-b/v) of the U rows and the U rows to
+    R(b/v) of the S rows: it is the mirror x -> b - x of the coupling
+    region with the channels swapped.  It is orthogonal, symplectic and
+    its own inverse, it commutes with free flight, and
+    Pi [B; 0] = [0; B_U] (``_u_block``).  It commutes with every coupled
+    generator as long as K^T = R(b/v) K R(b/v) (``_mirror_residual``),
+    so the U-half columns of a step's deviation l and of mq are Pi of
+    their S-half columns.
+    """
+    n2 = 2 * grid.n_modes
+    turn = params.b / params.v_g
+    return ((slice(0, n2), slice(n2, None), -turn),
+            (slice(n2, None), slice(0, n2), turn))
+
+
+def _mirror(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Pi a for ``a`` with the 4N rows of R (``_mirror_blocks``), to
+    ``out`` if given, which must not overlap ``a``."""
+    if out is None:
+        out = np.empty_like(a)
+    for rows, other, t in _mirror_blocks(grid, params):
+        free_rotate(a[other], grid, params, t, out=out[rows])
+    return out
+
+
+def _add_mirrored(out: np.ndarray, l: np.ndarray, c_s: np.ndarray,
+                  c_u: np.ndarray, grid: ModeGrid,
+                  params: P.ExperimentParams) -> None:
+    """out += [l, Pi l] @ [c_s; c_u], one channel's rows at a time
+    (2N-row temporaries).  Pi turns the rows of l, which has no more
+    columns than the product."""
+    for rows, other, t in _mirror_blocks(grid, params):
+        out[rows] += l[rows] @ c_s
+        out[rows] += free_rotate(l[other], grid, params, t) @ c_u
+
+
+def _mirror_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
+                     params: P.ExperimentParams) -> float:
+    """||K^T - R(b/v) K R(b/v)||_F / ||K||_F for K = f_s f_u^T.
+
+    Zero when Pi commutes with the coupling: the Gauss-Legendre nodes on
+    [0, b] are symmetric, the kernel depends on |x - y| only and
+    nu_S / nu_U enters K as a constant factor.  The difference is
+    [f_u, R f_s] [f_s, -R^T f_u]^T, R = R(b/v), with R f_s and R^T f_u
+    the halves of Pi [f_s; f_u] (``_mirror``); the triangular factors of
+    the two stacked factors give its norm in O(N rho^2) without squaring
+    them (a Gram matrix would cancel to ~1e-8).
+    """
+    n2 = f_s.shape[0]
+    turned = _mirror(np.vstack([f_s, f_u]), grid, params)
+    rot_u, rot_s = turned[:n2], turned[n2:]
+    diff = (np.linalg.qr(np.hstack([f_u, rot_s]), mode="r")
+            @ np.linalg.qr(np.hstack([f_s, -rot_u]), mode="r").T)
+    k = np.linalg.qr(f_s, mode="r") @ np.linalg.qr(f_u, mode="r").T
+    return float(np.linalg.norm(diff) / np.linalg.norm(k))
+
+
+def _omega_gram(a: np.ndarray) -> np.ndarray:
+    """a^T Omega a for a with the 4N rows of R, from the x and p rows of
+    each channel: X^T P - P^T X summed over S and U (r x r
+    temporaries)."""
+    n = a.shape[0] // 4
+    g = np.zeros((a.shape[1], a.shape[1]))
+    for base in (0, 2 * n):
+        xp = a[base:base + n].T @ a[base + n:base + 2 * n]
+        g += xp
+        g -= xp.T
+    return g
 
 
 def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float,
@@ -197,16 +285,18 @@ def _doublings(grid: ModeGrid, params: P.ExperimentParams, dt: float,
 
     ``rates`` holds, per scale, the bound on ||A||_1 per unit time.  A
     step's Taylor series costs (applies, ``_taylor_plan``) x (columns of
-    Q_h) x _APPLY_COST; each doubling costs r_h r_2h multiply-adds per
-    row and scale, plus as much again for the level's basis.  Columns are
-    bounded by twice the ``_samples`` of the interval.  k is the
+    B_h) x _APPLY_COST; each doubling costs r_h r_2h multiply-adds per
+    row and scale, plus as much again for the level's basis, r being the
+    width of the S block B (only the S-half columns are propagated,
+    ``_step_propagators``).  Widths are bounded by the ``_samples`` of
+    the interval.  k is the
     cheapest up to the first h that one scaled Taylor step covers
     (s = 1 at the largest m): past it, halving h only trades Taylor
     terms for doublings, and each doubling doubles the rounding error
     the step carries.
     """
     def columns(tau):
-        return 2 * _samples(grid, params.b + params.v_g * tau)
+        return _samples(grid, params.b + params.v_g * tau)
 
     def taylor(h):
         return sum(math.prod(_taylor_plan(rate * h)) for rate in rates)
@@ -226,21 +316,27 @@ def _doublings(grid: ModeGrid, params: P.ExperimentParams, dt: float,
 
 def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
                       dt: float, scales, window):
-    """(b, {scale: l}): exp(dt A_scale) = R(dt) + l Q^T for each of
-    ``scales``, with Q = Q_dt given by its S block b (``_step_basis``).
-    ``window`` = (span, B_span) is the window's basis, already built: a
-    level of duration span (sudden switching) uses it instead of
-    building it again.
+    """(b, {scale: l}): exp(dt A_scale) = R(dt) + [l, Pi l] Q^T for each
+    of ``scales``, with Q = Q_dt given by its S block b (``_step_basis``)
+    and Pi the S <-> U mirror (``_mirror``).  l (4N x r_b) is the
+    deviation E Q - R Q on the S-half columns [b; 0] of Q; its U-half
+    columns are Pi l, because Pi commutes with E and R and maps [b; 0]
+    to the U half [0; B_U].  ``window`` = (span, B_span) is the window's
+    basis, already built: a level of duration span (sudden switching)
+    uses it instead of building it again.
 
     A = Omega (hw + hw + scale K) / hbar, with K = f_s f_u^T from
     ``factors`` = (f_s, f_u, ||K||_1 bound).  One ``expm_action`` per
-    scale covers a short step h = dt / 2^k (k from ``_doublings``); k
-    doublings E(2h) = E(h) E(h) in the same form then cover the step.
-    With P = Q_h^T Q_2h and L = l P,
-    E(2h) Q_2h - R(2h) Q_2h = R(h) L + l (Q_h^T R(h) Q_2h + Q_h^T L).
+    scale, on the r_h columns [B_h; 0], covers a short step
+    h = dt / 2^k (k from ``_doublings``); k doublings E(2h) = E(h) E(h)
+    in the same form then cover the step.  With P = Q_h^T Q_2h and
+    L = l_full P (l_full = [l, Pi l]),
+    E(2h) Q_2h - R(2h) Q_2h = R(h) L + l_full (Q_h^T R(h) Q_2h + Q_h^T L).
     R is orthogonal and commutes with the turn b/v that makes each U
     block, so P = diag(P0, P0) and Q_h^T R(h) Q_2h = diag(G, G), each
-    from the S blocks.  The scales share each level's basis, which
+    from the S blocks; the S-half output columns need L's S half l P0
+    only, and Pi l enters one channel at a time, as the turned rows of
+    l (``_add_mirrored``).  The scales share each level's basis, which
     lives for that level only.
     """
     f_s, f_u, k_norm = factors
@@ -265,28 +361,25 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
                 else _step_basis(grid, params, tau))
 
     b = basis(h)
-    q = _dense(b, grid, params)
-    rq = free_rotate(q, grid, params, h)
+    q_s = np.zeros((4 * n, b.shape[1]))
+    q_s[:2 * n] = b
+    rq_s = free_rotate(q_s, grid, params, h)
     ls = {}
     for scale, rate in zip(scales, rates):
-        ls[scale] = expm_action(apply_at(scale * h / P.HBAR), q, rate * h)
-        ls[scale] -= rq
-    del q, rq
+        ls[scale] = expm_action(apply_at(scale * h / P.HBAR), q_s, rate * h)
+        ls[scale] -= rq_s
+    del q_s, rq_s
     for _ in range(k):
         b2 = basis(2.0 * h)
         b_u = _u_block(b, grid, params)
         p0 = b.T @ b2
         g = b.T @ free_rotate(b2, grid, params, h)
-        r, r2 = p0.shape
         for scale, l in ls.items():
-            lp = np.empty((4 * n, 2 * r2))
-            np.matmul(l[:, :r], p0, out=lp[:, :r2])
-            np.matmul(l[:, r:], p0, out=lp[:, r2:])
-            inner = _project(b, b_u, lp)
-            inner[:r, :r2] += g
-            inner[r:, r2:] += g
+            lp = l @ p0
+            c_s, c_u = _project(b, b_u, lp)
+            c_s += g
             free_rotate(lp, grid, params, h, out=lp)
-            _add_product(lp, l, inner)
+            _add_mirrored(lp, l, c_s, c_u, grid, params)
             ls[scale] = lp
         del l
         b, h = b2, 2.0 * h
@@ -301,7 +394,10 @@ class WindowPropagator:
     q (4N x r, orthonormal) spans every direction the coupling reads
     during the window; M moves the rest by free flight R alone, so
     mq = M q determines M.  ``symplectic_residual`` is
-    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M.  q and
+    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M;
+    ``mirror_residual`` is how far the coupling is from the S <-> U
+    mirror symmetry that gives the U half of mq (``_mirror_residual``),
+    at most MIRROR_TOL.  q and
     mq are read-only: ``protocol_setup`` memoises the propagator with
     the rest of a run's setup and shares it between calls.
     """
@@ -312,6 +408,7 @@ class WindowPropagator:
     grid: ModeGrid
     params: P.ExperimentParams
     symplectic_residual: float
+    mirror_residual: float
 
     @property
     def rq(self) -> np.ndarray:
@@ -334,17 +431,32 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     through the ``ramp_schedule``: each distinct (duration, scale) step
     with a nonzero coupling costs one ``expm_action``
     (``_step_propagators``), and applying a step costs O(N r r_step).
-    No 4N x 4N matrix is formed.  The build holds only what the rest of
-    the schedule needs: the window basis as its S block, then every
-    distinct step, built longest first, then mq, updated in place, each
-    step dropped after its last use.  It peaks at 2.1 to 3.1 times what
-    it returns: 129 MB traced at 1024 modes, 11 MB at 256, 3.9 MB at
-    128.  Each call builds afresh; ``protocol_setup`` memoises the
-    result with the rest of a run's setup.
+    No 4N x 4N matrix is formed.  Only the S half of mq (the columns
+    M [B; 0]) goes through the schedule; M commutes with the S <-> U
+    mirror Pi (``_mirror``), so the U half is
+    R(span) q_U + Pi (mq_S - R(span) q_S): the mirror acts on the
+    coupled deviation only, and a free window gives mq = R(span) q bit
+    for bit.  The mirror is checked first, from the coupling factors: a
+    ``mirror_residual`` above MIRROR_TOL raises StepInstability.
+
+    The build holds only what the rest of the schedule needs: the
+    window basis as its S block, then every distinct step, built
+    longest first, then the S half of mq, updated in place, each step
+    dropped after its last use.  It peaks at 1.8 to 1.9 times what it
+    returns, q and mq: 109 MB traced at 1024 modes, 8.4 MB at 256,
+    2.4 MB at 128, when q, mq, the S half and one temporary of its
+    width are held together.  Each call builds afresh;
+    ``protocol_setup`` memoises the result with the rest of a run's
+    setup.
     """
     t_i, t_f = interaction_window(params)
     span = t_f - t_i
     f_s, f_u = _coupling_factors(params, grid)
+    mirror = _mirror_residual(f_s, f_u, grid, params)
+    if not mirror <= MIRROR_TOL:
+        raise StepInstability(
+            f"coupling breaks the S <-> U mirror: residual {mirror:.3g} "
+            f"> {MIRROR_TOL:g}")
     # ||K||_1 and ||K^T||_1 bounded through the factors
     k_norm = max(np.max(np.abs(f_u) @ np.abs(f_s).sum(0)),
                  np.max(np.abs(f_s) @ np.abs(f_u).sum(0)))
@@ -366,24 +478,33 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
         del b, ls
     uses = collections.Counter(schedule)
 
-    mq = _dense(window, grid, params)
+    n2, r = window.shape
+    mq_s = np.zeros((2 * n2, r))
+    mq_s[:n2] = window
     for dt, scale in schedule:
         if scale == 0.0:                 # free flight alone, exactly
-            free_rotate(mq, grid, params, dt, out=mq)
+            free_rotate(mq_s, grid, params, dt, out=mq_s)
             continue
         b, l = steps[dt, scale]
-        c = _project(b, _u_block(b, grid, params), mq)
-        free_rotate(mq, grid, params, dt, out=mq)
-        _add_product(mq, l, c)
+        c_s, c_u = _project(b, _u_block(b, grid, params), mq_s)
+        free_rotate(mq_s, grid, params, dt, out=mq_s)
+        _add_mirrored(mq_s, l, c_s, c_u, grid, params)
         uses[dt, scale] -= 1
         if not uses[dt, scale]:
             del steps[dt, scale]
         del b, l
     q = _dense(window, grid, params)
-    residual = float(np.max(np.abs(mq.T @ _omega_times(mq)
-                                   - q.T @ _omega_times(q))))
+    mq = np.empty_like(q)
+    mq[:, :r] = mq_s
+    free_rotate(q[:, r:], grid, params, span, out=mq[:, r:])
+    # the coupled deviation of the S half, mirrored onto the U half
+    rq_s = free_rotate(q[:, :r], grid, params, span)
+    mq_s -= rq_s
+    mq[:, r:] += _mirror(mq_s, grid, params, out=rq_s)
+    del mq_s, rq_s
+    residual = float(np.max(np.abs(_omega_gram(mq) - _omega_gram(q))))
     q.flags.writeable = mq.flags.writeable = False
-    return WindowPropagator(q, mq, span, grid, params, residual)
+    return WindowPropagator(q, mq, span, grid, params, residual, mirror)
 
 
 # snapshots per setup that keep their profile terms (40 kB each at 1024

@@ -425,6 +425,16 @@ def test_convert_current_to_density(capsys):
     assert "consistent" in out
 
 
+def test_convert_negative_current_round_trips_to_its_magnitude(capsys):
+    # eps grows as j^2: a signed current round-trips to |j|
+    # ("--current -1e-8", with a space, is an argparse error)
+    assert run(["convert", "--current=-1e-8"]) == 0
+    out = capsys.readouterr().out
+    assert "j   = -1e-08 A" in out
+    assert "1.342" in out
+    assert "round trip: |j| = 1e-08 A (consistent)" in out
+
+
 def test_convert_density_to_current(capsys):
     assert run(["convert", "--energy-density", "2.15107e-19"]) == 0
     out = capsys.readouterr().out

@@ -354,11 +354,24 @@ def test_run_protocol_one_action_per_distinct_step(params, monkeypatch,
 
 
 def _count_actions(monkeypatch):
-    """List that gets one entry per propagator.expm_action call."""
-    seen = []
+    """List that gets one entry per propagator.expm_action call.  Each
+    call must act on the S-half columns [B; 0] of a step basis B the
+    build made, exactly B's width: the U half comes from the mirror."""
+    seen, bases = [], []
+    step_basis = propagator._step_basis
+    monkeypatch.setattr(propagator, "_step_basis",
+                        lambda *a: bases.append(step_basis(*a))
+                        or bases[-1])
     action = propagator.expm_action
-    monkeypatch.setattr(propagator, "expm_action",
-                        lambda *a: seen.append(a) or action(*a))
+
+    def record(apply, b, norm):
+        n2 = b.shape[0] // 2
+        assert not b[n2:].any()
+        assert any(np.array_equal(b[:n2], basis) for basis in bases)
+        seen.append((apply, b, norm))
+        return action(apply, b, norm)
+
+    monkeypatch.setattr(propagator, "expm_action", record)
     return seen
 
 
@@ -587,7 +600,8 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
                               residual):
     """M is symplectic on its subspace, every step propagator the build
     makes conserves the energy of its own Hamiltonian, and with a
-    constant coupling so does M."""
+    constant coupling so does M.  A step is recorded by its S-half
+    deviation l; the mirror gives the rest, [l, Pi l]."""
     steps = []
     build = propagator._step_propagators
     monkeypatch.setattr(propagator, "_step_propagators",
@@ -613,6 +627,8 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
     for dt, (b, ls) in steps:
         q = propagator._dense(b, grid, params)
         for scale, l in ls.items():
+            assert l.shape == (4 * grid.n_modes, b.shape[1])
+            l = np.hstack([l, propagator._mirror(l, grid, params)])
             assert_conserved(O.free_rotate(z, grid, params, dt)
                              + l @ (q.T @ z), g_s + g_u + scale * g_int)
 
@@ -670,3 +686,75 @@ def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
     fresh = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
     assert taus.count(t_f - t_i) == 3
     assert np.array_equal(m.q, fresh.q) and np.array_equal(m.mq, fresh.mq)
+
+
+def test_mirror_is_a_symplectic_involution(params, grid):
+    """Pi is its own inverse, orthogonal and symplectic, commutes with
+    free flight, and maps the S half [B; 0] of a step basis onto its U
+    half [0; B_U]."""
+    n4 = 4 * grid.n_modes
+    eye = np.eye(n4)
+    pi = propagator._mirror(eye, grid, params)
+    assert np.allclose(pi @ pi, eye, rtol=0.0, atol=1e-14)
+    assert np.allclose(pi.T @ pi, eye, rtol=0.0, atol=1e-14)
+    omega = O.symplectic_form(grid.n_modes)
+    assert np.allclose(pi.T @ omega @ pi, omega, rtol=0.0, atol=1e-14)
+    z = np.random.default_rng(2).standard_normal((n4, 5))
+    t = 0.7 * params.l / params.v_g
+    assert np.allclose(
+        propagator._mirror(O.free_rotate(z, grid, params, t), grid, params),
+        O.free_rotate(propagator._mirror(z, grid, params), grid, params, t),
+        rtol=0.0, atol=1e-13)
+    b = propagator._step_basis(grid, params, t)
+    q = propagator._dense(b, grid, params)
+    r = b.shape[1]
+    assert np.array_equal(propagator._mirror(q[:, :r], grid, params),
+                          q[:, r:])
+
+
+@pytest.mark.parametrize("n_modes", [64, 256])
+@pytest.mark.parametrize("changes", [{}, {"nu_U": 0.5}, {"d": 1.2e-5}])
+def test_mirror_commutes_with_coupled_generator(params, n_modes, changes):
+    """Pi A x = A Pi x for A = Omega G / hbar, G = G_S + G_U + G_int from
+    the dense Hamiltonians, and for the coupling part alone, to 1e-12 of
+    |A x|; the build's factor check reads the same."""
+    p = params.replace(**changes)
+    grid = O.default_grid(p, n_modes=n_modes)
+    g_s, g_u, g_int = O.build_hamiltonians(p, grid)
+    x = np.random.default_rng(3).standard_normal((4 * n_modes, 6))
+
+    def mirror(a):
+        return propagator._mirror(a, grid, p)
+
+    for g in (g_s + g_u + g_int, g_int):
+        ax = O._omega_times(g @ x) / P.HBAR
+        pax = O._omega_times(g @ mirror(x)) / P.HBAR
+        assert np.max(np.abs(mirror(ax) - pax)) <= 1e-12 * np.max(
+            np.abs(ax))
+    f_s, f_u = propagator._coupling_factors(p, grid)
+    assert propagator._mirror_residual(f_s, f_u, grid, p) <= 1e-13
+
+
+def test_free_window_gives_rotated_basis_bit_for_bit(params, grid):
+    """With no coupling and sudden switching M is free flight: mq is
+    R(span) q bit for bit, the U half included, because the mirror acts
+    on the coupled deviation only."""
+    m = propagator.window_propagator(params, grid, 0.0, 0.0, 5)
+    assert np.array_equal(m.mq, m.rq)
+    assert m.mirror_residual <= 1e-13
+
+
+def test_broken_mirror_is_refused(params, grid, monkeypatch):
+    """A coupling the S <-> U mirror does not map onto itself (here a
+    kernel weighted towards x = 0) raises StepInstability before any
+    step is built."""
+    nodes = O._coupling_nodes
+
+    def skewed(p, g, *args):
+        u_s, u_u, kernel = nodes(p, g, *args)
+        return u_s, u_u, kernel * np.linspace(1.0, 2.0, len(kernel))
+    monkeypatch.setattr(propagator, "_coupling_nodes", skewed)
+    monkeypatch.setattr(propagator, "_step_propagators",
+                        lambda *a: pytest.fail("step built"))
+    with pytest.raises(O.StepInstability, match="mirror"):
+        propagator.window_propagator(params, grid, 1.0, 0.05, 5)
