@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -121,13 +120,37 @@ def _write_json(path: Path, payload: dict):
         fh.write(text + "\n")
 
 
-def _write_csv(path: Path, header, rows):
+def _csv_field(v) -> str:
+    """One CSV cell as csv.writer writes it: a float as its repr with
+    -0.0 folded to 0.0, text quoted when it holds a comma, a quote or a
+    line break."""
+    if isinstance(v, float):
+        return repr(_clean(v))
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_cells(column):
+    """The cells of one CSV column; a numeric array is formatted in one
+    pass, not value by value."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return map(repr, (column + 0.0).tolist())
+        if column.dtype.kind in "iu":
+            return map(str, column.tolist())
+    return map(_csv_field, column)
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length ``columns`` (float arrays or sequences of
+    cells) under ``header``, one row per index, in csv.writer's default
+    format (comma-separated, CRLF line ends)."""
+    lines = [",".join(map(_csv_field, header))]
+    lines += map(",".join, zip(*map(_csv_cells, columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(_clean(v)) if isinstance(v, float)
-                             else v for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _parse_overrides(pairs):
@@ -201,7 +224,7 @@ def cmd_budget(args) -> int:
     _write_csv(out / "budget.csv",
                ["quantity", "value_si", "si_unit", "value_display",
                 "display_unit", "band_lo_si", "band_hi_si", "in_band"],
-               rows)
+               zip(*rows))
     _write_json(out / "budget.json",
                 {"budget": {k: _clean(v) for k, v in
                             budget.as_dict().items()},
@@ -250,7 +273,8 @@ def cmd_sweep(args) -> int:
     # every point has passed its checks before the output directory exists
     out = _out_dir(args)
     _write_csv(out / "sweep.csv",
-               [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"], rows)
+               [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"],
+               zip(*rows))
 
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[1] for r in rows])
@@ -300,14 +324,12 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     _write_csv(out / "shots.csv", ["shot", "outcome_V", "E_B_J"],
-               [[i, float(u), float(e)] for i, (u, e) in
-                enumerate(zip(result.outcome_samples, result.e_b_samples))])
+               [np.arange(args.shots), result.outcome_samples,
+                result.e_b_samples])
     header = ["x_m"] + [f"eps_S_J_per_m_t{j}"
                         for j in range(len(result.profile_times))]
     _write_csv(out / "profile.csv", header,
-               [[float(x)] + [float(result.energy_density_profile[j, i])
-                              for j in range(len(result.profile_times))]
-                for i, x in enumerate(result.profile_x)])
+               [result.profile_x, *result.energy_density_profile])
 
     stderr = float(result.E_B_stderr)
     # zero spread (e.g. no coupling and no feedback): not computable

@@ -493,12 +493,20 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     entries of 5 n_profile floats each
     (``propagator.ProtocolSetup.profile_terms``).  The profile's density
     rows are memoised by (grid, nu_S, profile points), four entries.
-    The shot stage draws the outcomes from ``seed``, forms the shot
-    energies and their means, and the profile as covariance part +
-    terms @ weights, the weights being the shots' second moments.  So a
-    repeated call on one setup makes no exponential action, no free
-    rotation and no density product.  The cached arrays are read-only
-    and no result shares them;
+    The shot stage draws the outcomes u from ``seed`` (then, when
+    scrambled, the permutation that gives the feedback values f).  Every
+    shot energy is a quadratic form in (u, f), so every mean follows
+    from three sample second moments, m2_u = u.u/n, m2_f = f.f/n and
+    m2_x = u.f/n, each one dot product (m2_f = m2_x = m2_u when
+    correlated, 0 when off): E_A = e_a_const + q_a m2_u,
+    E_1 = q_1 m2_f and E_B = e_u_cov + qaa m2_u + (qbb - q_1) m2_f +
+    qab m2_x.  Besides the draws, the one shot-length array formed is
+    the per-shot E_B, and the standard error comes from its deviations
+    from that mean.  The profile is covariance part + terms @ weights,
+    the weights being the same moments.  So a repeated call on one
+    setup makes no exponential action, no free rotation and no density
+    product, and costs little more than its draws.  The cached arrays
+    are read-only and no result shares them;
     ``propagator.protocol_setup.cache_clear()`` releases the setups with
     their propagators and profiles, and
     ``oracle._density_rows.cache_clear()`` the rows.
@@ -554,28 +562,35 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     if check_invariants:
         validate_setup(st)
 
-    # shots
+    # shots: every energy is a quadratic form in (outcome, feedback), so
+    # the means follow from three second moments of the draws
     rng = np.random.default_rng(seed)
     upsilon = math.sqrt(st.s_pred) * rng.standard_normal(n_shots)
+    m2_u = float(upsilon @ upsilon) / n_shots
+    elastic = st.qbb - st.q_1
     if feedback_mode == "correlated":
-        fb = upsilon
+        m2_f = m2_x = m2_u
+        e_b_samples = upsilon * upsilon
+        e_b_samples *= st.qaa + st.qbb + st.qab - st.q_1
     elif feedback_mode == "scrambled":
         fb = upsilon[rng.permutation(n_shots)]
+        m2_f = float(fb @ fb) / n_shots
+        m2_x = float(upsilon @ fb) / n_shots
+        e_b_samples = upsilon * (st.qaa * upsilon + st.qab * fb)
+        e_b_samples += elastic * fb * fb
     else:
-        fb = np.zeros(n_shots)
-
-    e_a_samples = st.e_a_const + st.q_a * upsilon ** 2
-    e_b_samples = (st.e_u_cov + st.qaa * upsilon ** 2 + st.qbb * fb ** 2
-                   + st.qab * upsilon * fb) - st.q_1 * fb ** 2
-    e_b_mean = float(np.mean(e_b_samples))
-    e_b_stderr = float(np.std(e_b_samples, ddof=1) / math.sqrt(n_shots))
+        m2_f = m2_x = 0.0
+        e_b_samples = upsilon * upsilon
+        e_b_samples *= st.qaa
+    e_b_samples += st.e_u_cov
+    e_b_mean = (st.e_u_cov + st.qaa * m2_u + elastic * m2_f
+                + st.qab * m2_x)
+    dev = e_b_samples - e_b_mean
+    e_b_stderr = math.sqrt(float(dev @ dev) / (n_shots - 1) / n_shots)
 
     # shot-averaged S-channel energy density at the requested times
     half = 0.5 * grid.ring_length
     x_grid = np.linspace(-half, half, n_profile, endpoint=False)
-    m2_u = float(np.mean(upsilon * upsilon))
-    m2_f = float(np.mean(fb * fb))
-    m2_x = float(np.mean(upsilon * fb))
     # S block of the shot-averaged <R R^T> - I/2 at t_f: the covariance
     # part (mq mq^T - rq rq^T)/2 plus the columns a, b, a + b and kick
     # with these weights; the cross term m2_x (a b^T + b a^T) is written
@@ -588,9 +603,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         profiles[i] = cov + terms @ weights
 
     return ProtocolResult(
-        E_A_oracle=float(np.mean(e_a_samples)),
+        E_A_oracle=st.e_a_const + st.q_a * m2_u,
         E_B_oracle=e_b_mean,
-        E_1_oracle=st.q_1 * float(np.mean(fb ** 2)),
+        E_1_oracle=st.q_1 * m2_f,
         E_B_stderr=e_b_stderr,
         outcome_samples=upsilon,
         e_b_samples=e_b_samples,

@@ -61,8 +61,12 @@ from .oracle import (ModeGrid, StepInstability, _conditioning,
 #: Relative singular-value cut of the subspace bases and of the coupling
 #: factors: directions below SVD_CUT times the largest singular value are
 #: dropped.  It is the one approximation the window propagator adds to
-#: the discretization.
-SVD_CUT = 1e-15
+#: the discretization.  The singular values of the window's density
+#: samples decay geometrically to ~4e-15 and then sit on a rounding
+#: plateau (at 256 modes, 28 values from 2.5e-15 to 1e-15 after the
+#: 112th); a cut at 1e-14 keeps the decay and drops the plateau, and
+#: held-out density vectors still lie in the basis to a few 1e-15.
+SVD_CUT = 1e-14
 
 #: Bound on the relative mirror residual ||K^T - R(b/v) K R(b/v)|| / ||K||
 #: of the coupling (``_mirror_residual``), above which the window
@@ -90,7 +94,7 @@ _APPLY_COST = 40.0
 def _coupling_factors(params: P.ExperimentParams, grid: ModeGrid):
     """(f_s, f_u), 2N x rho each, with the coupling block K = f_s f_u^T.
 
-    K has numerical rank far below 2N (14 of 512 at 256 modes); the
+    K has numerical rank far below 2N (13 of 512 at 256 modes); the
     factors keep the singular values above SVD_CUT, so applying the
     coupling costs O(N rho) per vector instead of O(N^2).
     """
@@ -443,8 +447,8 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     window basis as its S block, then every distinct step, built
     longest first, then the S half of mq, updated in place, each step
     dropped after its last use.  It peaks at 1.8 to 1.9 times what it
-    returns, q and mq: 109 MB traced at 1024 modes, 8.4 MB at 256,
-    2.4 MB at 128, when q, mq, the S half and one temporary of its
+    returns, q and mq: 84 MB traced at 1024 modes, 6.7 MB at 256,
+    2.2 MB at 128, when q, mq, the S half and one temporary of its
     width are held together.  Each call builds afresh;
     ``protocol_setup`` memoises the result with the rest of a run's
     setup.
@@ -581,8 +585,8 @@ class ProtocolSetup:
 
 # A scan over feedback modes and a few coupling strengths on one grid
 # reuses every setup it builds; four entries bound the memory.  The
-# window propagator is most of an entry (two 4N x r arrays, 61 MB at
-# 1024 modes, 4.6 MB at 256); the rest is three 4N vectors and at most
+# window propagator is most of an entry (two 4N x r arrays, 47 MB at
+# 1024 modes, 3.7 MB at 256); the rest is three 4N vectors and at most
 # 320 kB of profile terms at 1024 profile points.
 @functools.lru_cache(maxsize=4)
 def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, and reproducibility."""
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -414,6 +415,45 @@ def test_write_json_refuses_non_finite(tmp_path):
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "x.json", {"v": bad})
     assert not (tmp_path / "x.json").exists()
+
+
+def _write_csv_by_rows(path, header, rows):
+    """The value-by-value CSV writer that the column writer replaces."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(cli._clean(v)) if isinstance(v, float)
+                             else v for v in row])
+
+
+def test_write_csv_columns_match_rows_byte_for_byte(tmp_path):
+    """Float arrays formatted a column at a time and joined give the
+    bytes of the value-by-value csv.writer: -0.0 folded to 0.0, the
+    shortest round-trip repr for huge, tiny and subnormal values, ints
+    and text as csv.writer writes them."""
+    a = np.array([-0.0, 0.0, 1e308, -1.7976931348623157e308, 5e-324,
+                  -2.2250738585072014e-308, 1.0 / 3.0, -2.5e-22, 1e16,
+                  123456789.0, -1e-5, 7.0])
+    b = -a[::-1] / 3.0
+    n = a.size
+    header = ["i", "a", "b"]
+    cli._write_csv(tmp_path / "cols.csv", header, [np.arange(n), a, b])
+    _write_csv_by_rows(tmp_path / "rows.csv", header,
+                       [[i, float(x), float(y)] for i, (x, y)
+                        in enumerate(zip(a, b))])
+    assert ((tmp_path / "cols.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
+    assert b"-0.0" not in (tmp_path / "cols.csv").read_bytes()
+    # mixed cells, as budget.csv has them (text, empty, bools, numpy
+    # floats), and text that csv.writer quotes
+    rows = [["E_A", np.float64(-0.0), "J", "", True],
+            ["a,b", 1.5e-300, "µeV", -3.0, False],
+            ['say "hi"', 2, "two\nlines", "cr\r", True]]
+    cli._write_csv(tmp_path / "cols.csv", header + ["c", "d"], zip(*rows))
+    _write_csv_by_rows(tmp_path / "rows.csv", header + ["c", "d"], rows)
+    assert ((tmp_path / "cols.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
 
 
 # convert ----------------------------------------------------------------
