@@ -23,18 +23,18 @@ from .energetics import (ConvergenceFailure, EnergyBudget, QuadResult,
                          current_from_energy_density, eb_order_estimate,
                          energy_budget, energy_density_from_current,
                          fit_scaling_exponent)
-from .oracle import (GaussianState, ModeGrid, ProtocolResult, default_grid,
+from .oracle import (ModeGrid, ProtocolResult, default_grid,
                      local_energy_density, run_protocol)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceFailure", "EnergyBudget", "ExperimentParams",
-    "FastDetectorWarning", "GaussianState", "ModeGrid", "ParamFileError",
-    "ProtocolResult", "QuadResult", "RCDetector", "RegimeWarning",
-    "ValidationError", "WindowProfile", "compute_EA", "compute_EB",
-    "compute_E1", "current_from_energy_density", "default_grid",
-    "default_paper_params", "delta_v", "eb_order_estimate", "energy_budget",
+    "FastDetectorWarning", "ModeGrid", "ParamFileError", "ProtocolResult",
+    "QuadResult", "RCDetector", "RegimeWarning", "ValidationError",
+    "WindowProfile", "compute_EA", "compute_EB", "compute_E1",
+    "current_from_energy_density", "default_grid", "default_paper_params",
+    "delta_v", "eb_order_estimate", "energy_budget",
     "energy_density_from_current", "fit_scaling_exponent", "load_params",
     "local_energy_density", "run_protocol", "signal_rms", "thermal_energy",
     "validate",

@@ -53,11 +53,9 @@ def signal_rms(params: P.ExperimentParams) -> float:
     return P.E_CHARGE * params.v_g * params.R * math.sqrt(qf)
 
 
-def measurement_coupling(params: P.ExperimentParams,
-                         dv: float | None = None) -> float:
+def measurement_coupling(params: P.ExperimentParams) -> float:
     """e v_g R / (2 dV), the length-dimension coupling of the pointer."""
-    if dv is None:
-        dv = delta_v(detector_from_params(params))
+    dv = delta_v(detector_from_params(params))
     if dv <= 0:
         raise ValueError("delta_v must be positive")
     return P.E_CHARGE * params.v_g * params.R / (2.0 * dv)

@@ -56,7 +56,7 @@ from . import params as P
 from .detector import delta_v, detector_from_params
 from .oracle import (ModeGrid, StepInstability, _conditioning,
                      _coupling_nodes, _omega_times, density_basis,
-                     free_rotate, interaction_window, validate_state)
+                     free_rotate, interaction_window)
 
 #: Relative singular-value cut of the subspace bases and of the coupling
 #: factors: directions below SVD_CUT times the largest singular value are
@@ -439,8 +439,9 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     M [B; 0]) goes through the schedule; M commutes with the S <-> U
     mirror Pi (``_mirror``), so the U half is
     R(span) q_U + Pi (mq_S - R(span) q_S): the mirror acts on the
-    coupled deviation only, and a free window gives mq = R(span) q bit
-    for bit.  The mirror is checked first, from the coupling factors: a
+    coupled deviation only.  A free window (``coupling_scale`` 0) is one
+    free rotation by span whatever the ramp, so it gives mq = R(span) q
+    bit for bit.  The mirror is checked first, from the coupling factors: a
     ``mirror_residual`` above MIRROR_TOL raises StepInstability.
 
     The build holds only what the rest of the schedule needs: the
@@ -465,9 +466,12 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     k_norm = max(np.max(np.abs(f_u) @ np.abs(f_s).sum(0)),
                  np.max(np.abs(f_s) @ np.abs(f_u).sum(0)))
     window = _step_basis(grid, params, span)
+    # with no coupling the ramp steps are free flight: one rotation by
+    # span, not a chain of them, gives R(span) q exactly
     schedule = [(dt, scale * coupling_scale)
-                for dt, scale in ramp_schedule(t_i, t_f, ramp_fraction,
-                                               n_ramp)]
+                for dt, scale in ramp_schedule(
+                    t_i, t_f, ramp_fraction if coupling_scale else 0.0,
+                    n_ramp)]
     # distinct nonzero scales per duration, in order
     scales = {}
     for dt, scale in schedule:
@@ -554,29 +558,35 @@ class ProtocolSetup:
         a time ``dt`` past t_f, split by how it depends on the shots.
 
         ``cov`` (len(x)) is what M adds to the vacuum,
-        (mq mq^T - rq rq^T)/2: ``local_energy_density`` of R(dt) mq and
-        the S half of R(dt) rq with weights +1/2 and -1/2 (the U half of
-        q has no S rows).  ``terms`` (len(x) x 4) are the energy
-        densities of the unit moments of the columns a, b, a + b and the
-        kick, carried by R(dt), so that a profile with moment weights w
-        is cov + terms @ w.  The last _PROFILE_ENTRIES (x, dt) are
+        (mq mq^T - rq rq^T)/2, from R(dt) mq and the S half of R(dt) rq
+        with weights +1/2 and -1/2 (the U half of q has no S rows).
+        ``terms`` (len(x) x 4) are the energy densities of the unit
+        moments of the columns a, b, a + b and the kick, carried by
+        R(dt), so that a profile with moment weights w is
+        cov + terms @ w.  All five come from one
+        ``local_energy_density`` call on the stacked columns with a
+        k x 5 weight matrix.  The last _PROFILE_ENTRIES (x, dt) are
         memoised.
         """
         key = (x.tobytes(), dt)
         if key not in self._profiles:
             m = self.window
             grid, params = m.grid, m.params
-            s_sl, half = slice(0, 2 * grid.n_modes), m.q.shape[1] // 2
-            rq_s = free_rotate(m.q[s_sl, :half], grid, params, m.span)
-            cols = free_rotate(np.hstack([m.mq[s_sl], rq_s]), grid, params,
-                               dt)
-            weights = np.repeat([0.5, -0.5], [m.mq.shape[1], half])
-            cov = O.local_energy_density(x, grid, params, cols, weights)
+            s_sl, r = slice(0, 2 * grid.n_modes), m.q.shape[1]
+            rq_s = free_rotate(m.q[s_sl, :r // 2], grid, params, m.span)
             a_s, b_s = self.a_vec[s_sl], self.b_vec[s_sl]
             cols = free_rotate(np.column_stack(
-                [a_s, b_s, a_s + b_s, self.kick_f[s_sl]]), grid, params, dt)
-            terms = O.local_energy_density(x, grid, params, cols, np.eye(4))
-            cov.flags.writeable = terms.flags.writeable = False
+                [m.mq[s_sl], rq_s, a_s, b_s, a_s + b_s, self.kick_f[s_sl]]),
+                grid, params, dt)
+            # column 0 weighs mq by +1/2 and rq_s by -1/2, 1-4 pick a
+            # shot column each
+            weights = np.zeros((cols.shape[1], 5))
+            weights[:r, 0] = 0.5
+            weights[r:-4, 0] = -0.5
+            weights[-4:, 1:] = np.eye(4)
+            density = O.local_energy_density(x, grid, params, cols, weights)
+            density.flags.writeable = False
+            cov, terms = density[:, 0], density[:, 1:]
             if len(self._profiles) == _PROFILE_ENTRIES:
                 del self._profiles[next(iter(self._profiles))]
             self._profiles[key] = cov, terms
@@ -651,19 +661,3 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
         kick_f=kick_f, e_a_const=e_a_const, q_a=q_a, q_1=q_1,
         e_u_cov=e_u_cov, qaa=0.5 * float(hw2 @ (au * au)),
         qbb=0.5 * float(hw2 @ (bu * bu)), qab=float(hw2 @ (au * bu)))
-
-
-def validate_setup(st: ProtocolSetup) -> None:
-    """``validate_state`` on the full covariance just after the
-    measurement and at t_f (O(N^3) each)."""
-    m = st.window
-    n = m.grid.n_modes
-    o = O.measurement_observable(m.params, m.grid)
-    sigma, kick = 0.5 * o, _omega_times(o)
-    validate_state(0.5 * np.eye(4 * n) - np.outer(sigma, sigma) / st.s_pred
-                   + st.back * np.outer(kick, kick))
-    rq = m.rq
-    cov_t = (0.5 * (np.eye(4 * n) + m.mq @ m.mq.T - rq @ rq.T)
-             - st.s_pred * np.outer(st.a_vec, st.a_vec)
-             + st.back * np.outer(st.kick_f, st.kick_f))
-    validate_state(0.5 * (cov_t + cov_t.T))

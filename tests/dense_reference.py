@@ -14,6 +14,11 @@ form of the conditioned covariance; the tests compare the two.
 It shares the protocol elements (observable, feedback displacement,
 Hamiltonians, interaction window) with production code, and draws the
 shots from the same random stream, so the two agree shot by shot.
+
+The module also keeps the dense state algebra that only tests use: the
+symplectic form, the uncertainty-relation check on a full covariance
+(``validate_state``, and ``validate_setup`` for a run's memoised setup),
+channel energies and the feedback displacement of a state.
 """
 
 import math
@@ -22,9 +27,78 @@ import numpy as np
 
 from edgeqet import params as P
 from edgeqet.detector import delta_v, detector_from_params
-from edgeqet.oracle import (build_hamiltonians, density_basis,
+from edgeqet.oracle import (GaussianState, StepInstability,
+                            build_hamiltonians, density_basis,
                             feedback_displacement, interaction_window,
-                            measurement_observable, symplectic_form)
+                            measurement_observable)
+
+
+def symplectic_form(n_modes):
+    """[R_i, R_j] = i Omega_ij for the [x_S, p_S, x_U, p_U] layout."""
+    omega = np.zeros((4 * n_modes, 4 * n_modes))
+    eye = np.eye(n_modes)
+    for base in (0, 2 * n_modes):
+        omega[base:base + n_modes, base + n_modes:base + 2 * n_modes] = eye
+        omega[base + n_modes:base + 2 * n_modes, base:base + n_modes] = -eye
+    return omega
+
+
+def validate_state(cov, tol_sym=1e-12, tol_heis=1e-9):
+    """Symmetry and uncertainty-relation checks on a covariance of R
+    (O(N^3)); raises StepInstability on violation."""
+    asym = np.max(np.abs(cov - cov.T))
+    if asym > tol_sym:
+        raise StepInstability(f"covariance asymmetry {asym:.3g} > {tol_sym}")
+    m = cov + 0.5j * symplectic_form(cov.shape[0] // 4)
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    if min_eig < -tol_heis:
+        raise StepInstability(
+            f"uncertainty relation violated: min eig {min_eig:.3g}")
+
+
+def validate_setup(st):
+    """``validate_state`` on the full covariance of a run's setup
+    (``edgeqet.propagator.ProtocolSetup``) just after the measurement
+    and at t_f, both assembled from the setup's factors."""
+    m = st.window
+    n = m.grid.n_modes
+    o = measurement_observable(m.params, m.grid)
+    sigma, kick = 0.5 * o, symplectic_form(n) @ o
+    validate_state(0.5 * np.eye(4 * n) - np.outer(sigma, sigma) / st.s_pred
+                   + st.back * np.outer(kick, kick))
+    rq = m.rq
+    cov_t = (0.5 * (np.eye(4 * n) + m.mq @ m.mq.T - rq @ rq.T)
+             - st.s_pred * np.outer(st.a_vec, st.a_vec)
+             + st.back * np.outer(st.kick_f, st.kick_f))
+    validate_state(0.5 * (cov_t + cov_t.T))
+
+
+def channel_slice(grid, channel):
+    """The rows of R that hold one channel's 2N quadratures."""
+    base = {"S": 0, "U": 2 * grid.n_modes}[channel]
+    return slice(base, base + 2 * grid.n_modes)
+
+
+def channel_energy(state, grid, params, channel):
+    """Normal-ordered <H> of one channel, joules.
+
+    H = sum_n hbar w_n (x_n^2 + p_n^2 - 1)/2 including the mean part.
+    """
+    sl = channel_slice(grid, channel)
+    n = grid.n_modes
+    hw = grid.mode_energies(params.v_g)
+    d = np.diag(state.cov[sl, sl])
+    m = state.mean[sl]
+    per_mode = (d[:n] + d[n:] - 1.0) + m[:n] ** 2 + m[n:] ** 2
+    return 0.5 * float(hw @ per_mode)
+
+
+def displace_feedback(state, outcome, params, grid):
+    """Outcome-proportional displacement of channel U; covariance
+    untouched."""
+    return GaussianState(
+        state.mean + outcome * feedback_displacement(params, grid),
+        state.cov.copy())
 
 
 def free_propagator(grid, params, t):

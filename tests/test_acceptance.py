@@ -22,6 +22,7 @@ from edgeqet.detector import (delta_v, detector_from_params,
 from edgeqet.energetics import (compute_EA, compute_EB, compute_E1,
                                 fit_scaling_exponent)
 from edgeqet.chiral_field import window_derivative_l2
+from dense_reference import channel_energy, displace_feedback
 from quad_reference import IntegrationSpec, integrate_1d
 
 UEV = 1e6 / P.E_CHARGE  # J -> ueV
@@ -264,10 +265,10 @@ def test_c13_conservation(params, coupling_runs, scrambled_run, dip_runs, report
     dv = delta_v(detector_from_params(params))
     _, state = O.measure_gaussian(O.vacuum_state(grid), o, dv,
                                   outcome=2.0 * dv)
-    state = O.displace_feedback(state, 2.0 * dv, params, grid)
+    state = displace_feedback(state, 2.0 * dv, params, grid)
     g_s, g_u, _ = O.build_hamiltonians(params, grid)
-    total = lambda s: (O.channel_energy(s, grid, params, "S")
-                       + O.channel_energy(s, grid, params, "U"))
+    total = lambda s: (channel_energy(s, grid, params, "S")
+                       + channel_energy(s, grid, params, "U"))
     before = total(state)
     _, t_f = O.interaction_window(params)
     drift = abs(total(O.evolve(state, g_s + g_u, t_f)) / before - 1)

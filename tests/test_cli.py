@@ -377,15 +377,19 @@ def test_simulate_rejects_bad_options_before_writing(
 
 
 def test_simulate_zero_spread_significance_is_null(tmp_path, capsys):
-    # no coupling and no feedback: every shot has the same E_B
-    assert run(["simulate", "--shots", "20", "--modes", "16",
-                "--feedback", "off", "--coupling-scale", "0",
-                "--ramp-fraction", "0", "--profile-points", "16",
-                "--tol", "1e-3", "--out", str(tmp_path)]) == 0
-    assert "not computable" in capsys.readouterr().out
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["E_B_stderr_J"] == 0.0
-    assert summary["E_B_significance_sigma"] is None
+    # no coupling and no feedback, sudden or ramped: every shot has the
+    # same E_B, exactly zero
+    for modes, ramp in (("16", "0"), ("64", "0.05")):
+        out = tmp_path / ramp
+        assert run(["simulate", "--shots", "20", "--modes", modes,
+                    "--feedback", "off", "--coupling-scale", "0",
+                    "--ramp-fraction", ramp, "--profile-points", "16",
+                    "--tol", "1e-3", "--out", str(out)]) == 0
+        assert "significance not computable" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["E_B_oracle_J"] == 0.0
+        assert summary["E_B_stderr_J"] == 0.0
+        assert summary["E_B_significance_sigma"] is None
 
 
 def test_simulate_degenerate_observable_exit_code(tmp_path, monkeypatch,

@@ -15,7 +15,10 @@ from edgeqet import propagator
 from edgeqet.detector import delta_v, detector_from_params, signal_rms
 from edgeqet.energetics import compute_EA, compute_E1
 
-from dense_reference import run_protocol_dense, s_energy_density
+from dense_reference import (channel_energy, channel_slice,
+                             displace_feedback, run_protocol_dense,
+                             s_energy_density, symplectic_form,
+                             validate_setup, validate_state)
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +48,17 @@ def test_mode_grid_basics(params):
 
 def test_vacuum_state_and_validation(grid):
     vac = O.vacuum_state(grid)
-    O.validate_state(vac.cov)
+    validate_state(vac.cov)
     with pytest.raises(O.StepInstability):  # below vacuum noise
-        O.validate_state(0.4 * np.eye(4 * grid.n_modes))
+        validate_state(0.4 * np.eye(4 * grid.n_modes))
     asym = vac.cov.copy()
     asym[0, 1] = 1e-6
     with pytest.raises(O.StepInstability, match="asymmetry"):
-        O.validate_state(asym)
+        validate_state(asym)
 
 
 def test_symplectic_form_properties(grid):
-    omega = O.symplectic_form(grid.n_modes)
+    omega = symplectic_form(grid.n_modes)
     n = 4 * grid.n_modes
     assert np.array_equal(omega @ omega, -np.eye(n))
     assert np.array_equal(omega.T, -omega)
@@ -67,8 +70,8 @@ def test_symplectic_form_properties(grid):
 
 def test_vacuum_energies_are_zero(params, grid):
     vac = O.vacuum_state(grid)
-    assert O.channel_energy(vac, grid, params, "S") == 0.0
-    assert O.channel_energy(vac, grid, params, "U") == 0.0
+    assert channel_energy(vac, grid, params, "S") == 0.0
+    assert channel_energy(vac, grid, params, "U") == 0.0
     x = np.linspace(-1e-4, 1e-4, 64)
     prof = O.local_energy_density(x, grid, params,
                                   vac.mean[:2 * grid.n_modes, None], [1.0])
@@ -83,14 +86,14 @@ def test_local_energy_density_factored_form(params, grid):
     dv = delta_v(detector_from_params(params))
     _, state = O.measure_gaussian(O.vacuum_state(grid), o, dv,
                                   outcome=2.0 * dv)
-    state = O.displace_feedback(state, 2.0 * dv, params, grid)
+    state = displace_feedback(state, 2.0 * dv, params, grid)
     g_s, g_u, _ = O.build_hamiltonians(params, grid)
     state = O.evolve(state, g_s + g_u, 2.0 * params.l / params.v_g)
     n_x = 8 * grid.n_modes      # exact ring sums of the 2 k_N harmonics
     x = np.linspace(-0.5 * grid.ring_length, 0.5 * grid.ring_length, n_x,
                     endpoint=False)
     for channel in ("S", "U"):
-        sl, _ = O._channel_slice(grid, channel)
+        sl = channel_slice(grid, channel)
         mean = state.mean[sl]
         moment = (state.cov[sl, sl] - 0.5 * np.eye(2 * grid.n_modes)
                   + np.outer(mean, mean))
@@ -102,7 +105,7 @@ def test_local_energy_density_factored_form(params, grid):
                                     grid, params)
             assert np.max(np.abs(prof - want)) <= 1e-12 * np.max(
                 np.abs(want))
-        energy = O.channel_energy(state, grid, params, channel)
+        energy = channel_energy(state, grid, params, channel)
         assert np.sum(prof) * grid.ring_length / n_x == pytest.approx(
             energy, rel=1e-12)
 
@@ -122,7 +125,7 @@ def test_measurement_conditioning(params, grid):
     outcome, post = O.measure_gaussian(vac, o, dv, outcome=0.0)
     assert outcome == 0.0
     assert np.all(post.mean == 0.0)
-    O.validate_state(post.cov)
+    validate_state(post.cov)
     # infinitely weak pointer: no conditioning, no back-action
     _, weak = O.measure_gaussian(vac, o, math.inf, outcome=0.0)
     assert np.max(np.abs(weak.cov - vac.cov)) < 1e-12 * np.max(vac.cov)
@@ -139,9 +142,9 @@ def test_measurement_conditioning(params, grid):
 
 def test_feedback_displacement_properties(params, grid):
     vac = O.vacuum_state(grid)
-    displaced = O.displace_feedback(vac, 0.0, params, grid)
+    displaced = displace_feedback(vac, 0.0, params, grid)
     assert np.array_equal(displaced.mean, vac.mean)
-    displaced = O.displace_feedback(vac, 3e-5, params, grid)
+    displaced = displace_feedback(vac, 3e-5, params, grid)
     # covariance exactly preserved: displacements are mean-only
     assert np.max(np.abs(displaced.cov - vac.cov)) == 0.0
     # only channel U moves
@@ -171,14 +174,15 @@ def test_free_evolution_conserves_energy(params, grid):
     dv = delta_v(detector_from_params(params))
     _, state = O.measure_gaussian(O.vacuum_state(grid), o, dv,
                                   outcome=2.0 * dv)
-    state = O.displace_feedback(state, 2.0 * dv, params, grid)
+    state = displace_feedback(state, 2.0 * dv, params, grid)
     g_s, g_u, _ = O.build_hamiltonians(params, grid)
-    before = (O.channel_energy(state, grid, params, "S")
-              + O.channel_energy(state, grid, params, "U"))
+    before = (channel_energy(state, grid, params, "S")
+              + channel_energy(state, grid, params, "U"))
     _, t_f = O.interaction_window(params)
-    evolved = O.evolve(state, g_s + g_u, t_f, check=True)
-    after = (O.channel_energy(evolved, grid, params, "S")
-             + O.channel_energy(evolved, grid, params, "U"))
+    evolved = O.evolve(state, g_s + g_u, t_f)
+    validate_state(evolved.cov)
+    after = (channel_energy(evolved, grid, params, "S")
+             + channel_energy(evolved, grid, params, "U"))
     assert abs(after - before) < 1e-6 * abs(before)
     # and the exact per-mode rotation agrees with the expm route
     assert O.free_rotate(state.mean, grid, params, t_f) == pytest.approx(
@@ -193,14 +197,14 @@ def test_free_evolution_conserves_energy(params, grid):
 def test_packet_moves_chirally_at_vg(params, grid):
     """A feedback packet on U runs toward +x at v_g; the measured lump
     on S toward -x."""
-    state = O.displace_feedback(O.vacuum_state(grid), 5e-5, params, grid)
+    state = displace_feedback(O.vacuum_state(grid), 5e-5, params, grid)
     x = np.linspace(-0.5 * grid.ring_length, 0.5 * grid.ring_length, 4096,
                     endpoint=False)
     dt = 3 * params.l / params.v_g
 
     def centroid(s, channel):
         # the covariance stays I/2: the mean alone carries the packet
-        sl, _ = O._channel_slice(grid, channel)
+        sl = channel_slice(grid, channel)
         prof = O.local_energy_density(x, grid, params, s.mean[sl, None],
                                       [1.0], channel=channel)
         prof = np.clip(prof, 0.0, None)
@@ -300,10 +304,11 @@ def test_profile_integrates_to_channel_energy(params, grid, run_small):
 
 
 def test_invariants_hold_through_protocol(params, grid):
-    # the covariance checks run inside run_protocol when asked
+    """The full covariance of a run's setup, just after the measurement
+    and at t_f, obeys the uncertainty relation."""
     O.run_protocol(params, grid, feedback_mode="correlated", n_shots=10,
-                   seed=0, coupling_scale=0.01, n_profile=32,
-                   check_invariants=True)
+                   seed=0, coupling_scale=0.01, n_profile=32)
+    validate_setup(propagator.protocol_setup(params, grid, 0.01, 0.05, 5))
 
 
 # (ramp_fraction, n_ramp, feedback_mode): sudden, short and long ramps
@@ -317,14 +322,18 @@ DENSE_CASES = [(0.0, 3, "correlated"), (0.05, 3, "scrambled"),
 def test_run_protocol_matches_dense_reference(params, n_modes, ramp_fraction,
                                               n_ramp, feedback_mode):
     """The structured propagation reproduces the dense one: a segment-by-
-    segment expm product, dense rotations and a dense covariance."""
+    segment expm product, dense rotations and a dense covariance; and
+    its full covariance obeys the uncertainty relation just after the
+    measurement and at t_f."""
     grid = O.default_grid(params, n_modes=n_modes)
     _, t_f = O.interaction_window(params)
     kwargs = dict(feedback_mode=feedback_mode, n_shots=200, seed=11,
                   coupling_scale=1.0, ramp_fraction=ramp_fraction,
                   n_ramp=n_ramp, n_profile=128,
                   profile_times=[t_f, t_f + 3 * params.l / params.v_g])
-    fast = O.run_protocol(params, grid, check_invariants=True, **kwargs)
+    fast = O.run_protocol(params, grid, **kwargs)
+    validate_setup(propagator.protocol_setup(params, grid, 1.0,
+                                             ramp_fraction, n_ramp))
     ref = run_protocol_dense(params, grid, **kwargs)
     assert np.array_equal(fast.outcome_samples, ref["outcome_samples"])
     for name in ("E_A_oracle", "E_1_oracle", "e_b_samples",
@@ -452,7 +461,6 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
 
     def cold(*args, **kwargs):
         propagator.protocol_setup.cache_clear()
-        O._density_rows.cache_clear()
         return run(*args, **kwargs)
 
     def assert_same(a, b):
@@ -462,10 +470,10 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         assert a.symplectic_residual == b.symplectic_residual
 
     want = cold(mode="scrambled", seed=2)
-    # a cold call fills the memo from mq and the S half of rq (r + r/2
-    # columns), then from the four shot columns
+    # a cold call fills the memo with one density product: mq and the S
+    # half of rq (r + r/2 columns) stacked with the four shot columns
     r = want.subspace_rank
-    assert cols == [r + r // 2, 4]
+    assert cols == [r + r // 2 + 4]
     assert setup_calls
     cold()
     before = len(actions), len(rows)
@@ -485,9 +493,12 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
         entries = len(st._profiles)
         cols.clear()
+        n_rows = len(rows)
         warm = run(**changes)
         assert len(st._profiles) == entries + 1
-        assert cols == [r + r // 2, 4]
+        # one density product, on rows built once
+        assert cols == [r + r // 2 + 4]
+        assert len(rows) == n_rows + 1
         assert_same(warm, cold(**changes))
     # the memo keeps the last _PROFILE_ENTRIES snapshots
     many = [t_f + k * 0.1 * params.l / params.v_g for k in range(10)]
@@ -526,10 +537,9 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     # cached arrays are shared, so they are read-only
     run()
     st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
-    u = O._density_rows(grid, params.nu_S, "left", want.profile_x.tobytes())
     memo = [a for terms in st._profiles.values() for a in terms]
     assert len(memo) == 2
-    for a in (st.window.q, st.window.mq, st.a_vec, st.b_vec, st.kick_f, u,
+    for a in (st.window.q, st.window.mq, st.a_vec, st.b_vec, st.kick_f,
               *memo):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
@@ -736,7 +746,7 @@ def test_mirror_is_a_symplectic_involution(params, grid):
     pi = propagator._mirror(eye, grid, params)
     assert np.allclose(pi @ pi, eye, rtol=0.0, atol=1e-14)
     assert np.allclose(pi.T @ pi, eye, rtol=0.0, atol=1e-14)
-    omega = O.symplectic_form(grid.n_modes)
+    omega = symplectic_form(grid.n_modes)
     assert np.allclose(pi.T @ omega @ pi, omega, rtol=0.0, atol=1e-14)
     z = np.random.default_rng(2).standard_normal((n4, 5))
     t = 0.7 * params.l / params.v_g
@@ -775,12 +785,15 @@ def test_mirror_commutes_with_coupled_generator(params, n_modes, changes):
 
 
 def test_free_window_gives_rotated_basis_bit_for_bit(params, grid):
-    """With no coupling and sudden switching M is free flight: mq is
+    """With no coupling M is free flight, sudden or ramped: mq is
     R(span) q bit for bit, the U half included, because the mirror acts
-    on the coupled deviation only."""
-    m = propagator.window_propagator(params, grid, 0.0, 0.0, 5)
-    assert np.array_equal(m.mq, m.rq)
-    assert m.mirror_residual <= 1e-13
+    on the coupled deviation only and the ramp steps make one rotation;
+    the U channel gains exactly no energy."""
+    for ramp_fraction in (0.0, 0.05):
+        st = propagator.protocol_setup(params, grid, 0.0, ramp_fraction, 5)
+        assert np.array_equal(st.window.mq, st.window.rq)
+        assert st.window.mirror_residual <= 1e-13
+        assert st.e_u_cov == 0.0
 
 
 def test_broken_mirror_is_refused(params, grid, monkeypatch):
