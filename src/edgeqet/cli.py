@@ -205,9 +205,10 @@ def cmd_validate(args) -> int:
 
 def cmd_budget(args) -> int:
     params = _load(args)
-    out = _out_dir(args)
     t0 = time.perf_counter()
     budget = energy_budget(params, rel_tol=args.tol)
+    # the budget has passed its checks before the output directory exists
+    out = _out_dir(args)
     rows = []
     for key, value in budget.as_dict().items():
         si_unit, scale, disp_unit = _UNITS[key]
@@ -315,8 +316,15 @@ def cmd_simulate(args) -> int:
     params = _load(args)
     t0 = time.perf_counter()
     grid = default_grid(params, n_modes=args.modes)
-    # run_protocol checks the remaining options: it raises before the
+    # the closed forms and run_protocol check the remaining options and
+    # parameters (compute_EB refuses L < 2l): they raise before the
     # output directory exists
+    closed_forms = {
+        "compute_EA_J": _clean(compute_EA(params)),
+        "compute_E1_J": _clean(compute_E1(params)),
+        "scaled_compute_EB_J": _clean(
+            args.coupling_scale * compute_EB(params, rel_tol=args.tol)),
+    }
     result = run_protocol(
         params, grid, feedback_mode=args.feedback, n_shots=args.shots,
         seed=args.seed, coupling_scale=args.coupling_scale,
@@ -344,10 +352,7 @@ def cmd_simulate(args) -> int:
         "E_B_significance_sigma": _clean(significance),
         "E_A_oracle_J": _clean(result.E_A_oracle),
         "E_1_oracle_J": _clean(result.E_1_oracle),
-        "compute_EA_J": _clean(compute_EA(params)),
-        "compute_E1_J": _clean(compute_E1(params)),
-        "scaled_compute_EB_J": _clean(
-            args.coupling_scale * compute_EB(params, rel_tol=args.tol)),
+        **closed_forms,
         "profile_times_s": [_clean(t) for t in result.profile_times],
         "subspace_rank": result.subspace_rank,
         "symplectic_residual": _clean(result.symplectic_residual),

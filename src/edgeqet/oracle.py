@@ -451,8 +451,8 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     unknown feedback mode, ``n_shots`` < 2 (the standard error needs two
     shots), ``n_profile`` < 1, a ``ramp_fraction`` outside [0, 0.5],
     ``n_ramp`` < 1 with a ramp, a non-finite ``coupling_scale``, a
-    profile time before t_f, or a negative wrap margin, before any
-    propagation.
+    non-finite profile time or one before t_f, or a negative wrap
+    margin, before any propagation.
     """
     if feedback_mode not in ("correlated", "scrambled", "off"):
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
@@ -475,6 +475,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     if profile_times is None:
         profile_times = [t_f]
     profile_times = np.asarray(sorted(float(t) for t in profile_times))
+    if not np.all(np.isfinite(profile_times)):
+        raise ValueError(f"profile times must be finite, got "
+                         f"{profile_times.tolist()!r}")
     if profile_times.size and profile_times[0] < t_f - 1e-15:
         raise ValueError("profile snapshots must be at or after t_f")
     margin = wrap_margin(params, grid, max(profile_times, default=t_f))

@@ -83,13 +83,6 @@ MIRROR_TOL = 1e-11
 # 256 modes rose from 4e-15 to 1e-13.
 _THETA = {10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54}
 
-# Cost of one Taylor apply on one column of Q, in multiply-adds per row
-# of a doubling product: the apply makes ~7 elementwise passes over the
-# 4N rows, each far slower than a BLAS multiply-add.  A least-squares
-# fit to step build times at 256-1024 modes on one thread gave 37; the
-# doublings chosen are the same for any value from 40 to 100.
-_APPLY_COST = 40.0
-
 
 def _coupling_factors(params: P.ExperimentParams, grid: ModeGrid):
     """(f_s, f_u), 2N x rho each, with the coupling block K = f_s f_u^T.
@@ -106,39 +99,40 @@ def _coupling_factors(params: P.ExperimentParams, grid: ModeGrid):
     return q_s @ (w[:, keep] * sv[keep]), q_u @ vt[keep].T
 
 
-def _taylor_plan(norm: float):
-    """(m, s): s scaled steps of at most m Taylor terms for exp(A),
-    ||A||_1 <= norm, with the fewest applies m s."""
-    return min(((m, max(1, math.ceil(norm / theta)))
-                for m, theta in _THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
+def _doublings(norm: float) -> int:
+    """k, the fewest doublings after which one Taylor series covers a
+    step with ||A||_1 <= norm: norm / 2^k < theta_30.  frexp's exponent
+    k puts norm / theta_30 in [2^(k-1), 2^k), so this holds exactly in
+    floating point, where ceil(log2(.)) can fall one short."""
+    return max(0, math.frexp(norm / max(_THETA.values()))[1])
 
 
 def expm_action(apply, b: np.ndarray, norm: float) -> np.ndarray:
-    """exp(A) @ b for A given as ``apply`` (x -> A @ x), ||A||_1 <= norm.
+    """exp(A) @ b for A given as ``apply`` (x -> A @ x),
+    ||A||_1 <= norm <= theta_30.
 
-    The exponential action of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
-    488 (2011), Algorithm 3.2): s scaled steps of a Taylor series of at
-    most m terms, cut short once two successive terms drop below double
-    precision of the sum (infinity norms).  m and s follow from the norm
-    bound alone (``_taylor_plan``).  scipy's ``expm_multiply`` would
+    One truncated Taylor series of at most m terms, the fewest whose
+    theta_m covers the norm bound, cut short once two successive terms
+    drop below double precision of the sum (infinity norms): the
+    exponential action of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488
+    (2011), Algorithm 3.2) with its scaling done by the caller's
+    doublings (``_step_propagators``).  scipy's ``expm_multiply`` would
     estimate the norm from numpy's global random stream, and the last
     bits of its result, which reach the output files, would then differ
     from run to run.
     """
-    m, s = _taylor_plan(norm)
+    terms = min(m for m, theta in _THETA.items() if norm <= theta)
     f = b.copy()
-    for _ in range(s):
-        term = f.copy()
-        c1 = np.linalg.norm(term, np.inf)
-        for j in range(1, m + 1):
-            term = apply(term)
-            term /= s * j
-            c2 = np.linalg.norm(term, np.inf)
-            f += term
-            if c1 + c2 <= 2.0 ** -53 * np.linalg.norm(f, np.inf):
-                break
-            c1 = c2
+    term = b.copy()
+    c1 = np.linalg.norm(term, np.inf)
+    for j in range(1, terms + 1):
+        term = apply(term)
+        term /= j
+        c2 = np.linalg.norm(term, np.inf)
+        f += term
+        if c1 + c2 <= 2.0 ** -53 * np.linalg.norm(f, np.inf):
+            break
+        c1 = c2
     return f
 
 
@@ -283,41 +277,6 @@ def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float,
     return up + plateau + up[::-1]
 
 
-def _doublings(grid: ModeGrid, params: P.ExperimentParams, dt: float,
-               rates) -> int:
-    """k, the doublings that build a step of length dt from h = dt / 2^k.
-
-    ``rates`` holds, per scale, the bound on ||A||_1 per unit time.  A
-    step's Taylor series costs (applies, ``_taylor_plan``) x (columns of
-    B_h) x _APPLY_COST; each doubling costs r_h r_2h multiply-adds per
-    row and scale, plus as much again for the level's basis, r being the
-    width of the S block B (only the S-half columns are propagated,
-    ``_step_propagators``).  Widths are bounded by the ``_samples`` of
-    the interval.  k is the
-    cheapest up to the first h that one scaled Taylor step covers
-    (s = 1 at the largest m): past it, halving h only trades Taylor
-    terms for doublings, and each doubling doubles the rounding error
-    the step carries.
-    """
-    def columns(tau):
-        return _samples(grid, params.b + params.v_g * tau)
-
-    def taylor(h):
-        return sum(math.prod(_taylor_plan(rate * h)) for rate in rates)
-
-    k_max = max(0, math.ceil(math.log2(max(rates) * dt
-                                       / max(_THETA.values()))))
-    best, cost, doubling = 0, math.inf, 0.0
-    for k in range(k_max + 1):
-        h = dt / 2 ** k
-        if k:
-            doubling += (len(rates) + 1) * columns(h) * columns(2.0 * h)
-        total = taylor(h) * columns(h) * _APPLY_COST + doubling
-        if total < cost:
-            best, cost = k, total
-    return best
-
-
 def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
                       dt: float, scales, window):
     """(b, {scale: l}): exp(dt A_scale) = R(dt) + [l, Pi l] Q^T for each
@@ -332,9 +291,12 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     A = Omega (hw + hw + scale K) / hbar, with K = f_s f_u^T from
     ``factors`` = (f_s, f_u, ||K||_1 bound).  One ``expm_action`` per
     scale, on the r_h columns [B_h; 0], covers a short step
-    h = dt / 2^k (k from ``_doublings``); k doublings E(2h) = E(h) E(h)
-    in the same form then cover the step.  With P = Q_h^T Q_2h and
-    L = l_full P (l_full = [l, Pi l]),
+    h = dt / 2^k; k doublings E(2h) = E(h) E(h) in the same form then
+    cover the step.  k is the fewest that let one Taylor series cover h
+    at every scale (``_doublings``, from the largest scale's bound on
+    ||A||_1): the doublings are the squarings of scaling and squaring,
+    so no action scales h further.  With
+    P = Q_h^T Q_2h and L = l_full P (l_full = [l, Pi l]),
     E(2h) Q_2h - R(2h) Q_2h = R(h) L + l_full (Q_h^T R(h) Q_2h + Q_h^T L).
     R is orthogonal and commutes with the turn b/v that makes each U
     block, so P = diag(P0, P0) and Q_h^T R(h) Q_2h = diag(G, G), each
@@ -347,7 +309,7 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     n = grid.n_modes
     rates = [(grid.mode_energies(params.v_g)[-1] + abs(scale) * k_norm)
              / P.HBAR for scale in scales]
-    k = _doublings(grid, params, dt, rates)
+    k = _doublings(max(rates) * dt)
     h = dt / 2 ** k
     hw = (h / P.HBAR) * grid.mode_energies(params.v_g)
     hw4 = np.tile(hw, 4)[:, None]

@@ -61,12 +61,14 @@ def test_every_exported_name_resolves():
 
 def test_import_loads_no_scipy_submodules():
     """scipy.linalg loads at first use, not at import; scipy.special
-    never loads (the Faddeeva function is evaluated in numpy)."""
+    never loads (the Faddeeva function is evaluated in numpy); the
+    window propagator loads with the first run_protocol call, so
+    commands that never simulate do not compile it."""
     src = str(Path(edgeqet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, edgeqet.cli; "
-            "print([m for m in ('scipy.linalg', 'scipy.special') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.linalg', 'scipy.special', "
+            "'edgeqet.propagator') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
@@ -140,10 +142,15 @@ def test_budget_without_default_regulator(tmp_path):
 def test_budget_non_finite_rule_exit_code(tmp_path, capsys):
     # L = 1e300 m overflows the first E_B rule; the quadrature stops
     # there instead of doubling to the node cap
-    assert run(["budget", "--out", str(tmp_path), "--set", "L=1e300"]) == 2
+    out = tmp_path / "out"
+    assert run(["budget", "--out", str(out), "--set", "L=1e300"]) == 2
     err = capsys.readouterr().err
     assert "non-finite rule value" in err and "16 x 16 x 32 nodes" in err
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
+    # L < 2l is refused as a validation error, also before --out exists
+    assert run(["budget", "--out", str(out), "--set", "L=1.5e-5"]) == 1
+    assert "< 2l" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_budget_set_route_matches_file_route(tmp_path):
@@ -363,6 +370,8 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     ("--coupling-scale", "nan", "coupling_scale"),
     ("--coupling-scale", "inf", "coupling_scale"),
     ("--modes", "0", "--modes"), ("--modes", "-3", "--modes"),
+    # compute_EB refuses L < 2l; the oracle alone would run
+    ("--set", "L=1.5e-5", "< 2l"),
 ])
 def test_simulate_rejects_bad_options_before_writing(
         tmp_path, monkeypatch, capsys, option, value, message):

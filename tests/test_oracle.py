@@ -271,6 +271,22 @@ def test_run_protocol_controls(params, grid):
         O.run_protocol(params, short, n_shots=2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_protocol_rejects_non_finite_profile_time(params, grid,
+                                                      monkeypatch, bad):
+    """A NaN passes both the t >= t_f and the wrap-margin check, so a
+    non-finite profile time is refused on its own, before the setup
+    stage runs."""
+    setups = []
+    monkeypatch.setattr(propagator, "protocol_setup",
+                        lambda *a: setups.append(a))
+    _, t_f = O.interaction_window(params)
+    for times in ([bad], [t_f, bad]):
+        with pytest.raises(ValueError, match="finite"):
+            O.run_protocol(params, grid, n_shots=2, profile_times=times)
+    assert setups == []
+
+
 def test_run_protocol_deterministic(params, grid):
     kwargs = dict(feedback_mode="correlated", n_shots=100, seed=9,
                   coupling_scale=0.01, n_profile=64)
@@ -716,10 +732,15 @@ def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
     """With sudden switching the plateau is the window: its basis is
     built once, at the plateau's last doubling level (or its short step
     when there are no doublings), with the same bits as a build that
-    recomputes it."""
-    grid = O.default_grid(params, n_modes=16)
-    if doublings is not None:
-        monkeypatch.setattr(propagator, "_doublings", lambda *a: doublings)
+    recomputes it.  16 modes take doublings; on 4 modes one Taylor
+    series covers the whole window (norm bound 3.47 <= theta_30), so
+    the bound itself gives none."""
+    grid = O.default_grid(params, n_modes=16 if doublings is None else 4)
+    depths = []
+    depth = propagator._doublings
+    monkeypatch.setattr(propagator, "_doublings",
+                        lambda norm: depths.append(depth(norm))
+                        or depths[-1])
     t_i, t_f = O.interaction_window(params)
     taus = []
     step_basis = propagator._step_basis
@@ -735,6 +756,43 @@ def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
     fresh = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
     assert taus.count(t_f - t_i) == 3
     assert np.array_equal(m.q, fresh.q) and np.array_equal(m.mq, fresh.mq)
+    assert (depths == [0, 0]) if doublings == 0 else (min(depths) > 0)
+
+
+@pytest.mark.parametrize("n_modes, depths", [
+    (16, [(3,), (2, 0), (2, 0), (0,)]),
+    (64, [(5,), (4, 0), (4, 0), (1,)]),
+    (256, [(6,), (6, 0), (6, 2), (3,)]),
+    (1024, [(8,), (8, 2), (8, 4), (5,)]),
+])
+def test_step_doublings_follow_taylor_bound(params, monkeypatch, n_modes,
+                                            depths):
+    """The doublings of each distinct step, longest first, for sudden
+    switching and 5%, 20% and 50% ramps (5 steps): the fewest after
+    which one Taylor series covers the short step, so every exponential
+    action gets a norm bound within max(_THETA).  The depths follow
+    from the step durations and the norm bounds alone, so one unit
+    column stands in for every step basis and keeps the 1024-mode builds
+    cheap."""
+    grid = O.default_grid(params, n_modes=n_modes)
+    monkeypatch.setattr(propagator, "_step_basis",
+                        lambda g, p, tau: np.eye(2 * g.n_modes, 1))
+    found = []
+    depth = propagator._doublings
+    monkeypatch.setattr(propagator, "_doublings",
+                        lambda norm: found.append(depth(norm)) or found[-1])
+    norms = []
+    action = propagator.expm_action
+    monkeypatch.setattr(propagator, "expm_action",
+                        lambda apply, b, norm: norms.append(norm)
+                        or action(apply, b, norm))
+    built = []
+    for ramp_fraction in (0.0, 0.05, 0.2, 0.5):
+        found.clear()
+        propagator.window_propagator(params, grid, 1.0, ramp_fraction, 5)
+        built.append(tuple(found))
+    assert built == depths
+    assert 0.0 < max(norms) <= max(propagator._THETA.values())
 
 
 def test_mirror_is_a_symplectic_involution(params, grid):
