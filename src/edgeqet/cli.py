@@ -8,11 +8,14 @@ sweep      sweep one parameter, tabulate E_B and fit the scaling slope
 simulate   run the Gaussian protocol oracle shot by shot
 convert    convert between edge current and energy density
 
-Every file-producing command writes a ``manifest.json`` holding the
-fully resolved inputs (parameters, regulators, tolerances, grid, seed,
-tool version) so that any result can be reproduced bit-exactly: replay
-with ``--set`` for every ``params`` entry not listed in ``derived``.
-The wall-clock duration lives only in the manifest, never in data files.
+Each command reads ``--params`` and ``--set`` once; the parameters,
+every sweep point and the manifest come from that one read.  Every
+file-producing command writes a ``manifest.json`` (``_write_manifest``)
+holding the fully resolved inputs (parameters, regulators, tolerances,
+grid, seed, tool version) so that any result can be reproduced
+bit-exactly: replay with ``--set`` for every ``params`` entry not
+listed in ``derived``.  The wall-clock duration lives only in the
+manifest, never in data files.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 """
@@ -24,7 +27,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -73,34 +75,6 @@ _UNITS = {
     "omega_c": ("rad/s", 1.0, "rad/s"),
     "rel_tol": ("", 1.0, ""),
 }
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a command's outputs bit-exactly."""
-
-    command: str
-    version: str
-    params: dict
-    # the params entries that followed other inputs instead of being
-    # given; a replay leaves them out so that they follow again
-    derived: list
-    eps_uv: float
-    omega_c: float
-    rel_tol: float
-    grid: dict | None = None
-    seed: int | None = None
-    shots: int | None = None
-    feedback: str | None = None
-    coupling_scale: float | None = None
-    ramp_fraction: float | None = None
-    profile_points: int | None = None
-    sweep: dict | None = None
-    duration_s: float | None = None
-
-    def write(self, out_dir: Path):
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
-        _write_json(out_dir / "manifest.json", payload)
 
 
 def _clean(v):
@@ -166,15 +140,17 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _inputs(args, **point) -> dict:
-    """Parameter values given by ``--params`` and ``--set``, with ``point``
-    (one sweep point) applied last."""
-    return P.read_inputs(args.params, {**_parse_overrides(args.set), **point})
+def _resolve(given: dict) -> P.ExperimentParams:
+    """Validated parameters from the given values (one call site, so a
+    validation warning shows once per command)."""
+    return P.validate(P.ExperimentParams(**given))
 
 
-def _load(args, **point) -> P.ExperimentParams:
-    """Validated parameters from ``_inputs``."""
-    return P.validate(P.ExperimentParams(**_inputs(args, **point)))
+def _load(args):
+    """(given, params): the parameter values given by ``--params`` and
+    ``--set``, read once, and the validated parameters they resolve to."""
+    given = P.read_inputs(args.params, _parse_overrides(args.set))
+    return given, _resolve(given)
 
 
 def _out_dir(args) -> Path:
@@ -183,19 +159,25 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(command, params, args, **extra) -> RunManifest:
-    given = _inputs(args)
-    return RunManifest(
-        command=command, version=__version__, params=params.as_dict(),
-        derived=[k for k in P.DERIVED_FIELDS if k not in given],
-        eps_uv=params.eps_uv, omega_c=params.omega_c,
-        rel_tol=getattr(args, "tol", 1e-4), **extra)
+def _write_manifest(out: Path, command, params, given, args, t0, **extra):
+    """Write ``manifest.json``: everything needed to reproduce the
+    command's outputs bit-exactly, and the wall-clock time since ``t0``.
+    ``derived`` lists the params entries that followed other inputs
+    instead of being ``given``; a replay leaves them out so that they
+    follow again."""
+    _write_json(out / "manifest.json", {
+        "command": command, "version": __version__,
+        "params": params.as_dict(),
+        "derived": [k for k in P.DERIVED_FIELDS if k not in given],
+        "eps_uv": params.eps_uv, "omega_c": params.omega_c,
+        "rel_tol": args.tol, **extra,
+        "duration_s": time.perf_counter() - t0})
 
 
 # Subcommands -----------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    params = _load(args)
+    _, params = _load(args)
     print(f"parameter set valid ({len(params.as_dict())} keys)")
     for key, value in params.as_dict().items():
         unit = P.PARAM_UNITS.get(key, "")
@@ -204,7 +186,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    params = _load(args)
+    given, params = _load(args)
     t0 = time.perf_counter()
     budget = energy_budget(params, rel_tol=args.tol)
     # the budget has passed its checks before the output directory exists
@@ -232,9 +214,7 @@ def cmd_budget(args) -> int:
                  "si_units": {k: u[0] for k, u in _UNITS.items()},
                  "order_bands": {k: [_clean(v / 10.0), _clean(v * 10.0)]
                                  for k, v in _ORDER_REFS.items()}})
-    manifest = _manifest("budget", params, args)
-    manifest.duration_s = time.perf_counter() - t0
-    manifest.write(out)
+    _write_manifest(out, "budget", params, given, args, t0)
 
     print(f"{'quantity':24s} {'value':>12s} {'unit':6s} {'order band':>24s} ok")
     for key, value, _, disp, unit, lo, hi, ok in rows:
@@ -251,7 +231,7 @@ def cmd_budget(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = _load(args)
+    given, params = _load(args)
     key = args.sweep
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -267,7 +247,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     rows = []
     for v in values:
-        p = _load(args, **{key: v})
+        p = _resolve(P.read_inputs(None, {**given, key: v}))
         e_b = compute_EB(p, rel_tol=args.tol)
         rows.append([float(v), float(e_b), float(e_b.error_estimate),
                      float(eb_order_estimate(p))])
@@ -294,10 +274,8 @@ def cmd_sweep(args) -> int:
                "n_points": len(rows)}
     _write_json(out / "fit.json", fit)
 
-    manifest = _manifest("sweep", params, args,
-                         sweep={"key": key, "values": values})
-    manifest.duration_s = time.perf_counter() - t0
-    manifest.write(out)
+    _write_manifest(out, "sweep", params, given, args, t0,
+                    sweep={"key": key, "values": values})
     slope_txt = (f"slope = {fit['slope']:.4f}" if fit.get("slope") is not None
                  else "slope not computable")
     print(f"swept {key} over {len(values)} points; {slope_txt}")
@@ -313,7 +291,7 @@ def cmd_simulate(args) -> int:
                          f"got {args.seed}")
     if args.modes < 1:
         raise UsageError(f"--modes must be at least 1, got {args.modes}")
-    params = _load(args)
+    given, params = _load(args)
     t0 = time.perf_counter()
     grid = default_grid(params, n_modes=args.modes)
     # the closed forms and run_protocol check the remaining options and
@@ -360,14 +338,12 @@ def cmd_simulate(args) -> int:
     }
     _write_json(out / "summary.json", summary)
 
-    manifest = _manifest(
-        "simulate", params, args,
+    _write_manifest(
+        out, "simulate", params, given, args, t0,
         grid={"n_modes": grid.n_modes, "ring_length": grid.ring_length},
         seed=args.seed, shots=args.shots, feedback=args.feedback,
         coupling_scale=args.coupling_scale, ramp_fraction=args.ramp_fraction,
         profile_points=args.profile_points)
-    manifest.duration_s = time.perf_counter() - t0
-    manifest.write(out)
     ue = 1e6 / P.E_CHARGE
     print(f"{args.feedback} feedback, {args.shots} shots: "
           f"E_B = {result.E_B_oracle * ue:.4f} +- {stderr * ue:.4f} ueV "
@@ -377,7 +353,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    params = _load(args)
+    _, params = _load(args)
     if (args.current is None) == (args.energy_density is None):
         raise UsageError("pass exactly one of --current / --energy-density")
     for flag, value in (("--current", args.current),

@@ -410,8 +410,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
       columns (``local_energy_density``): the covariance part from mq
       and the S half of rq (r + r/2 columns), the shot-averaged mean
       and the measurement terms from four more, all in one density
-      product per snapshot, O(n_profile N r).  No 2N x 2N or 4N x 4N
-      array is formed.
+      product for every snapshot, O(n_profile N r) each: S moves
+      rigidly at v_g after t_f, so the snapshot at t is the t_f profile
+      at x + v_g (t - t_f).  No 2N x 2N or 4N x 4N array is formed.
 
     The run has two stages.  The setup stage
     (``propagator.protocol_setup``) depends only on (params, grid,
@@ -419,9 +420,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     four entries.  It holds the window propagator, the measurement's
     predictive variance and back-action weight, the three vectors
     carried to t_f and every coefficient of the shot energies, and,
-    filled on first use for each (profile points, snapshot time - t_f),
-    the profile's covariance part and its four shot-column terms, eight
-    entries of 5 n_profile floats each
+    for the last request of profile points (every snapshot's points
+    stacked), the profile's covariance part and its four shot-column
+    terms, 5 n_profile floats per snapshot
     (``propagator.ProtocolSetup.profile_terms``).  The shot stage draws
     the outcomes u from ``seed`` (then, when scrambled, the permutation
     that gives the feedback values f).  Every shot energy is a quadratic
@@ -525,10 +526,10 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     # as m2_x ((a + b)(a + b)^T - a a^T - b b^T)
     weights = np.array([m2_u - m2_x - st.s_pred, m2_f - m2_x, m2_x,
                         st.back])
-    profiles = np.empty((profile_times.size, n_profile))
-    for i, t_snap in enumerate(profile_times):
-        cov, terms = st.profile_terms(x_grid, t_snap - t_f)
-        profiles[i] = cov + terms @ weights
+    # every snapshot's points in one request
+    points = x_grid + params.v_g * (profile_times - t_f)[:, None]
+    cov, terms = st.profile_terms(points.ravel())
+    profiles = (cov + terms @ weights).reshape(points.shape)
 
     return ProtocolResult(
         E_A_oracle=st.e_a_const + st.q_a * m2_u,

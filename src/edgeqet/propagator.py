@@ -76,6 +76,12 @@ SVD_CUT = 1e-14
 #: gives O(1).
 MIRROR_TOL = 1e-11
 
+#: Bound on ``symplectic_residual`` above which the window propagator is
+#: refused.  Stable couplings give at most 1.1e-14 (16 to 512 modes,
+#: |coupling_scale| <= 1, any ramp) and 2.5e-14 at coupling_scale 10;
+#: at 64 modes coupling_scale 20 gives 3.7e-6 and 100 gives 1.5e31.
+SYMPLECTIC_TOL = 1e-10
+
 # theta_m of Al-Mohy & Higham (2011), Table 3.1: m Taylor terms give
 # exp(A) to double precision when ||A||_1 <= theta_m.  Their table goes
 # on to m = 55 (theta 9.9), but the terms of a rotation by theta peak
@@ -360,12 +366,12 @@ class WindowPropagator:
     q (4N x r, orthonormal) spans every direction the coupling reads
     during the window; M moves the rest by free flight R alone, so
     mq = M q determines M.  ``symplectic_residual`` is
-    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M;
-    ``mirror_residual`` is how far the coupling is from the S <-> U
-    mirror symmetry that gives the U half of mq (``_mirror_residual``),
-    at most MIRROR_TOL.  q and
-    mq are read-only: ``protocol_setup`` memoises the propagator with
-    the rest of a run's setup and shares it between calls.
+    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M and at
+    most SYMPLECTIC_TOL; ``mirror_residual`` is how far the coupling is
+    from the S <-> U mirror symmetry that gives the U half of mq
+    (``_mirror_residual``), at most MIRROR_TOL.  q and mq are
+    read-only: ``protocol_setup`` memoises the propagator with the rest
+    of a run's setup and shares it between calls.
     """
 
     q: np.ndarray
@@ -404,7 +410,9 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     coupled deviation only.  A free window (``coupling_scale`` 0) is one
     free rotation by span whatever the ramp, so it gives mq = R(span) q
     bit for bit.  The mirror is checked first, from the coupling factors: a
-    ``mirror_residual`` above MIRROR_TOL raises StepInstability.
+    ``mirror_residual`` above MIRROR_TOL raises StepInstability, and so
+    does a ``symplectic_residual`` above SYMPLECTIC_TOL or NaN: M is
+    then not symplectic to working precision.
 
     The build holds only what the rest of the schedule needs: the
     window basis as its S block, then every distinct step, built
@@ -473,13 +481,12 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     mq[:, r:] += _mirror(mq_s, grid, params, out=rq_s)
     del mq_s, rq_s
     residual = float(np.max(np.abs(_omega_gram(mq) - _omega_gram(q))))
+    if not residual <= SYMPLECTIC_TOL:
+        raise StepInstability(
+            f"window propagator is not symplectic: residual {residual:.3g} "
+            f"> {SYMPLECTIC_TOL:g}")
     q.flags.writeable = mq.flags.writeable = False
     return WindowPropagator(q, mq, span, grid, params, residual, mirror)
-
-
-# snapshots per setup that keep their profile terms (40 kB each at 1024
-# profile points)
-_PROFILE_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -493,9 +500,9 @@ class ProtocolSetup:
     with outcome u (variance ``s_pred``) and feedback value f has
     E_A = e_a_const + q_a u^2,  E_1 = q_1 f^2  and
     E_B = e_u_cov + qaa u^2 + qbb f^2 + qab u f - q_1 f^2.
-    The arrays, and those of the memoised ``profile_terms``, are
-    read-only: ``protocol_setup`` hands one instance to every caller
-    with the same setup.
+    The arrays, and those of the ``profile_terms`` request it memoises
+    (the last one), are read-only: ``protocol_setup`` hands one instance
+    to every caller with the same setup.
     """
 
     window: WindowPropagator
@@ -511,35 +518,35 @@ class ProtocolSetup:
     qaa: float             # J/V^2
     qbb: float             # J/V^2
     qab: float             # J/V^2
-    # (profile points, dt) -> profile_terms, oldest first
+    # the last profile request: its points -> profile_terms
     _profiles: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
-    def profile_terms(self, x: np.ndarray, dt: float):
-        """(cov, terms): the S energy density (J/m) at the points ``x``,
-        a time ``dt`` past t_f, split by how it depends on the shots.
+    def profile_terms(self, x: np.ndarray):
+        """(cov, terms): the S energy density (J/m) at t_f at the points
+        ``x``, split by how it depends on the shots.
 
         ``cov`` (len(x)) is what M adds to the vacuum,
-        (mq mq^T - rq rq^T)/2, from R(dt) mq and the S half of R(dt) rq
-        with weights +1/2 and -1/2 (the U half of q has no S rows).
-        ``terms`` (len(x) x 4) are the energy densities of the unit
-        moments of the columns a, b, a + b and the kick, carried by
-        R(dt), so that a profile with moment weights w is
-        cov + terms @ w.  All five come from one
+        (mq mq^T - rq rq^T)/2, from mq and the S half of rq with weights
+        +1/2 and -1/2 (the U half of q has no S rows).  ``terms``
+        (len(x) x 4) are the energy densities of the unit moments of the
+        columns a, b, a + b and the kick, so that a profile with moment
+        weights w is cov + terms @ w.  All five come from one
         ``local_energy_density`` call on the stacked columns with a
-        k x 5 weight matrix.  The last _PROFILE_ENTRIES (x, dt) are
-        memoised.
+        k x 5 weight matrix.  After t_f the S channel moves freely, a
+        rigid translation at v_g, so a snapshot dt later is this profile
+        at x + v_g dt: one request can hold the points of every snapshot.
+        The last request is memoised; another one replaces it.
         """
-        key = (x.tobytes(), dt)
+        key = x.tobytes()
         if key not in self._profiles:
             m = self.window
             grid, params = m.grid, m.params
             s_sl, r = slice(0, 2 * grid.n_modes), m.q.shape[1]
             rq_s = free_rotate(m.q[s_sl, :r // 2], grid, params, m.span)
             a_s, b_s = self.a_vec[s_sl], self.b_vec[s_sl]
-            cols = free_rotate(np.column_stack(
-                [m.mq[s_sl], rq_s, a_s, b_s, a_s + b_s, self.kick_f[s_sl]]),
-                grid, params, dt)
+            cols = np.column_stack(
+                [m.mq[s_sl], rq_s, a_s, b_s, a_s + b_s, self.kick_f[s_sl]])
             # column 0 weighs mq by +1/2 and rq_s by -1/2, 1-4 pick a
             # shot column each
             weights = np.zeros((cols.shape[1], 5))
@@ -549,8 +556,7 @@ class ProtocolSetup:
             density = O.local_energy_density(x, grid, params, cols, weights)
             density.flags.writeable = False
             cov, terms = density[:, 0], density[:, 1:]
-            if len(self._profiles) == _PROFILE_ENTRIES:
-                del self._profiles[next(iter(self._profiles))]
+            self._profiles.clear()
             self._profiles[key] = cov, terms
         return self._profiles[key]
 
@@ -558,8 +564,8 @@ class ProtocolSetup:
 # A scan over feedback modes and a few coupling strengths on one grid
 # reuses every setup it builds; four entries bound the memory.  The
 # window propagator is most of an entry (two 4N x r arrays, 47 MB at
-# 1024 modes, 3.7 MB at 256); the rest is three 4N vectors and at most
-# 320 kB of profile terms at 1024 profile points.
+# 1024 modes, 3.7 MB at 256); the rest is three 4N vectors and the last
+# request's profile terms, 40 kB per snapshot at 1024 profile points.
 @functools.lru_cache(maxsize=4)
 def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
                    coupling_scale: float, ramp_fraction: float,

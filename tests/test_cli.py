@@ -165,6 +165,28 @@ def test_budget_set_route_matches_file_route(tmp_path):
         assert (via_file / name).read_bytes() == (via_set / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["budget"],
+    ["sweep", "--sweep", "L", "--values", "6e-5,7e-5,8e-5", "--tol", "1e-3"],
+    ["simulate", "--shots", "20", "--modes", "16", "--coupling-scale", "0.01",
+     "--profile-points", "16", "--tol", "1e-3"],
+])
+def test_commands_read_params_file_once(tmp_path, monkeypatch, argv):
+    """The parameter file is read once per command: the parameters, every
+    sweep point and the manifest's derived list come from that read."""
+    par = tmp_path / "run.par"
+    par.write_text("l = 1.5e-5 m\nL = 6e-5 m\n", encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(P, "open", lambda path, *a, **k: opened.append(path)
+                        or open(path, *a, **k), raising=False)
+    out = tmp_path / "out"
+    assert run(argv + ["--params", str(par), "--out", str(out)]) == 0
+    assert opened == [str(par)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params"]["l"] == 1.5e-5
+    assert manifest["derived"] == ["eps_uv", "omega_c"]
+
+
 # sweep ------------------------------------------------------------------
 
 def test_sweep_artifacts_and_fit(tmp_path, capsys):
@@ -194,8 +216,10 @@ def test_sweep_single_point_not_computable(tmp_path, capsys):
 def test_sweep_usage_errors(tmp_path, capsys):
     assert run(["sweep", "--out", str(tmp_path), "--sweep", "L",
                 "--values", "4e-5,3e-5,5e-5"]) == 1  # not monotone
+    capsys.readouterr()
     assert run(["sweep", "--out", str(tmp_path), "--sweep", "warp",
                 "--values", "1,2"]) == 1
+    assert "unknown override key 'warp'" in capsys.readouterr().err
     assert run(["sweep", "--out", str(tmp_path), "--sweep", "L",
                 "--values", "4e-5,fast"]) == 1
     capsys.readouterr()
@@ -382,6 +406,17 @@ def test_simulate_rejects_bad_options_before_writing(
     assert run(["simulate", "--shots", "20", "--modes", "16",
                 option, value, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_non_symplectic_window(tmp_path, capsys):
+    # 100 times the physical coupling at 64 modes: the window propagator
+    # is far from symplectic, a numerical failure before --out exists
+    out = tmp_path / "out"
+    assert run(["simulate", "--shots", "20", "--modes", "64",
+                "--coupling-scale", "100", "--tol", "1e-3",
+                "--out", str(out)]) == 2
+    assert "not symplectic" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -361,6 +361,31 @@ def test_run_protocol_matches_dense_reference(params, n_modes, ramp_fraction,
     assert abs(fast.E_B_oracle - ref["E_B_oracle"]) <= 1e-10 * e_b_scale
 
 
+def test_snapshots_are_the_t_f_profile_translated(params, grid):
+    """After t_f channel S moves freely at v_g: the snapshot j dx / v_g
+    later, dx the profile spacing, is the t_f profile rolled by j points.
+    One request for several snapshots gives what each gives cold."""
+    _, t_f = O.interaction_window(params)
+    n_profile = 64
+    dx = grid.ring_length / n_profile
+    shifts = (0, 1, 3)
+    kwargs = dict(feedback_mode="scrambled", n_shots=50, seed=6,
+                  coupling_scale=1.0, ramp_fraction=0.05, n_profile=n_profile)
+    times = [t_f + j * dx / params.v_g for j in shifts]
+    profiles = O.run_protocol(params, grid, profile_times=times,
+                              **kwargs).energy_density_profile
+    scale = np.max(np.abs(profiles[0]))
+    for j, profile in zip(shifts, profiles):
+        assert np.max(np.abs(profile - np.roll(profiles[0], -j))) <= (
+            1e-12 * scale)
+    for t, profile in zip(times, profiles):
+        propagator.protocol_setup.cache_clear()
+        single = O.run_protocol(params, grid, profile_times=[t],
+                                **kwargs).energy_density_profile
+        assert single.shape == (1, n_profile)
+        assert np.max(np.abs(single[0] - profile)) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("n_modes", [64, 128])
 @pytest.mark.parametrize("feedback_mode", ["correlated", "scrambled", "off"])
 def test_shot_means_match_per_shot_energies(params, n_modes, feedback_mode):
@@ -500,27 +525,26 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     assert cols == []
     assert setup_calls == []
 
-    # another n_profile or snapshot time fills one more memo entry on
-    # the same setup and matches a cold call
+    # another n_profile or snapshot set on the same setup makes one
+    # density product, on rows built once, replaces the memo's one entry
+    # and matches a cold call; repeating it makes no product
     _, t_f = O.interaction_window(params)
     for changes in (dict(n_profile=96),
-                    dict(profile_times=[t_f + 2 * params.l / params.v_g])):
+                    dict(profile_times=[t_f + 2 * params.l / params.v_g]),
+                    dict(profile_times=[t_f + k * 0.1 * params.l / params.v_g
+                                        for k in range(10)])):
         run()
         st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
-        entries = len(st._profiles)
+        before = next(iter(st._profiles))
         cols.clear()
         n_rows = len(rows)
         warm = run(**changes)
-        assert len(st._profiles) == entries + 1
-        # one density product, on rows built once
+        assert len(st._profiles) == 1 and before not in st._profiles
         assert cols == [r + r // 2 + 4]
         assert len(rows) == n_rows + 1
+        assert_same(run(**changes), warm)
+        assert cols == [r + r // 2 + 4]
         assert_same(warm, cold(**changes))
-    # the memo keeps the last _PROFILE_ENTRIES snapshots
-    many = [t_f + k * 0.1 * params.l / params.v_g for k in range(10)]
-    run(profile_times=many)
-    st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
-    assert len(st._profiles) == propagator._PROFILE_ENTRIES < len(many)
 
     # an equal parameter set built separately finds the same entry
     twin = P.ExperimentParams(**params.as_dict())
@@ -868,3 +892,15 @@ def test_broken_mirror_is_refused(params, grid, monkeypatch):
                         lambda *a: pytest.fail("step built"))
     with pytest.raises(O.StepInstability, match="mirror"):
         propagator.window_propagator(params, grid, 1.0, 0.05, 5)
+
+
+def test_non_symplectic_window_is_refused(params, grid, monkeypatch):
+    """A coupling far above the physical one (100 times, at 64 modes)
+    gives a window propagator that is not symplectic (residual ~1e31):
+    the build raises StepInstability, and so does a NaN residual."""
+    with pytest.raises(O.StepInstability, match="symplectic"):
+        propagator.window_propagator(params, grid, 100.0, 0.0, 5)
+    monkeypatch.setattr(propagator, "_omega_gram",
+                        lambda a: np.full((a.shape[1],) * 2, math.nan))
+    with pytest.raises(O.StepInstability, match="nan"):
+        propagator.window_propagator(params, grid, 1.0, 0.0, 5)
