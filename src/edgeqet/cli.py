@@ -334,6 +334,7 @@ def cmd_simulate(args) -> int:
         "profile_times_s": [_clean(t) for t in result.profile_times],
         "subspace_rank": result.subspace_rank,
         "symplectic_residual": _clean(result.symplectic_residual),
+        "mirror_residual": _clean(result.mirror_residual),
         "wrap_margin_m": _clean(result.wrap_margin_m),
     }
     _write_json(out / "summary.json", summary)

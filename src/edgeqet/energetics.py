@@ -223,9 +223,8 @@ def _eb_integral(params: P.ExperimentParams, rel_tol: float, eps: float,
         QuadResult(value, err, doublings, False, n_evals))
 
 
-def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
-               allow_short_separation: bool = False,
-               causal: bool = True) -> Estimate:
+def compute_EB(params: P.ExperimentParams,
+               rel_tol: float = 1e-4) -> Estimate:
     """Energy gained by the feedback channel, first order in the coupling.
 
     Evaluates the regularized weight integral in its 3-D Faddeeva form
@@ -240,8 +239,8 @@ def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
     its ~1/L^5 tail, so extraction at the default L = 2l turns into
     injection by L = 5l.
 
-    Requires L >= 2l (where the pole regularization is demonstrably
-    stable) unless ``allow_short_separation``.
+    Requires L >= 2l, where the pole regularization is demonstrably
+    stable.
     The tolerance has a floor: the recursion for w'' in
     :func:`_measured_pole` cancels at large |zeta|, so at L >= 10l a
     ``rel_tol`` below ~1e-9 converges on rounding noise (two Faddeeva
@@ -252,11 +251,11 @@ def compute_EB(params: P.ExperimentParams, rel_tol: float = 1e-4,
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    if params.L < 2.0 * params.l and not allow_short_separation:
+    if params.L < 2.0 * params.l:
         raise ValueError(
             f"L = {params.L:.3g} < 2l = {2 * params.l:.3g}: regularization "
-            "validity not established (pass allow_short_separation=True to force)")
-    res = _eb_integral(params, rel_tol, params.eps_uv, causal=causal)
+            "validity not established")
+    res = _eb_integral(params, rel_tol, params.eps_uv)
     prefactor = _eb_prefactor(params)
     return Estimate(-prefactor * res.value,
                     abs(prefactor * res.error_estimate), res.n_evals)

@@ -30,6 +30,10 @@ from .energetics import _gauss_legendre, feedback_window
 
 TWO_PI = 2.0 * math.pi
 
+#: Gauss-Legendre nodes of the coupling region [0, b] in each coupling
+#: coordinate (``_coupling_nodes``).
+N_QUAD = 96
+
 
 class DegenerateObservable(RuntimeError):
     """Measured observable has (numerically) no variance."""
@@ -144,8 +148,7 @@ def local_energy_density(x_grid, grid: ModeGrid,
 
 # Hamiltonians ---------------------------------------------------------
 
-def build_hamiltonians(params: P.ExperimentParams, grid: ModeGrid,
-                       n_quad: int = 96):
+def build_hamiltonians(params: P.ExperimentParams, grid: ModeGrid):
     """Quadratic forms (G_S, G_U, G_int), H = (1/2) R^T G R, joules.
 
     Free parts are diagonal with the chiral mode energies; the coupling
@@ -159,7 +162,7 @@ def build_hamiltonians(params: P.ExperimentParams, grid: ModeGrid,
     g_u = np.zeros((dim, dim))
     g_s[:2 * n, :2 * n] = np.diag(np.concatenate([hw, hw]))
     g_u[2 * n:, 2 * n:] = np.diag(np.concatenate([hw, hw]))
-    u_s, u_u, kernel = _coupling_nodes(params, grid, n_quad)
+    u_s, u_u, kernel = _coupling_nodes(params, grid)
     k_block = u_s.T @ kernel @ u_u
     g_int = np.zeros((dim, dim))
     g_int[:2 * n, 2 * n:] = k_block
@@ -167,19 +170,19 @@ def build_hamiltonians(params: P.ExperimentParams, grid: ModeGrid,
     return g_s, g_u, g_int
 
 
-def _coupling_nodes(params: P.ExperimentParams, grid: ModeGrid,
-                    n_quad: int = 96):
+def _coupling_nodes(params: P.ExperimentParams, grid: ModeGrid):
     """(u_s, u_u, kernel) with the coupling block K = u_s^T kernel u_u.
 
-    Gauss-Legendre on [0, b] for both coupling coordinates: the rows of
-    u_s, u_u are the weighted density vectors at the nodes, and kernel
-    is the Coulomb kernel between nodes, joules.  The window propagator
-    relies on the mirror symmetry this gives, K^T = R(b/v) K R(b/v) with
-    R the free flight: the nodes are symmetric about b/2, the kernel
-    depends on |x - y| only and nu_S, nu_U enter as a constant factor
-    (``propagator._mirror_residual`` checks it).
+    Gauss-Legendre (N_QUAD nodes) on [0, b] for both coupling
+    coordinates: the rows of u_s, u_u are the weighted density vectors
+    at the nodes, and kernel is the Coulomb kernel between nodes,
+    joules.  The window propagator relies on the mirror symmetry this
+    gives, K^T = R(b/v) K R(b/v) with R the free flight: the nodes are
+    symmetric about b/2, the kernel depends on |x - y| only and nu_S,
+    nu_U enter as a constant factor (``propagator._mirror_residual``
+    checks it).
     """
-    xq, wq = _gauss_legendre(n_quad, 0.0, params.b)
+    xq, wq = _gauss_legendre(N_QUAD, 0.0, params.b)
     f_kernel = 1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)
     pref = P.E_CHARGE ** 2 / (4.0 * math.pi * params.epsilon)
     u_s = density_basis(grid, params.nu_S, xq, "left") * wq[:, None]
@@ -339,6 +342,7 @@ class ProtocolResult:
     t_f: float                         # s, end of the interaction window
     subspace_rank: int                 # r, columns of the window basis
     symplectic_residual: float         # max |mq^T Omega mq - q^T Omega q|
+    mirror_residual: float             # S <-> U mirror residual of K
     wrap_margin_m: float               # m, ring_length/2 - farthest edge
 
 
@@ -376,8 +380,8 @@ def wrap_margin(params: P.ExperimentParams, grid: ModeGrid,
 def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
                  feedback_mode: str = "correlated", n_shots: int = 1000,
                  seed: int = 0, coupling_scale: float = 1.0,
-                 ramp_fraction: float = 0.05, n_ramp: int = 5,
-                 profile_times=None, n_profile: int = 1024) -> ProtocolResult:
+                 ramp_fraction: float = 0.05, profile_times=None,
+                 n_profile: int = 1024) -> ProtocolResult:
     """Run the full measurement-feedback protocol shot by shot.
 
     Per shot: vacuum, Gaussian measurement of the sense signal at t=0,
@@ -385,58 +389,41 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     the shot's own outcome, ``scrambled`` a seeded permutation of the
     outcomes across shots, ``off`` zero), then evolution through the
     interaction window [t_i, t_f].  There the coupling rises in
-    ``n_ramp`` equal steps (scales (j + 1/2)/n_ramp) over the first
-    ``ramp_fraction`` of the window, holds, and falls through the same
-    steps in reverse; ``ramp_fraction`` 0 switches it suddenly.  All
-    shot dependence is linear in (outcome, feedback value), so
-    propagators and covariances are computed once and shots reduce to
-    vector algebra.
+    ``propagator.N_RAMP`` equal steps over the first ``ramp_fraction``
+    of the window, holds, and falls through the same steps in reverse;
+    ``ramp_fraction`` 0 switches it suddenly.
 
-    The propagation is exact up to ``propagator.SVD_CUT`` and uses the
-    problem's structure:
-
-    * the window propagator is M = R(T)(I - Q Q^T) + (MQ) Q^T
-      (``propagator.window_propagator``): Q spans the S and U density
-      vectors the coupling reads over the window, free flight R moves
-      every other direction, and MQ costs one ``expm_action`` per
-      distinct (duration, scale) step and none for a zero-length step;
-    * free flight is a per-mode rotation (``free_rotate``) of vectors
-      and column blocks, never a dense matrix product;
-    * the post-measurement covariance is I/2 minus one and plus one
-      rank-1 term (``_conditioning``); rotations leave I/2 alone, so at
-      t_f it is M M^T/2 = (I - (RQ)(RQ)^T + (MQ)(MQ)^T)/2 plus two
-      rank-1 terms, and it is never assembled: E_B reads the U
-      diagonal, O(N r), and the profile reads the factors as weighted
-      columns (``local_energy_density``): the covariance part from mq
-      and the S half of rq (r + r/2 columns), the shot-averaged mean
-      and the measurement terms from four more, all in one density
-      product for every snapshot, O(n_profile N r) each: S moves
-      rigidly at v_g after t_f, so the snapshot at t is the t_f profile
-      at x + v_g (t - t_f).  No 2N x 2N or 4N x 4N array is formed.
+    The propagation is exact up to ``propagator.SVD_CUT``: the window
+    propagator M (``propagator.window_propagator``) acts on the
+    subspace Q the coupling reads and moves every other direction by
+    free flight R, a per-mode rotation (``free_rotate``).  No 2N x 2N or
+    4N x 4N array is formed: the covariance at t_f is
+    (I - (RQ)(RQ)^T + (MQ)(MQ)^T)/2 plus two rank-1 measurement terms,
+    E_B reads its U diagonal and the profile its S block as weighted
+    columns (``local_energy_density``).
 
     The run has two stages.  The setup stage
     (``propagator.protocol_setup``) depends only on (params, grid,
-    coupling_scale, ramp_fraction, n_ramp) and is memoised by them,
-    four entries.  It holds the window propagator, the measurement's
-    predictive variance and back-action weight, the three vectors
-    carried to t_f and every coefficient of the shot energies, and,
-    for the last request of profile points (every snapshot's points
-    stacked), the profile's covariance part and its four shot-column
-    terms, 5 n_profile floats per snapshot
-    (``propagator.ProtocolSetup.profile_terms``).  The shot stage draws
-    the outcomes u from ``seed`` (then, when scrambled, the permutation
-    that gives the feedback values f).  Every shot energy is a quadratic
-    form in (u, f), so every mean follows from three sample second
-    moments, m2_u = u.u/n, m2_f = f.f/n and m2_x = u.f/n, each one dot
-    product (m2_f = m2_x = m2_u when correlated, 0 when off):
+    coupling_scale, ramp_fraction) and is memoised by them, four
+    entries; it holds M, the measurement's predictive variance and
+    back-action weight, the three vectors carried to t_f, every
+    coefficient of the shot energies and, for the last request of
+    profile points, the profile's covariance part and its four
+    shot-column terms.  S moves rigidly at v_g after t_f, so the
+    snapshot at t is the t_f profile at x + v_g (t - t_f), and one
+    request holds every snapshot's points.  The shot stage draws the
+    outcomes u from ``seed`` (then, when scrambled, the permutation
+    that gives the feedback values f).  Every shot energy is a
+    quadratic form in (u, f), so every mean follows from three sample
+    second moments, m2_u = u.u/n, m2_f = f.f/n and m2_x = u.f/n
+    (m2_f = m2_x = m2_u when correlated, 0 when off):
     E_A = e_a_const + q_a m2_u, E_1 = q_1 m2_f and
     E_B = e_u_cov + qaa m2_u + (qbb - q_1) m2_f + qab m2_x.  Besides the
     draws, the one shot-length array formed is the per-shot E_B, and the
     standard error comes from its deviations from that mean.  The
     profile is covariance part + terms @ weights, the weights being the
-    same moments.  So a repeated call on one setup makes no exponential
-    action, no free rotation and no density product, and costs little
-    more than its draws.  The cached arrays are read-only and no result
+    same moments.  So a repeated call on one setup costs little more
+    than its draws.  The cached arrays are read-only and no result
     shares them; ``propagator.protocol_setup.cache_clear()`` releases
     the setups with their propagators and profiles.
 
@@ -446,14 +433,15 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     Its covariance part (mq mq^T - rq rq^T)/2 is a difference of terms
     of the size of the profile's maximum, so samples below ~1e-14 of
     that maximum are rounding, and so are their signs.
-    ``subspace_rank`` and ``symplectic_residual`` report the size of Q
-    and how far M is from symplectic on it; ``wrap_margin_m`` is the
-    ``wrap_margin`` at the last profile time.  Raises ValueError for an
-    unknown feedback mode, ``n_shots`` < 2 (the standard error needs two
-    shots), ``n_profile`` < 1, a ``ramp_fraction`` outside [0, 0.5],
-    ``n_ramp`` < 1 with a ramp, a non-finite ``coupling_scale``, a
-    non-finite profile time or one before t_f, or a negative wrap
-    margin, before any propagation.
+    ``subspace_rank`` is the size of Q, ``symplectic_residual`` how far
+    M is from symplectic on it and ``mirror_residual`` how far the
+    coupling is from the S <-> U mirror symmetry the build relies on;
+    ``wrap_margin_m`` is the ``wrap_margin`` at the last profile time.
+    Raises ValueError for an unknown feedback mode, ``n_shots`` < 2
+    (the standard error needs two shots), ``n_profile`` < 1, a
+    ``ramp_fraction`` outside [0, 0.5], a non-finite
+    ``coupling_scale``, a non-finite profile time or one before t_f, or
+    a negative wrap margin, before any propagation.
     """
     if feedback_mode not in ("correlated", "scrambled", "off"):
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
@@ -464,9 +452,6 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     if not 0.0 <= ramp_fraction <= 0.5:
         raise ValueError(
             f"ramp_fraction must lie in [0, 0.5], got {ramp_fraction!r}")
-    if ramp_fraction > 0.0 and n_ramp < 1:
-        raise ValueError(f"n_ramp must be >= 1 for a ramped coupling, "
-                         f"got {n_ramp!r}")
     if not math.isfinite(coupling_scale):
         raise ValueError(
             f"coupling_scale must be finite, got {coupling_scale!r}")
@@ -488,8 +473,7 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
 
     from .propagator import protocol_setup
 
-    st = protocol_setup(params, grid, coupling_scale, ramp_fraction,
-                        n_ramp)
+    st = protocol_setup(params, grid, coupling_scale, ramp_fraction)
 
     # shots: every energy is a quadratic form in (outcome, feedback), so
     # the means follow from three second moments of the draws
@@ -543,6 +527,7 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         profile_times=profile_times,
         feedback_mode=feedback_mode,
         t_f=t_f,
-        subspace_rank=st.window.q.shape[1],
+        subspace_rank=2 * st.window.b.shape[1],
         symplectic_residual=st.window.symplectic_residual,
+        mirror_residual=st.window.mirror_residual,
         wrap_margin_m=margin)

@@ -5,32 +5,33 @@ density vectors: the Coulomb coupling over [0, b] reads, during a time
 tau, the S density that free flight carries in from [0, b + v tau] and
 the U density from [-v tau, b].  Their span Q is numerically low-rank,
 and every direction orthogonal to it moves by free flight alone, so a
-propagator M over the interaction window is R(T)(I - Q Q^T) + (MQ) Q^T
-and only MQ has to be computed: one exponential action per distinct
-step of the coupling schedule, doubled in the same low-rank form.
+propagator E over a time T is R(T) + (EQ - RQ) Q^T and only the
+deviation EQ - RQ has to be computed: one exponential action per
+distinct step of the coupling schedule, doubled in the same low-rank
+form, and the steps chained into the window propagator M.
 
-Only half of MQ is propagated.  Q is block-diagonal, [[B, 0], [0, B_U]]
-with the U block B_U the S block turned by b/v, and the mirror
-x -> b - x with S and U swapped (Pi, ``_mirror_blocks``) maps [B; 0]
-onto [0; B_U] and commutes with free flight and with the coupling:
-the coupling's nodes on [0, b] are symmetric and its kernel depends on
-|x - y| only.  So the U-half columns of every step and of MQ are Pi of
-their S-half columns: each exponential action, doubling and chain step
-acts on the S half alone, and the U half of MQ is formed at the end.
-The build checks the symmetry first, from the coupling's factors
-(``_mirror_residual``), and refuses a coupling that breaks it.
+Q is block-diagonal, [[b, 0], [0, B_U]], with the U block B_U the S
+block b turned by b/v, and the mirror x -> b - x with S and U swapped
+(Pi, ``_mirror_blocks``) maps [b; 0] onto [0; B_U] and commutes with
+free flight and with the coupling: the coupling's nodes on [0, b] are
+symmetric and its kernel depends on |x - y| only.  So the deviation of
+the U-half columns is Pi of the deviation l of the S-half columns, and
+every propagator the build makes, each step and M itself, is held in
+one form, (b, l), with E = R(T) + [l, Pi l] Q^T, and applied by one
+routine (``_apply``).  The build checks the symmetry first, from the
+coupling's factors (``_mirror_residual``), and refuses a coupling that
+breaks it.
 
 The build holds only what the rest of the schedule still needs.
-``window_propagator`` computes the window basis first and keeps its S
-block; with sudden switching the plateau is the window, and its last
-doubling level takes that basis instead of computing it again.
-It then builds the distinct coupled steps, longest first, so that the
-plateau's doubling temporaries never sit beside the finished ramp
-steps; ramp steps share their duration, so they share each level's
-basis, which lives for that level only.  Only then does it run the
-chain mq <- R mq + l (Q^T mq) over the schedule on the S half of mq,
-in place, and drop each step after its last use; q and the U half of
-mq are made after the chain.
+``window_propagator`` computes the window basis first; with sudden
+switching the plateau is the window, and its last doubling level takes
+that basis instead of computing it again.  It then builds the distinct
+coupled steps, longest first, so that the plateau's doubling
+temporaries never sit beside the finished ramp steps; ramp steps share
+their duration, so they share each level's basis, which lives for that
+level only.  Only then does it apply the steps in time order to the
+S-half columns [b; 0] of the window, in place, and drop each step
+after its last use.
 
 The same module holds the setup stage of ``oracle.run_protocol``
 (``protocol_setup``): the window propagator together with everything
@@ -70,7 +71,7 @@ SVD_CUT = 1e-14
 
 #: Bound on the relative mirror residual ||K^T - R(b/v) K R(b/v)|| / ||K||
 #: of the coupling (``_mirror_residual``), above which the window
-#: propagator refuses to take the U half of mq from the S half.  The
+#: propagator refuses to take the U-half deviation from the S half.  The
 #: default parameters give 1e-15 at 64 modes and 3e-14 at 1024 (the
 #: rounding of the turn b/v); a channel-dependent velocity or kernel
 #: gives O(1).
@@ -81,6 +82,11 @@ MIRROR_TOL = 1e-11
 #: |coupling_scale| <= 1, any ramp) and 2.5e-14 at coupling_scale 10;
 #: at 64 modes coupling_scale 20 gives 3.7e-6 and 100 gives 1.5e31.
 SYMPLECTIC_TOL = 1e-10
+
+#: Equal steps of each ramp of the coupling (``ramp_schedule``): it rises
+#: through scales (j + 1/2)/N_RAMP, j = 0 .. N_RAMP - 1, and falls
+#: through the same scales in reverse.
+N_RAMP = 5
 
 # theta_m of Al-Mohy & Higham (2011), Table 3.1: m Taylor terms give
 # exp(A) to double precision when ||A||_1 <= theta_m.  Their table goes
@@ -159,9 +165,10 @@ def _step_basis(grid: ModeGrid, params: P.ExperimentParams,
     into that region the S density at [0, b + v tau] (left-movers) and
     the U density at [-v tau, b] (right-movers).  The intervals have the
     same length and u_U(y) is u_S(-y) up to a constant, so one channel
-    basis serves both: Q_tau = [[B, 0], [0, B_U]] with B_U = R(b/v) B
-    (``_u_block``, ``_dense``).  B is the SVD basis of the S density
-    vectors at ``_samples`` Chebyshev points, cut at SVD_CUT.
+    basis serves both: Q_tau = [[B, 0], [0, B_U]] with B_U = R(b/v) B,
+    the mirror of [B; 0] (``_mirror_blocks``).  B is the SVD basis of
+    the S density vectors at ``_samples`` Chebyshev points, cut at
+    SVD_CUT.
     """
     length = params.b + params.v_g * tau
     m = _samples(grid, length)
@@ -169,29 +176,6 @@ def _step_basis(grid: ModeGrid, params: P.ExperimentParams,
     u, sv, _ = np.linalg.svd(density_basis(grid, 1.0, x, "left").T,
                              full_matrices=False)
     return u[:, sv > SVD_CUT * sv[0]]
-
-
-def _u_block(b: np.ndarray, grid: ModeGrid,
-             params: P.ExperimentParams) -> np.ndarray:
-    """B_U = R(b/v) B, the U block of the step basis with S block B."""
-    return free_rotate(b, grid, params, params.b / params.v_g)
-
-
-def _dense(b: np.ndarray, grid: ModeGrid,
-           params: P.ExperimentParams) -> np.ndarray:
-    """Q = [[B, 0], [0, B_U]], 4N x 2 r_B, from its S block B."""
-    n2, r = b.shape
-    q = np.zeros((2 * n2, 2 * r))
-    q[:n2, :r] = b
-    q[n2:, r:] = _u_block(b, grid, params)
-    return q
-
-
-def _project(b: np.ndarray, b_u: np.ndarray, x: np.ndarray):
-    """(c_s, c_u) = Q^T x for Q = [[b, 0], [0, b_u]], without the zero
-    blocks: c_s from the S rows of x, c_u from its U rows."""
-    n2 = b.shape[0]
-    return b.T @ x[:n2], b_u.T @ x[n2:]
 
 
 def _mirror_blocks(grid: ModeGrid, params: P.ExperimentParams):
@@ -202,10 +186,10 @@ def _mirror_blocks(grid: ModeGrid, params: P.ExperimentParams):
     R(b/v) of the S rows: it is the mirror x -> b - x of the coupling
     region with the channels swapped.  It is orthogonal, symplectic and
     its own inverse, it commutes with free flight, and
-    Pi [B; 0] = [0; B_U] (``_u_block``).  It commutes with every coupled
-    generator as long as K^T = R(b/v) K R(b/v) (``_mirror_residual``),
-    so the U-half columns of a step's deviation l and of mq are Pi of
-    their S-half columns.
+    Pi [B; 0] = [0; B_U] (``_step_basis``).  It commutes with every
+    coupled generator as long as K^T = R(b/v) K R(b/v)
+    (``_mirror_residual``), so the U-half deviation of every propagator
+    the build makes is Pi of its S-half deviation l.
     """
     n2 = 2 * grid.n_modes
     turn = params.b / params.v_g
@@ -213,26 +197,33 @@ def _mirror_blocks(grid: ModeGrid, params: P.ExperimentParams):
             (slice(n2, None), slice(0, n2), turn))
 
 
-def _mirror(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Pi a for ``a`` with the 4N rows of R (``_mirror_blocks``), to
-    ``out`` if given, which must not overlap ``a``."""
-    if out is None:
-        out = np.empty_like(a)
+def _mirror(a: np.ndarray, grid: ModeGrid,
+            params: P.ExperimentParams) -> np.ndarray:
+    """Pi a for ``a`` with the 4N rows of R (``_mirror_blocks``)."""
+    out = np.empty_like(a)
     for rows, other, t in _mirror_blocks(grid, params):
         free_rotate(a[other], grid, params, t, out=out[rows])
     return out
 
 
-def _add_mirrored(out: np.ndarray, l: np.ndarray, c_s: np.ndarray,
-                  c_u: np.ndarray, grid: ModeGrid,
-                  params: P.ExperimentParams) -> None:
-    """out += [l, Pi l] @ [c_s; c_u], one channel's rows at a time
-    (2N-row temporaries).  Pi turns the rows of l, which has no more
-    columns than the product."""
+def _apply(b: np.ndarray, l: np.ndarray, dt: float, x: np.ndarray,
+           grid: ModeGrid, params: P.ExperimentParams) -> np.ndarray:
+    """E x for the propagator E = R(dt) + [l, Pi l] Q^T held as (b, l),
+    Q = [[b, 0], [0, B_U]] = [[b; 0], Pi [b; 0]]: x becomes
+    R(dt) x + l (b^T x_S) + Pi l (B_U^T x_U), in place, and is returned.
+
+    B_U and Pi l enter one channel at a time, as the turned rows of b
+    and l (2N-row temporaries): in the build b and l have no more
+    columns than x, so turning them costs less than turning x.
+    """
+    n2 = b.shape[0]
+    c_s = b.T @ x[:n2]
+    c_u = free_rotate(b, grid, params, params.b / params.v_g).T @ x[n2:]
+    free_rotate(x, grid, params, dt, out=x)
     for rows, other, t in _mirror_blocks(grid, params):
-        out[rows] += l[rows] @ c_s
-        out[rows] += free_rotate(l[other], grid, params, t) @ c_u
+        x[rows] += l[rows] @ c_s
+        x[rows] += free_rotate(l[other], grid, params, t) @ c_u
+    return x
 
 
 def _mirror_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
@@ -256,28 +247,27 @@ def _mirror_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
     return float(np.linalg.norm(diff) / np.linalg.norm(k))
 
 
-def _omega_gram(a: np.ndarray) -> np.ndarray:
-    """a^T Omega a for a with the 4N rows of R, from the x and p rows of
-    each channel: X^T P - P^T X summed over S and U (r x r
-    temporaries)."""
+def _omega_form(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a^T Omega c for a and c with the 4N rows of R, from the x and p
+    rows of each channel: X_a^T P_c - P_a^T X_c summed over S and U
+    (small temporaries only)."""
     n = a.shape[0] // 4
-    g = np.zeros((a.shape[1], a.shape[1]))
+    g = np.zeros((a.shape[1], c.shape[1]))
     for base in (0, 2 * n):
-        xp = a[base:base + n].T @ a[base + n:base + 2 * n]
-        g += xp
-        g -= xp.T
+        x, p = slice(base, base + n), slice(base + n, base + 2 * n)
+        g += a[x].T @ c[p]
+        g -= a[p].T @ c[x]
     return g
 
 
-def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float,
-                  n_ramp: int):
+def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float):
     """[(duration, scale), ...] of the coupling over [t_i, t_f], in time
-    order: ``n_ramp`` equal steps up (scales (j + 1/2)/n_ramp) over the
+    order: N_RAMP equal steps up (scales (j + 1/2)/N_RAMP) over the
     first ``ramp_fraction`` of the window, the plateau at scale 1, and
     the same steps down.  Zero-length steps are left out."""
     span = t_f - t_i
     ramp = ramp_fraction * span
-    up = ([(ramp / n_ramp, (j + 0.5) / n_ramp) for j in range(n_ramp)]
+    up = ([(ramp / N_RAMP, (j + 0.5) / N_RAMP) for j in range(N_RAMP)]
           if ramp > 0.0 else [])
     plateau = [(span - 2.0 * ramp, 1.0)] if span > 2.0 * ramp else []
     return up + plateau + up[::-1]
@@ -285,14 +275,13 @@ def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float,
 
 def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
                       dt: float, scales, window):
-    """(b, {scale: l}): exp(dt A_scale) = R(dt) + [l, Pi l] Q^T for each
-    of ``scales``, with Q = Q_dt given by its S block b (``_step_basis``)
-    and Pi the S <-> U mirror (``_mirror``).  l (4N x r_b) is the
-    deviation E Q - R Q on the S-half columns [b; 0] of Q; its U-half
-    columns are Pi l, because Pi commutes with E and R and maps [b; 0]
-    to the U half [0; B_U].  ``window`` = (span, B_span) is the window's
-    basis, already built: a level of duration span (sudden switching)
-    uses it instead of building it again.
+    """(b, {scale: l}): exp(dt A_scale) held as (b, l) for each of
+    ``scales``, that is R(dt) + [l, Pi l] Q^T with Q = Q_dt given by
+    its S block b (``_step_basis``) and l (4N x r_b) the deviation
+    E Q - R Q on the S-half columns [b; 0] of Q (``_apply``).
+    ``window`` = (span, B_span) is the window's basis, already built: a
+    level of duration span (sudden switching) uses it instead of
+    building it again.
 
     A = Omega (hw + hw + scale K) / hbar, with K = f_s f_u^T from
     ``factors`` = (f_s, f_u, ||K||_1 bound).  One ``expm_action`` per
@@ -301,15 +290,12 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     cover the step.  k is the fewest that let one Taylor series cover h
     at every scale (``_doublings``, from the largest scale's bound on
     ||A||_1): the doublings are the squarings of scaling and squaring,
-    so no action scales h further.  With
-    P = Q_h^T Q_2h and L = l_full P (l_full = [l, Pi l]),
-    E(2h) Q_2h - R(2h) Q_2h = R(h) L + l_full (Q_h^T R(h) Q_2h + Q_h^T L).
-    R is orthogonal and commutes with the turn b/v that makes each U
-    block, so P = diag(P0, P0) and Q_h^T R(h) Q_2h = diag(G, G), each
-    from the S blocks; the S-half output columns need L's S half l P0
-    only, and Pi l enters one channel at a time, as the turned rows of
-    l (``_add_mirrored``).  The scales share each level's basis, which
-    lives for that level only.
+    so no action scales h further.  The S-half columns of
+    E(2h) Q_2h - R(2h) Q_2h are E(h) L + l G with L = l P0 the
+    deviation E(h) Q_2h - R(h) Q_2h of those columns after one step,
+    P0 = B_h^T B_2h and G = B_h^T R(h) B_2h: one ``_apply`` of E(h)
+    and one product.  The scales share each level's basis, which lives
+    for that level only.
     """
     f_s, f_u, k_norm = factors
     n = grid.n_modes
@@ -343,15 +329,11 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     del q_s, rq_s
     for _ in range(k):
         b2 = basis(2.0 * h)
-        b_u = _u_block(b, grid, params)
         p0 = b.T @ b2
         g = b.T @ free_rotate(b2, grid, params, h)
         for scale, l in ls.items():
-            lp = l @ p0
-            c_s, c_u = _project(b, b_u, lp)
-            c_s += g
-            free_rotate(lp, grid, params, h, out=lp)
-            _add_mirrored(lp, l, c_s, c_u, grid, params)
+            lp = _apply(b, l, h, l @ p0, grid, params)
+            lp += l @ g
             ls[scale] = lp
         del l
         b, h = b2, 2.0 * h
@@ -360,67 +342,64 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
 
 @dataclass(frozen=True)
 class WindowPropagator:
-    """M = R(span) (I - q q^T) + mq q^T, the window propagator, exact up
-    to SVD_CUT.
+    """M = R(span) + [l, Pi l] Q^T, the window propagator, exact up to
+    SVD_CUT, held in the form of its steps (``_apply``).
 
-    q (4N x r, orthonormal) spans every direction the coupling reads
-    during the window; M moves the rest by free flight R alone, so
-    mq = M q determines M.  ``symplectic_residual`` is
-    max |mq^T Omega mq - q^T Omega q|, zero for a symplectic M and at
-    most SYMPLECTIC_TOL; ``mirror_residual`` is how far the coupling is
-    from the S <-> U mirror symmetry that gives the U half of mq
-    (``_mirror_residual``), at most MIRROR_TOL.  q and mq are
-    read-only: ``protocol_setup`` memoises the propagator with the rest
-    of a run's setup and shares it between calls.
+    Q = [[b, 0], [0, B_U]] (4N x r, orthonormal) spans every direction
+    the coupling reads during the window, and M moves the rest by free
+    flight R alone.  ``b`` (2N x r/2) is its S block and ``l``
+    (4N x r/2) the coupled deviation M [b; 0] - R(span) [b; 0] of its
+    S-half columns; the U-half columns deviate by Pi l.  ``m @ a`` is
+    M a.  ``symplectic_residual`` is max |mq^T Omega mq - q^T Omega q|
+    over Q's columns, zero for a symplectic M and at most
+    SYMPLECTIC_TOL; ``mirror_residual`` is how far the coupling is from
+    the S <-> U mirror symmetry that gives the U half
+    (``_mirror_residual``), at most MIRROR_TOL.  b and l are read-only:
+    ``protocol_setup`` memoises the propagator with the rest of a run's
+    setup and shares it between calls.
     """
 
-    q: np.ndarray
-    mq: np.ndarray
+    b: np.ndarray
+    l: np.ndarray
     span: float                        # s, t_f - t_i
     grid: ModeGrid
     params: P.ExperimentParams
     symplectic_residual: float
     mirror_residual: float
 
-    @property
-    def rq(self) -> np.ndarray:
-        """R(span) q."""
-        return free_rotate(self.q, self.grid, self.params, self.span)
-
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
-        c = self.q.T @ a
-        return (free_rotate(a - self.q @ c, self.grid, self.params,
-                            self.span) + self.mq @ c)
+        return _apply(self.b, self.l, self.span, np.array(a, dtype=float),
+                      self.grid, self.params)
 
 
 def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
-                      coupling_scale: float, ramp_fraction: float,
-                      n_ramp: int) -> WindowPropagator:
+                      coupling_scale: float,
+                      ramp_fraction: float) -> WindowPropagator:
     """The propagator over the interaction window, on the coupling's
     subspace.
 
-    q is Q_(t_f - t_i) (``_step_basis``).  mq is built in time order
-    through the ``ramp_schedule``: each distinct (duration, scale) step
-    with a nonzero coupling costs one ``expm_action``
-    (``_step_propagators``), and applying a step costs O(N r r_step).
-    No 4N x 4N matrix is formed.  Only the S half of mq (the columns
-    M [B; 0]) goes through the schedule; M commutes with the S <-> U
-    mirror Pi (``_mirror``), so the U half is
-    R(span) q_U + Pi (mq_S - R(span) q_S): the mirror acts on the
-    coupled deviation only.  A free window (``coupling_scale`` 0) is one
-    free rotation by span whatever the ramp, so it gives mq = R(span) q
-    bit for bit.  The mirror is checked first, from the coupling factors: a
-    ``mirror_residual`` above MIRROR_TOL raises StepInstability, and so
-    does a ``symplectic_residual`` above SYMPLECTIC_TOL or NaN: M is
-    then not symplectic to working precision.
+    b is the S block of Q_(t_f - t_i) (``_step_basis``).  l is built in
+    time order through the ``ramp_schedule``: each distinct
+    (duration, scale) step with a nonzero coupling costs one
+    ``expm_action`` (``_step_propagators``), and applying a step to the
+    S-half columns [b; 0] costs O(N r r_step) (``_apply``).  No 4N x 4N
+    matrix is formed, and no U-half column: M commutes with the
+    S <-> U mirror Pi (``_mirror``), so they follow from the S half.  A
+    free window (``coupling_scale`` 0) is one free rotation by span
+    whatever the ramp, so it gives l = 0 exactly.  The mirror is checked
+    first, from the coupling factors: a ``mirror_residual`` above
+    MIRROR_TOL raises StepInstability, and so does a
+    ``symplectic_residual`` above SYMPLECTIC_TOL or NaN: M is then not
+    symplectic to working precision.  Pi is symplectic and commutes
+    with M, so the residual's U-U block repeats its S-S block and, as
+    q^T Omega Pi q = 0 for the S-half columns q, its S-U block is
+    mq^T Omega Pi mq: both come from the S half.
 
     The build holds only what the rest of the schedule needs: the
-    window basis as its S block, then every distinct step, built
-    longest first, then the S half of mq, updated in place, each step
-    dropped after its last use.  It peaks at 1.8 to 1.9 times what it
-    returns, q and mq: 84 MB traced at 1024 modes, 6.7 MB at 256,
-    2.2 MB at 128, when q, mq, the S half and one temporary of its
-    width are held together.  Each call builds afresh;
+    window basis, then every distinct step, built longest first, then
+    the S-half columns, updated in place, each step dropped after its
+    last use.  Its peak is set by the steps, not by what it returns,
+    b and l, 3/8 of the dense Q and MQ.  Each call builds afresh;
     ``protocol_setup`` memoises the result with the rest of a run's
     setup.
     """
@@ -437,11 +416,10 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
                  np.max(np.abs(f_s) @ np.abs(f_u).sum(0)))
     window = _step_basis(grid, params, span)
     # with no coupling the ramp steps are free flight: one rotation by
-    # span, not a chain of them, gives R(span) q exactly
+    # span, not a chain of them, gives R(span) [b; 0] exactly
     schedule = [(dt, scale * coupling_scale)
                 for dt, scale in ramp_schedule(
-                    t_i, t_f, ramp_fraction if coupling_scale else 0.0,
-                    n_ramp)]
+                    t_i, t_f, ramp_fraction if coupling_scale else 0.0)]
     # distinct nonzero scales per duration, in order
     scales = {}
     for dt, scale in schedule:
@@ -457,43 +435,37 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     uses = collections.Counter(schedule)
 
     n2, r = window.shape
-    mq_s = np.zeros((2 * n2, r))
-    mq_s[:n2] = window
+    mq = np.zeros((2 * n2, r))
+    mq[:n2] = window
+    omega_q = _omega_form(mq, mq)
     for dt, scale in schedule:
         if scale == 0.0:                 # free flight alone, exactly
-            free_rotate(mq_s, grid, params, dt, out=mq_s)
+            free_rotate(mq, grid, params, dt, out=mq)
             continue
         b, l = steps[dt, scale]
-        c_s, c_u = _project(b, _u_block(b, grid, params), mq_s)
-        free_rotate(mq_s, grid, params, dt, out=mq_s)
-        _add_mirrored(mq_s, l, c_s, c_u, grid, params)
+        _apply(b, l, dt, mq, grid, params)
         uses[dt, scale] -= 1
         if not uses[dt, scale]:
             del steps[dt, scale]
         del b, l
-    q = _dense(window, grid, params)
-    mq = np.empty_like(q)
-    mq[:, :r] = mq_s
-    free_rotate(q[:, r:], grid, params, span, out=mq[:, r:])
-    # the coupled deviation of the S half, mirrored onto the U half
-    rq_s = free_rotate(q[:, :r], grid, params, span)
-    mq_s -= rq_s
-    mq[:, r:] += _mirror(mq_s, grid, params, out=rq_s)
-    del mq_s, rq_s
-    residual = float(np.max(np.abs(_omega_gram(mq) - _omega_gram(q))))
+    residual = float(np.max(np.abs([
+        _omega_form(mq, mq) - omega_q,
+        _omega_form(mq, _mirror(mq, grid, params))])))
     if not residual <= SYMPLECTIC_TOL:
         raise StepInstability(
             f"window propagator is not symplectic: residual {residual:.3g} "
             f"> {SYMPLECTIC_TOL:g}")
-    q.flags.writeable = mq.flags.writeable = False
-    return WindowPropagator(q, mq, span, grid, params, residual, mirror)
+    # the coupled deviation: R(span) [b; 0] has no U rows
+    mq[:n2] -= free_rotate(window, grid, params, span)
+    window.flags.writeable = mq.flags.writeable = False
+    return WindowPropagator(window, mq, span, grid, params, residual, mirror)
 
 
 @dataclass(frozen=True)
 class ProtocolSetup:
     """What ``oracle.run_protocol`` computes from its setup alone.
 
-    The setup is (params, grid, coupling_scale, ramp_fraction, n_ramp).
+    The setup is (params, grid, coupling_scale, ramp_fraction).
     It fixes the measurement at t = 0, the window propagator M, the
     measurement response, feedback displacement and back-action kick
     carried to t_f, and every coefficient of the shot energies: a shot
@@ -527,11 +499,13 @@ class ProtocolSetup:
         ``x``, split by how it depends on the shots.
 
         ``cov`` (len(x)) is what M adds to the vacuum,
-        (mq mq^T - rq rq^T)/2, from mq and the S half of rq with weights
-        +1/2 and -1/2 (the U half of q has no S rows).  ``terms``
-        (len(x) x 4) are the energy densities of the unit moments of the
-        columns a, b, a + b and the kick, so that a profile with moment
-        weights w is cov + terms @ w.  All five come from one
+        (mq mq^T - rq rq^T)/2 with mq = M Q and rq = R(span) Q.  On the
+        S rows rq is [rq_s, 0] and mq is [rq_s + l_S, (Pi l)_S], so it
+        comes from those three blocks with weights +1/2, +1/2 and -1/2,
+        1.5 r columns for Q's r.  ``terms`` (len(x) x 4) are the energy
+        densities of the unit moments of the columns a, b, a + b and the
+        kick, so that a profile with moment weights w is
+        cov + terms @ w.  All five come from one
         ``local_energy_density`` call on the stacked columns with a
         k x 5 weight matrix.  After t_f the S channel moves freely, a
         rigid translation at v_g, so a snapshot dt later is this profile
@@ -542,13 +516,15 @@ class ProtocolSetup:
         if key not in self._profiles:
             m = self.window
             grid, params = m.grid, m.params
-            s_sl, r = slice(0, 2 * grid.n_modes), m.q.shape[1]
-            rq_s = free_rotate(m.q[s_sl, :r // 2], grid, params, m.span)
+            (s_sl, u_sl, to_s), _ = _mirror_blocks(grid, params)
+            rq_s = free_rotate(m.b, grid, params, m.span)
             a_s, b_s = self.a_vec[s_sl], self.b_vec[s_sl]
             cols = np.column_stack(
-                [m.mq[s_sl], rq_s, a_s, b_s, a_s + b_s, self.kick_f[s_sl]])
-            # column 0 weighs mq by +1/2 and rq_s by -1/2, 1-4 pick a
-            # shot column each
+                [rq_s + m.l[s_sl], free_rotate(m.l[u_sl], grid, params, to_s),
+                 rq_s, a_s, b_s, a_s + b_s, self.kick_f[s_sl]])
+            # column 0 weighs the S rows of mq by +1/2 and rq_s by -1/2,
+            # 1-4 pick a shot column each
+            r = 2 * m.b.shape[1]
             weights = np.zeros((cols.shape[1], 5))
             weights[:r, 0] = 0.5
             weights[r:-4, 0] = -0.5
@@ -563,13 +539,14 @@ class ProtocolSetup:
 
 # A scan over feedback modes and a few coupling strengths on one grid
 # reuses every setup it builds; four entries bound the memory.  The
-# window propagator is most of an entry (two 4N x r arrays, 47 MB at
-# 1024 modes, 3.7 MB at 256); the rest is three 4N vectors and the last
-# request's profile terms, 40 kB per snapshot at 1024 profile points.
+# window propagator is most of an entry (b and l, 2N x r/2 and
+# 4N x r/2: 18 MB at 1024 modes, 1.4 MB at 256); the rest is three 4N
+# vectors and the last request's profile terms, 40 kB per snapshot at
+# 1024 profile points.
 @functools.lru_cache(maxsize=4)
 def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
                    coupling_scale: float, ramp_fraction: float,
-                   n_ramp: int, /) -> ProtocolSetup:
+                   /) -> ProtocolSetup:
     """The shot-independent stage of ``oracle.run_protocol``.
 
     The result depends on nothing but the arguments, all hashable, so
@@ -605,8 +582,7 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
 
     # the measurement response turns freely from t = 0 to t_i, the
     # feedback displacement from T to t_i; M carries both on to t_f
-    m = window_propagator(params, grid, coupling_scale, ramp_fraction,
-                          n_ramp)
+    m = window_propagator(params, grid, coupling_scale, ramp_fraction)
     a_vec, b_vec, kick_f = (m @ np.stack([
         free_rotate(gain, grid, params, t_i),        # per unit outcome
         free_rotate(d_unit, grid, params, t_i - params.T_delay),
@@ -615,10 +591,16 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
     # U-channel energy at t_f: the covariance I/2 + (mq mq^T - rq rq^T)/2
     # - s_pred a a^T + back kick kick^T (sigma carried to t_f is
     # s_pred * a_vec) on its diagonal, the mean quadratic in (outcome,
-    # feedback)
-    rq_u = free_rotate(m.q[u_sl], grid, params, m.span)
-    excess_d = (0.5 * (np.einsum("ij,ij->i", m.mq[u_sl], m.mq[u_sl])
-                       - np.einsum("ij,ij->i", rq_u, rq_u))
+    # feedback).  On the U rows rq is [0, rq_u] and mq is
+    # [l_U, rq_u + d_u], with rq_u = R(span) B_U and d_u = (Pi l)_U, so
+    # the diagonal of mq mq^T - rq rq^T is exactly 0 when l = 0
+    turn = params.b / params.v_g
+    d_u = free_rotate(m.l[s_sl], grid, params, turn)
+    cross = free_rotate(m.b, grid, params, m.span + turn)
+    cross *= 2.0
+    cross += d_u                             # 2 rq_u + d_u
+    excess_d = (0.5 * (np.einsum("ij,ij->i", m.l[u_sl], m.l[u_sl])
+                       + np.einsum("ij,ij->i", d_u, cross))
                 - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
     e_u_cov = 0.5 * float(hw @ (excess_d[:n] + excess_d[n:]))
     au, bu = a_vec[u_sl], b_vec[u_sl]

@@ -3,7 +3,7 @@
 ``run_protocol_dense`` runs the measurement-feedback protocol the
 direct way: every segment of the ramped coupling schedule gets its own
 dense propagator (``segment_propagator``), the segments are multiplied
-in time order, free flight is a dense rotation matrix, the
+in time order (``window_propagator_dense``), free flight is a dense rotation matrix, the
 post-measurement covariance is formed as a dense matrix and carried
 through every propagator, and the profile is the triple-product
 ``einsum``.  Production code
@@ -31,6 +31,7 @@ from edgeqet.oracle import (GaussianState, StepInstability,
                             build_hamiltonians, density_basis,
                             feedback_displacement, interaction_window,
                             measurement_observable)
+from edgeqet.propagator import N_RAMP
 
 
 def symplectic_form(n_modes):
@@ -66,8 +67,8 @@ def validate_setup(st):
     sigma, kick = 0.5 * o, symplectic_form(n) @ o
     validate_state(0.5 * np.eye(4 * n) - np.outer(sigma, sigma) / st.s_pred
                    + st.back * np.outer(kick, kick))
-    rq = m.rq
-    cov_t = (0.5 * (np.eye(4 * n) + m.mq @ m.mq.T - rq @ rq.T)
+    prop = m @ np.eye(4 * n)
+    cov_t = (0.5 * prop @ prop.T
              - st.s_pred * np.outer(st.a_vec, st.a_vec)
              + st.back * np.outer(st.kick_f, st.kick_f))
     validate_state(0.5 * (cov_t + cov_t.T))
@@ -165,6 +166,19 @@ def ramp_segments(t_i, t_f, ramp_fraction, n_ramp):
     return segments
 
 
+def window_propagator_dense(params, grid, coupling_scale, ramp_fraction,
+                            n_ramp):
+    """The window propagator as the time-ordered product of the dense
+    ``segment_propagator`` of every ``ramp_segments`` segment."""
+    t_i, t_f = interaction_window(params)
+    g_s, g_u, g_int = build_hamiltonians(params, grid)
+    prop = np.eye(4 * grid.n_modes)
+    for dt, scale in ramp_segments(t_i, t_f, ramp_fraction, n_ramp):
+        prop = segment_propagator(grid, params, g_s + g_u, g_int, dt,
+                                  coupling_scale * scale) @ prop
+    return prop
+
+
 def s_energy_density(cov, mean_second_moment, x_grid, grid, params):
     """Shot-averaged normal-ordered S-channel energy density, J/m."""
     n = grid.n_modes
@@ -177,7 +191,7 @@ def s_energy_density(cov, mean_second_moment, x_grid, grid, params):
 
 def run_protocol_dense(params, grid, feedback_mode="correlated",
                        n_shots=1000, seed=0, coupling_scale=1.0,
-                       ramp_fraction=0.05, n_ramp=5, profile_times=None,
+                       ramp_fraction=0.05, n_ramp=N_RAMP, profile_times=None,
                        n_profile=1024):
     """Dict with the fields of ``ProtocolResult`` that carry numbers."""
     rng = np.random.default_rng(seed)
@@ -205,13 +219,11 @@ def run_protocol_dense(params, grid, feedback_mode="correlated",
     d_unit = feedback_displacement(params, grid)
     q_1 = 0.5 * float(hw2 @ (d_unit[u_sl] ** 2))
 
-    # propagators, one per segment, in time order
+    # free flight from T to t_i, then the window's segments
     t_i, t_f = interaction_window(params)
-    g_s, g_u, g_int = build_hamiltonians(params, grid)
-    prop = free_propagator(grid, params, t_i - params.T_delay)
-    for dt, scale in ramp_segments(t_i, t_f, ramp_fraction, n_ramp):
-        prop = segment_propagator(grid, params, g_s + g_u, g_int, dt,
-                                  coupling_scale * scale) @ prop
+    prop = window_propagator_dense(
+        params, grid, coupling_scale, ramp_fraction, n_ramp) @ (
+            free_propagator(grid, params, t_i - params.T_delay))
     free_t = free_propagator(grid, params, params.T_delay)
     a_vec = prop @ (free_t @ gain)
     b_vec = prop @ d_unit

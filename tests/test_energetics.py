@@ -191,11 +191,19 @@ def test_EB_frozen_values(params, eb_default):
         assert e_b * UEV == pytest.approx(value, rel=1e-4), f"L = {mult}l"
 
 
+def _non_causal_EB(p, rel_tol):
+    """E_B with tau also extending before the packet is created, the
+    weight integral's ``causal=False`` form, scaled as ``compute_EB``
+    scales the causal one."""
+    return -E._eb_prefactor(p) * E._eb_integral(p, rel_tol, p.eps_uv,
+                                                 causal=False).value
+
+
 def test_EB_full_window_matches_faddeeva_reduction(params):
     """The production integral against the exact w'''' reduction."""
     for mult in (2, 4):
         p = params.replace(L=mult * params.l)
-        production = compute_EB(p, rel_tol=1e-5, causal=False)
+        production = _non_causal_EB(p, 1e-5)
         reference = quintic_reference(p)
         assert production == pytest.approx(reference, rel=2e-4), f"L={mult}l"
 
@@ -204,11 +212,11 @@ def test_EB_causal_window_effect(params):
     """The causal start of the interaction matters only when the packet
     overlaps the coupling region at creation (small L)."""
     at_2l = compute_EB(params, rel_tol=1e-4)
-    full_2l = compute_EB(params, rel_tol=1e-4, causal=False)
+    full_2l = _non_causal_EB(params, 1e-4)
     assert abs(full_2l - at_2l) > 0.02 * abs(at_2l)
     p5 = params.replace(L=5 * params.l)
     at_5l = compute_EB(p5, rel_tol=1e-4)
-    full_5l = compute_EB(p5, rel_tol=1e-4, causal=False)
+    full_5l = _non_causal_EB(p5, 1e-4)
     assert full_5l == pytest.approx(at_5l, rel=0.005)
 
 
@@ -218,7 +226,8 @@ def test_EB_matches_4d_reference(params):
         p = params.replace(L=mult * params.l)
         reference = eb_integral_4d(p, 1e-7, p.eps_uv, causal=causal)
         assert reference.converged
-        production = compute_EB(p, rel_tol=1e-8, causal=causal)
+        production = (compute_EB(p, rel_tol=1e-8) if causal
+                      else _non_causal_EB(p, 1e-8))
         assert production == pytest.approx(
             -E._eb_prefactor(p) * reference.value, rel=1e-6), f"L={mult}l"
 
@@ -278,10 +287,6 @@ def test_EB_regulator_and_tolerance_stability(params, eb_default):
 def test_EB_rejects_short_separation(params):
     with pytest.raises(ValueError, match="2l"):
         compute_EB(params.replace(L=1.5 * params.l))
-    # explicit override allowed
-    value = compute_EB(params.replace(L=1.9 * params.l),
-                       allow_short_separation=True, rel_tol=1e-3)
-    assert np.isfinite(value)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, 1.0, 2.0])

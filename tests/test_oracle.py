@@ -18,7 +18,8 @@ from edgeqet.energetics import compute_EA, compute_E1
 from dense_reference import (channel_energy, channel_slice,
                              displace_feedback, run_protocol_dense,
                              s_energy_density, symplectic_form,
-                             validate_setup, validate_state)
+                             validate_setup, validate_state,
+                             window_propagator_dense)
 
 
 @pytest.fixture(scope="module")
@@ -256,9 +257,6 @@ def test_run_protocol_controls(params, grid):
         with pytest.raises(ValueError, match="ramp_fraction"):
             O.run_protocol(params, grid, n_shots=2,
                            ramp_fraction=ramp_fraction)
-    with pytest.raises(ValueError, match="n_ramp"):
-        O.run_protocol(params, grid, n_shots=2, ramp_fraction=0.05,
-                       n_ramp=0)
     # a standard error needs two shots, a profile at least one point
     for n_shots in (0, 1):
         with pytest.raises(ValueError, match="n_shots"):
@@ -324,33 +322,48 @@ def test_invariants_hold_through_protocol(params, grid):
     and at t_f, obeys the uncertainty relation."""
     O.run_protocol(params, grid, feedback_mode="correlated", n_shots=10,
                    seed=0, coupling_scale=0.01, n_profile=32)
-    validate_setup(propagator.protocol_setup(params, grid, 0.01, 0.05, 5))
+    validate_setup(propagator.protocol_setup(params, grid, 0.01, 0.05))
+
+
+@pytest.fixture
+def ramp_steps(monkeypatch):
+    """set_steps(n) makes the coupling ramp in n steps for one test
+    (``propagator.N_RAMP``).  ``protocol_setup`` does not key on it, so
+    its memo is cleared when the count is set and after the test."""
+    def set_steps(n):
+        monkeypatch.setattr(propagator, "N_RAMP", n)
+        propagator.protocol_setup.cache_clear()
+    yield set_steps
+    propagator.protocol_setup.cache_clear()
 
 
 # (ramp_fraction, n_ramp, feedback_mode): sudden, short and long ramps
-# and a ramp with no plateau, across all three feedback modes
+# and a ramp with no plateau, across all three feedback modes, with a
+# ramp step count other than the default
 DENSE_CASES = [(0.0, 3, "correlated"), (0.05, 3, "scrambled"),
                (0.2, 3, "off"), (0.5, 3, "correlated")]
 
 
 @pytest.mark.parametrize("n_modes", [64, 128])
 @pytest.mark.parametrize("ramp_fraction,n_ramp,feedback_mode", DENSE_CASES)
-def test_run_protocol_matches_dense_reference(params, n_modes, ramp_fraction,
-                                              n_ramp, feedback_mode):
+def test_run_protocol_matches_dense_reference(params, ramp_steps, n_modes,
+                                              ramp_fraction, n_ramp,
+                                              feedback_mode):
     """The structured propagation reproduces the dense one: a segment-by-
     segment expm product, dense rotations and a dense covariance; and
     its full covariance obeys the uncertainty relation just after the
     measurement and at t_f."""
+    ramp_steps(n_ramp)
     grid = O.default_grid(params, n_modes=n_modes)
     _, t_f = O.interaction_window(params)
     kwargs = dict(feedback_mode=feedback_mode, n_shots=200, seed=11,
                   coupling_scale=1.0, ramp_fraction=ramp_fraction,
-                  n_ramp=n_ramp, n_profile=128,
+                  n_profile=128,
                   profile_times=[t_f, t_f + 3 * params.l / params.v_g])
     fast = O.run_protocol(params, grid, **kwargs)
     validate_setup(propagator.protocol_setup(params, grid, 1.0,
-                                             ramp_fraction, n_ramp))
-    ref = run_protocol_dense(params, grid, **kwargs)
+                                             ramp_fraction))
+    ref = run_protocol_dense(params, grid, n_ramp=n_ramp, **kwargs)
     assert np.array_equal(fast.outcome_samples, ref["outcome_samples"])
     for name in ("E_A_oracle", "E_1_oracle", "e_b_samples",
                  "energy_density_profile"):
@@ -397,7 +410,7 @@ def test_shot_means_match_per_shot_energies(params, n_modes, feedback_mode):
     r = O.run_protocol(params, grid, feedback_mode=feedback_mode,
                        n_shots=n_shots, seed=seed, coupling_scale=1.0,
                        ramp_fraction=0.0, n_profile=32)
-    st = propagator.protocol_setup(params, grid, 1.0, 0.0, 5)
+    st = propagator.protocol_setup(params, grid, 1.0, 0.0)
     # the draws: outcomes first, then the scrambling permutation
     rng = np.random.default_rng(seed)
     u = math.sqrt(st.s_pred) * rng.standard_normal(n_shots)
@@ -425,15 +438,16 @@ def test_shot_means_match_per_shot_energies(params, n_modes, feedback_mode):
                          [(0.05, 5, 6), (0.2, 3, 4), (0.0, 5, 1),
                           (0.5, 3, 3)])
 def test_run_protocol_one_action_per_distinct_step(params, monkeypatch,
+                                                   ramp_steps,
                                                    ramp_fraction, n_ramp,
                                                    calls):
     """Ramp up and down share their steps; zero-length steps need none;
     no dense expm is taken."""
     seen, dense = _count_actions(monkeypatch), []
     monkeypatch.setattr(O, "expm", lambda a: dense.append(a))
-    propagator.protocol_setup.cache_clear()
+    ramp_steps(n_ramp)
     O.run_protocol(params, O.default_grid(params, n_modes=16), n_shots=2,
-                   ramp_fraction=ramp_fraction, n_ramp=n_ramp, n_profile=16)
+                   ramp_fraction=ramp_fraction, n_profile=16)
     assert len(seen) == calls
     assert dense == []
 
@@ -493,8 +507,7 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     count(O, "feedback_displacement")
     count(propagator.WindowPropagator, "__matmul__")
     grid = O.default_grid(params, n_modes=64)
-    setup = dict(coupling_scale=0.3, ramp_fraction=0.05, n_ramp=3,
-                 n_profile=64)
+    setup = dict(coupling_scale=0.3, ramp_fraction=0.05, n_profile=64)
 
     def run(p=params, g=grid, mode="correlated", seed=1, **changes):
         return O.run_protocol(p, g, feedback_mode=mode, n_shots=50,
@@ -511,8 +524,9 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         assert a.symplectic_residual == b.symplectic_residual
 
     want = cold(mode="scrambled", seed=2)
-    # a cold call fills the memo with one density product: mq and the S
-    # half of rq (r + r/2 columns) stacked with the four shot columns
+    # a cold call fills the memo with one density product: the S rows of
+    # mq and the nonzero S half of rq (r + r/2 columns) stacked with the
+    # four shot columns
     r = want.subspace_rank
     assert cols == [r + r // 2 + 4]
     assert setup_calls
@@ -534,7 +548,7 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
                     dict(profile_times=[t_f + k * 0.1 * params.l / params.v_g
                                         for k in range(10)])):
         run()
-        st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
+        st = propagator.protocol_setup(params, grid, 0.3, 0.05)
         before = next(iter(st._profiles))
         cols.clear()
         n_rows = len(rows)
@@ -570,16 +584,16 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     # one setup has one cache key: every argument is positional-only
     with pytest.raises(TypeError):
         propagator.protocol_setup(params, grid, coupling_scale=0.3,
-                          ramp_fraction=0.05, n_ramp=3)
+                                  ramp_fraction=0.05)
     with pytest.raises(TypeError):
         propagator.protocol_setup(params, grid)
 
     # cached arrays are shared, so they are read-only
     run()
-    st = propagator.protocol_setup(params, grid, 0.3, 0.05, 3)
+    st = propagator.protocol_setup(params, grid, 0.3, 0.05)
     memo = [a for terms in st._profiles.values() for a in terms]
     assert len(memo) == 2
-    for a in (st.window.q, st.window.mq, st.a_vec, st.b_vec, st.kick_f,
+    for a in (st.window.b, st.window.l, st.a_vec, st.b_vec, st.kick_f,
               *memo):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
@@ -594,7 +608,7 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
 def _memoised_arrays(st):
     """Every array a setup holds, its profile memo included."""
     arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
-    arrays += [st.window.q, st.window.mq]
+    arrays += [st.window.b, st.window.l]
     return arrays + [a for terms in st._profiles.values() for a in terms]
 
 
@@ -612,7 +626,7 @@ def test_run_protocol_results_never_alias_the_memo(params):
               warm.energy_density_profile):
         a[...] = math.nan
     again = O.run_protocol(params, grid, **kwargs)
-    st = propagator.protocol_setup(params, grid, 0.5, 0.0, 5)
+    st = propagator.protocol_setup(params, grid, 0.5, 0.0)
     arrays = _memoised_arrays(st)
     assert len(arrays) == 7
     for a in arrays:
@@ -626,39 +640,69 @@ def test_run_protocol_results_never_alias_the_memo(params):
     assert again.E_B_oracle == cold.E_B_oracle
 
 
+def _dense_basis(b, grid, params):
+    """Q = [[b, 0], [0, B_U]], 4N x 2 r_b, from its S block b, with
+    B_U = R(b/v) b."""
+    n2, r = b.shape
+    q = np.zeros((2 * n2, 2 * r))
+    q[:n2, :r] = b
+    q[n2:, r:] = O.free_rotate(b, grid, params, params.b / params.v_g)
+    return q
+
+
+@pytest.mark.parametrize("ramp_fraction", [0.0, 0.05])
+def test_window_propagator_matches_dense_product(params, ramp_fraction):
+    """M, held as (b, l) and applied to the identity, is the dense
+    segment-by-segment product of the reference's step propagators to
+    1e-12 of its largest entry, and symplectic to 1e-13: 64 modes,
+    sudden switching and the 5% ramp."""
+    grid = O.default_grid(params, n_modes=64)
+    m = propagator.window_propagator(params, grid, 1.0, ramp_fraction)
+    prop = m @ np.eye(4 * grid.n_modes)
+    ref = window_propagator_dense(params, grid, 1.0, ramp_fraction,
+                                  propagator.N_RAMP)
+    assert np.max(np.abs(prop - ref)) <= 1e-12 * np.max(np.abs(ref))
+    omega = symplectic_form(grid.n_modes)
+    assert np.max(np.abs(prop.T @ omega @ prop - omega)) <= 1e-13
+
+
 def test_window_propagator_build_memory(params):
     """A cold build at 128 modes with the 5% ramp peaks (traced) at a
-    small multiple of what it returns, q and mq: it holds only what the
-    rest of the ramp schedule still needs (1.94x at SVD_CUT = 1e-14)."""
+    small multiple of the dense Q and MQ, two 4N x r arrays: it holds
+    only what the rest of the ramp schedule still needs.  What it
+    returns, b and l, is 3/8 of those."""
     # the first build in a process imports the quadrature rule's module;
     # a 16-mode build pays for that before the traced one
     propagator.window_propagator(params, O.default_grid(params, 16), 1.0,
-                                 0.05, 5)
+                                 0.05)
     grid = O.default_grid(params, n_modes=128)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        m = propagator.window_propagator(params, grid, 1.0, 0.05, 5)
+        m = propagator.window_propagator(params, grid, 1.0, 0.05)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * (m.q.nbytes + m.mq.nbytes)
+    dense = 2 * (4 * grid.n_modes) * (2 * m.b.shape[1]) * 8
+    assert peak <= 2.2 * dense
+    assert 8 * (m.b.nbytes + m.l.nbytes) == 3 * dense
 
 
 @pytest.mark.parametrize("n_modes", [64, 128])
 def test_covariance_profile_drops_only_zero_columns(params, n_modes):
-    """The U half of q has no S rows, so the S rows of rq in those
+    """The U half of Q has no S rows, so the S rows of RQ in those
     columns, which the profile's covariance part leaves out
-    (``_ProtocolSetup.profile_terms``), are exactly zero; no column it
+    (``ProtocolSetup.profile_terms``), are exactly zero; no column it
     keeps is."""
     grid = O.default_grid(params, n_modes=n_modes)
-    m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
-    s_rows, half = slice(0, 2 * n_modes), m.q.shape[1] // 2
-    rq_s = m.rq[s_rows]
+    m = propagator.window_propagator(params, grid, 1.0, 0.0)
+    q = _dense_basis(m.b, grid, params)
+    s_rows, half = slice(0, 2 * n_modes), m.b.shape[1]
+    rq_s = O.free_rotate(q, grid, params, m.span)[s_rows]
     assert np.all(rq_s[:, half:] == 0.0)
     assert np.all(np.any(rq_s[:, :half] != 0.0, axis=0))
-    assert np.all(np.any(m.mq[s_rows] != 0.0, axis=0))
+    assert np.all(np.any((m @ q)[s_rows] != 0.0, axis=0))
 
 
 def test_step_basis_is_complete(params):
@@ -668,8 +712,8 @@ def test_step_basis_is_complete(params):
     rounding."""
     grid = O.default_grid(params, n_modes=128)
     tau = 0.3 * params.l / params.v_g
-    b = propagator._step_basis(grid, params, tau)
-    q = propagator._dense(b, grid, params)
+    q = _dense_basis(propagator._step_basis(grid, params, tau), grid,
+                     params)
     n = grid.n_modes
     rng = np.random.default_rng(4)
     reach = params.b + params.v_g * tau
@@ -697,7 +741,7 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
                         lambda *a: steps.append((a[3], build(*a)))
                         or steps[-1][1])
     grid = O.default_grid(params, n_modes=n_modes)
-    m = propagator.window_propagator(params, grid, 1.0, ramp_fraction, 5)
+    m = propagator.window_propagator(params, grid, 1.0, ramp_fraction)
     assert m.symplectic_residual <= residual
     # H = (1/2) R^T G R with G = G_S + G_U + scale G_int is conserved:
     # probe E^T G E = G on random directions
@@ -714,7 +758,7 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
     # the plateau, and for a ramp its steps, which share a duration
     assert len(steps) == (1 if ramp_fraction == 0.0 else 2)
     for dt, (b, ls) in steps:
-        q = propagator._dense(b, grid, params)
+        q = _dense_basis(b, grid, params)
         for scale, l in ls.items():
             assert l.shape == (4 * grid.n_modes, b.shape[1])
             l = np.hstack([l, propagator._mirror(l, grid, params)])
@@ -771,15 +815,15 @@ def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
     monkeypatch.setattr(propagator, "_step_basis",
                         lambda g, p, tau: taus.append(tau)
                         or step_basis(g, p, tau))
-    m = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
+    m = propagator.window_propagator(params, grid, 1.0, 0.0)
     assert taus.count(t_f - t_i) == 1
     # the same build with no basis handed on
     build = propagator._step_propagators
     monkeypatch.setattr(propagator, "_step_propagators",
                         lambda *a: build(*a[:-1], (math.nan, None)))
-    fresh = propagator.window_propagator(params, grid, 1.0, 0.0, 5)
+    fresh = propagator.window_propagator(params, grid, 1.0, 0.0)
     assert taus.count(t_f - t_i) == 3
-    assert np.array_equal(m.q, fresh.q) and np.array_equal(m.mq, fresh.mq)
+    assert np.array_equal(m.b, fresh.b) and np.array_equal(m.l, fresh.l)
     assert (depths == [0, 0]) if doublings == 0 else (min(depths) > 0)
 
 
@@ -813,7 +857,7 @@ def test_step_doublings_follow_taylor_bound(params, monkeypatch, n_modes,
     built = []
     for ramp_fraction in (0.0, 0.05, 0.2, 0.5):
         found.clear()
-        propagator.window_propagator(params, grid, 1.0, ramp_fraction, 5)
+        propagator.window_propagator(params, grid, 1.0, ramp_fraction)
         built.append(tuple(found))
     assert built == depths
     assert 0.0 < max(norms) <= max(propagator._THETA.values())
@@ -837,7 +881,7 @@ def test_mirror_is_a_symplectic_involution(params, grid):
         O.free_rotate(propagator._mirror(z, grid, params), grid, params, t),
         rtol=0.0, atol=1e-13)
     b = propagator._step_basis(grid, params, t)
-    q = propagator._dense(b, grid, params)
+    q = _dense_basis(b, grid, params)
     r = b.shape[1]
     assert np.array_equal(propagator._mirror(q[:, :r], grid, params),
                           q[:, r:])
@@ -867,13 +911,12 @@ def test_mirror_commutes_with_coupled_generator(params, n_modes, changes):
 
 
 def test_free_window_gives_rotated_basis_bit_for_bit(params, grid):
-    """With no coupling M is free flight, sudden or ramped: mq is
-    R(span) q bit for bit, the U half included, because the mirror acts
-    on the coupled deviation only and the ramp steps make one rotation;
-    the U channel gains exactly no energy."""
+    """With no coupling M is free flight, sudden or ramped: its coupled
+    deviation l is exactly zero, because the ramp steps make one
+    rotation, and the U channel gains exactly no energy."""
     for ramp_fraction in (0.0, 0.05):
-        st = propagator.protocol_setup(params, grid, 0.0, ramp_fraction, 5)
-        assert np.array_equal(st.window.mq, st.window.rq)
+        st = propagator.protocol_setup(params, grid, 0.0, ramp_fraction)
+        assert not st.window.l.any()
         assert st.window.mirror_residual <= 1e-13
         assert st.e_u_cov == 0.0
 
@@ -891,7 +934,7 @@ def test_broken_mirror_is_refused(params, grid, monkeypatch):
     monkeypatch.setattr(propagator, "_step_propagators",
                         lambda *a: pytest.fail("step built"))
     with pytest.raises(O.StepInstability, match="mirror"):
-        propagator.window_propagator(params, grid, 1.0, 0.05, 5)
+        propagator.window_propagator(params, grid, 1.0, 0.05)
 
 
 def test_non_symplectic_window_is_refused(params, grid, monkeypatch):
@@ -899,8 +942,9 @@ def test_non_symplectic_window_is_refused(params, grid, monkeypatch):
     gives a window propagator that is not symplectic (residual ~1e31):
     the build raises StepInstability, and so does a NaN residual."""
     with pytest.raises(O.StepInstability, match="symplectic"):
-        propagator.window_propagator(params, grid, 100.0, 0.0, 5)
-    monkeypatch.setattr(propagator, "_omega_gram",
-                        lambda a: np.full((a.shape[1],) * 2, math.nan))
+        propagator.window_propagator(params, grid, 100.0, 0.0)
+    monkeypatch.setattr(propagator, "_omega_form",
+                        lambda a, c: np.full((a.shape[1], c.shape[1]),
+                                             math.nan))
     with pytest.raises(O.StepInstability, match="nan"):
-        propagator.window_propagator(params, grid, 1.0, 0.0, 5)
+        propagator.window_propagator(params, grid, 1.0, 0.0)
