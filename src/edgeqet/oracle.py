@@ -406,26 +406,25 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     (``propagator.protocol_setup``) depends only on (params, grid,
     coupling_scale, ramp_fraction) and is memoised by them, four
     entries; it holds M, the measurement's predictive variance and
-    back-action weight, the three vectors carried to t_f, every
-    coefficient of the shot energies and, for the last request of
-    profile points, the profile's covariance part and its four
-    shot-column terms.  S moves rigidly at v_g after t_f, so the
-    snapshot at t is the t_f profile at x + v_g (t - t_f), and one
-    request holds every snapshot's points.  The shot stage draws the
-    outcomes u from ``seed`` (then, when scrambled, the permutation
-    that gives the feedback values f).  Every shot energy is a
-    quadratic form in (u, f), so every mean follows from three sample
-    second moments, m2_u = u.u/n, m2_f = f.f/n and m2_x = u.f/n
-    (m2_f = m2_x = m2_u when correlated, 0 when off):
-    E_A = e_a_const + q_a m2_u, E_1 = q_1 m2_f and
-    E_B = e_u_cov + qaa m2_u + (qbb - q_1) m2_f + qab m2_x.  Besides the
-    draws, the one shot-length array formed is the per-shot E_B, and the
-    standard error comes from its deviations from that mean.  The
-    profile is covariance part + terms @ weights, the weights being the
-    same moments.  So a repeated call on one setup costs little more
-    than its draws.  The cached arrays are read-only and no result
-    shares them; ``propagator.protocol_setup.cache_clear()`` releases
-    the setups with their propagators and profiles.
+    back-action weight, the three vectors carried to t_f, the energy
+    table and, for the last request of profile points, the profile
+    table.  S moves rigidly at v_g after t_f, so the snapshot at t is
+    the t_f profile at x + v_g (t - t_f), and one request holds every
+    snapshot's points.  The shot stage draws the outcomes u from
+    ``seed`` and forms the feedback values f: u when correlated, a
+    seeded permutation of u when scrambled, zeros when off.  Every
+    shot energy is a quadratic form in (u, f), so every mean is a row
+    of a table over (1, u^2, f^2, u f) applied to the sample moments
+    m = (1, u.u/n, f.f/n, u.f/n), three dot products: E_A, E_1 and
+    E_B are ``energies @ m`` and the profile is
+    ``profile_terms(points) @ m``.  The per-shot E_B is the E_B row
+    applied in place, with the same arithmetic in every mode; besides
+    the draws and f, it and one scratch array, which holds its
+    deviations from the mean for the standard error, are the
+    shot-length arrays formed.  So a repeated call on one setup costs
+    little more than its draws.  The cached arrays are read-only and no
+    result shares them; ``propagator.protocol_setup.cache_clear()``
+    releases the setups with their propagators and profiles.
 
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
@@ -476,49 +475,40 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     st = protocol_setup(params, grid, coupling_scale, ramp_fraction)
 
     # shots: every energy is a quadratic form in (outcome, feedback), so
-    # the means follow from three second moments of the draws
+    # each mean is a row of the setup's tables applied to the moments m
     rng = np.random.default_rng(seed)
     upsilon = math.sqrt(st.s_pred) * rng.standard_normal(n_shots)
-    m2_u = float(upsilon @ upsilon) / n_shots
-    elastic = st.qbb - st.q_1
-    if feedback_mode == "correlated":
-        m2_f = m2_x = m2_u
-        e_b_samples = upsilon * upsilon
-        e_b_samples *= st.qaa + st.qbb + st.qab - st.q_1
-    elif feedback_mode == "scrambled":
-        fb = upsilon[rng.permutation(n_shots)]
-        m2_f = float(fb @ fb) / n_shots
-        m2_x = float(upsilon @ fb) / n_shots
-        e_b_samples = upsilon * (st.qaa * upsilon + st.qab * fb)
-        e_b_samples += elastic * fb * fb
-    else:
-        m2_f = m2_x = 0.0
-        e_b_samples = upsilon * upsilon
-        e_b_samples *= st.qaa
-    e_b_samples += st.e_u_cov
-    e_b_mean = (st.e_u_cov + st.qaa * m2_u + elastic * m2_f
-                + st.qab * m2_x)
-    dev = e_b_samples - e_b_mean
+    fb = (upsilon if feedback_mode == "correlated"
+          else upsilon[rng.permutation(n_shots)]
+          if feedback_mode == "scrambled" else np.zeros(n_shots))
+    m = np.array([1.0, upsilon @ upsilon, fb @ fb, upsilon @ fb])
+    m[1:] /= n_shots
+    e_a, e_1, e_b_mean = map(float, st.energies @ m)
+    # per shot, c + u (qaa u + qab f) + (el f) f in place: the result
+    # and one scratch array, which then holds the deviations
+    c, qaa, el, qab = st.energies[2]
+    e_b_samples = np.multiply(upsilon, qaa)
+    scratch = np.multiply(fb, qab)
+    e_b_samples += scratch
+    e_b_samples *= upsilon
+    np.multiply(fb, el, out=scratch)
+    scratch *= fb
+    e_b_samples += scratch
+    e_b_samples += c
+    dev = np.subtract(e_b_samples, e_b_mean, out=scratch)
     e_b_stderr = math.sqrt(float(dev @ dev) / (n_shots - 1) / n_shots)
 
-    # shot-averaged S-channel energy density at the requested times
+    # shot-averaged S-channel energy density at the requested times,
+    # every snapshot's points in one request
     half = 0.5 * grid.ring_length
     x_grid = np.linspace(-half, half, n_profile, endpoint=False)
-    # S block of the shot-averaged <R R^T> - I/2 at t_f: the covariance
-    # part (mq mq^T - rq rq^T)/2 plus the columns a, b, a + b and kick
-    # with these weights; the cross term m2_x (a b^T + b a^T) is written
-    # as m2_x ((a + b)(a + b)^T - a a^T - b b^T)
-    weights = np.array([m2_u - m2_x - st.s_pred, m2_f - m2_x, m2_x,
-                        st.back])
-    # every snapshot's points in one request
     points = x_grid + params.v_g * (profile_times - t_f)[:, None]
-    cov, terms = st.profile_terms(points.ravel())
-    profiles = (cov + terms @ weights).reshape(points.shape)
+    profiles = (st.profile_terms(points.ravel()) @ m).reshape(points.shape)
 
     return ProtocolResult(
-        E_A_oracle=st.e_a_const + st.q_a * m2_u,
+        E_A_oracle=e_a,
         E_B_oracle=e_b_mean,
-        E_1_oracle=st.q_1 * m2_f,
+        E_1_oracle=e_1,
         E_B_stderr=e_b_stderr,
         outcome_samples=upsilon,
         e_b_samples=e_b_samples,

@@ -470,11 +470,12 @@ class ProtocolSetup:
     measurement response, feedback displacement and back-action kick
     carried to t_f, and every coefficient of the shot energies: a shot
     with outcome u (variance ``s_pred``) and feedback value f has
-    E_A = e_a_const + q_a u^2,  E_1 = q_1 f^2  and
-    E_B = e_u_cov + qaa u^2 + qbb f^2 + qab u f - q_1 f^2.
-    The arrays, and those of the ``profile_terms`` request it memoises
-    (the last one), are read-only: ``protocol_setup`` hands one instance
-    to every caller with the same setup.
+    (E_A, E_1, E_B) = ``energies`` @ (1, u^2, f^2, u f), and the shot
+    means are ``energies`` @ (1, u.u/n, f.f/n, u.f/n).
+    ``profile_terms`` gives the S profile over the same columns.  The
+    arrays, and the profile table it memoises (the last request), are
+    read-only: ``protocol_setup`` hands one instance to every caller
+    with the same setup.
     """
 
     window: WindowPropagator
@@ -483,34 +484,30 @@ class ProtocolSetup:
     a_vec: np.ndarray      # posterior mean per unit outcome, at t_f
     b_vec: np.ndarray      # feedback displacement per unit value, at t_f
     kick_f: np.ndarray     # back-action direction Omega o, at t_f
-    e_a_const: float       # J
-    q_a: float             # J/V^2
-    q_1: float             # J/V^2
-    e_u_cov: float         # J
-    qaa: float             # J/V^2
-    qbb: float             # J/V^2
-    qab: float             # J/V^2
+    energies: np.ndarray   # J, J/V^2: E_A, E_1, E_B over (1, u^2, f^2, uf)
     # the last profile request: its points -> profile_terms
     _profiles: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
-    def profile_terms(self, x: np.ndarray):
-        """(cov, terms): the S energy density (J/m) at t_f at the points
-        ``x``, split by how it depends on the shots.
+    def profile_terms(self, x: np.ndarray) -> np.ndarray:
+        """The S energy density (J/m) at t_f at the points ``x``, as a
+        len(x) x 4 table over the shot moments (1, u^2, f^2, u f), like
+        ``energies``: a run's profile is the table @ its moments.
 
-        ``cov`` (len(x)) is what M adds to the vacuum,
-        (mq mq^T - rq rq^T)/2 with mq = M Q and rq = R(span) Q.  On the
-        S rows rq is [rq_s, 0] and mq is [rq_s + l_S, (Pi l)_S], so it
-        comes from those three blocks with weights +1/2, +1/2 and -1/2,
-        1.5 r columns for Q's r.  ``terms`` (len(x) x 4) are the energy
-        densities of the unit moments of the columns a, b, a + b and the
-        kick, so that a profile with moment weights w is
-        cov + terms @ w.  All five come from one
-        ``local_energy_density`` call on the stacked columns with a
-        k x 5 weight matrix.  After t_f the S channel moves freely, a
-        rigid translation at v_g, so a snapshot dt later is this profile
-        at x + v_g dt: one request can hold the points of every snapshot.
-        The last request is memoised; another one replaces it.
+        The constant column is what M adds to the vacuum,
+        (mq mq^T - rq rq^T)/2 with mq = M Q and rq = R(span) Q, plus the
+        conditioning terms -s_pred a a^T + back kick kick^T.  On the
+        S rows rq is [rq_s, 0] and mq is [rq_s + l_S, (Pi l)_S], so the
+        first part comes from those three blocks with weights +1/2,
+        +1/2 and -1/2, 1.5 r columns for Q's r.  The u^2 and f^2 columns
+        are the densities of a and b; ``local_energy_density`` forms
+        squares, so the cross term u f (a b^T + b a^T) is the density of
+        a + b less those of a and b.  All four come from one call on
+        the stacked columns with a k x 4 weight matrix.  After t_f the S
+        channel moves freely, a rigid translation at v_g, so a snapshot
+        dt later is this profile at x + v_g dt: one request can hold
+        the points of every snapshot.  The last request is memoised;
+        another one replaces it.
         """
         key = x.tobytes()
         if key not in self._profiles:
@@ -522,18 +519,18 @@ class ProtocolSetup:
             cols = np.column_stack(
                 [rq_s + m.l[s_sl], free_rotate(m.l[u_sl], grid, params, to_s),
                  rq_s, a_s, b_s, a_s + b_s, self.kick_f[s_sl]])
-            # column 0 weighs the S rows of mq by +1/2 and rq_s by -1/2,
-            # 1-4 pick a shot column each
             r = 2 * m.b.shape[1]
-            weights = np.zeros((cols.shape[1], 5))
-            weights[:r, 0] = 0.5
-            weights[r:-4, 0] = -0.5
-            weights[-4:, 1:] = np.eye(4)
-            density = O.local_energy_density(x, grid, params, cols, weights)
-            density.flags.writeable = False
-            cov, terms = density[:, 0], density[:, 1:]
+            weights = np.zeros((cols.shape[1], 4))
+            weights[:r, 0] = 0.5                 # the S rows of mq
+            weights[r:-4, 0] = -0.5              # rq_s
+            weights[-4:] = [[-self.s_pred, 1.0, 0.0, -1.0],   # a
+                            [0.0, 0.0, 1.0, -1.0],            # b
+                            [0.0, 0.0, 0.0, 1.0],             # a + b
+                            [self.back, 0.0, 0.0, 0.0]]       # kick
+            table = O.local_energy_density(x, grid, params, cols, weights)
+            table.flags.writeable = False
             self._profiles.clear()
-            self._profiles[key] = cov, terms
+            self._profiles[key] = table
         return self._profiles[key]
 
 
@@ -541,8 +538,8 @@ class ProtocolSetup:
 # reuses every setup it builds; four entries bound the memory.  The
 # window propagator is most of an entry (b and l, 2N x r/2 and
 # 4N x r/2: 18 MB at 1024 modes, 1.4 MB at 256); the rest is three 4N
-# vectors and the last request's profile terms, 40 kB per snapshot at
-# 1024 profile points.
+# vectors, the 3 x 4 energy table and the last request's profile
+# table, 32 kB per snapshot at 1024 profile points.
 @functools.lru_cache(maxsize=4)
 def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
                    coupling_scale: float, ramp_fraction: float,
@@ -553,7 +550,7 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
     the last four setups built are memoised by argument value (an equal
     ``ExperimentParams`` built separately finds the same entry);
     ``protocol_setup.cache_clear()`` releases them with their
-    propagators and profile terms.  The arguments are positional-only
+    propagators and profile tables.  The arguments are positional-only
     with no defaults: ``lru_cache`` keys on how they are passed, so
     this keeps one key per setup.
     """
@@ -574,11 +571,7 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
 
     # S-channel covariance part of the post-measurement energy
     cov_diag = 0.5 - sigma * sigma / s_pred + back * kick * kick
-    e_a_const = 0.5 * float(hw @ (cov_diag[:n] + cov_diag[n:2 * n] - 1.0))
-    q_a = 0.5 * float(hw2 @ (gain[s_sl] ** 2))  # E_A mean part per outcome^2
-
     d_unit = O.feedback_displacement(params, grid)
-    q_1 = 0.5 * float(hw2 @ (d_unit[u_sl] ** 2))  # E_1 per feedback^2
 
     # the measurement response turns freely from t = 0 to t_i, the
     # feedback displacement from T to t_i; M carries both on to t_f
@@ -602,12 +595,19 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
     excess_d = (0.5 * (np.einsum("ij,ij->i", m.l[u_sl], m.l[u_sl])
                        + np.einsum("ij,ij->i", d_u, cross))
                 - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
-    e_u_cov = 0.5 * float(hw @ (excess_d[:n] + excess_d[n:]))
+    # the energy table over (1, u^2, f^2, u f); E_B is <H_U>(t_f) less
+    # <H_U> just after the displacement, E_1
     au, bu = a_vec[u_sl], b_vec[u_sl]
-    for a in (a_vec, b_vec, kick_f):
+    q_1 = 0.5 * (hw2 @ (d_unit[u_sl] ** 2))
+    energies = np.array([
+        [0.5 * (hw @ (cov_diag[:n] + cov_diag[n:2 * n] - 1.0)),    # E_A
+         0.5 * (hw2 @ (gain[s_sl] ** 2)), 0.0, 0.0],
+        [0.0, 0.0, q_1, 0.0],                                       # E_1
+        [0.5 * (hw @ (excess_d[:n] + excess_d[n:])),                # E_B
+         0.5 * (hw2 @ (au * au)), 0.5 * (hw2 @ (bu * bu)) - q_1,
+         hw2 @ (au * bu)]])
+    for a in (a_vec, b_vec, kick_f, energies):
         a.flags.writeable = False
     return ProtocolSetup(
         window=m, s_pred=s_pred, back=back, a_vec=a_vec, b_vec=b_vec,
-        kick_f=kick_f, e_a_const=e_a_const, q_a=q_a, q_1=q_1,
-        e_u_cov=e_u_cov, qaa=0.5 * float(hw2 @ (au * au)),
-        qbb=0.5 * float(hw2 @ (bu * bu)), qab=float(hw2 @ (au * bu)))
+        kick_f=kick_f, energies=energies)

@@ -13,7 +13,8 @@ from edgeqet import params as P
 from edgeqet import oracle as O
 from edgeqet import propagator
 from edgeqet.detector import delta_v, detector_from_params, signal_rms
-from edgeqet.energetics import compute_EA, compute_E1
+from edgeqet.energetics import (_eb_integral, _eb_prefactor, compute_EA,
+                                compute_E1)
 
 from dense_reference import (channel_energy, channel_slice,
                              displace_feedback, run_protocol_dense,
@@ -417,21 +418,58 @@ def test_shot_means_match_per_shot_energies(params, n_modes, feedback_mode):
     assert np.array_equal(r.outcome_samples, u)
     f = {"correlated": u, "scrambled": u[rng.permutation(n_shots)],
          "off": np.zeros(n_shots)}[feedback_mode]
-    e_b = (st.e_u_cov + st.qaa * u ** 2 + st.qbb * f ** 2
-           + st.qab * u * f - st.q_1 * f ** 2)
+    # each row of the energy table applied to every shot's (1, u^2, f^2, uf)
+    e_a, e_1, e_b = st.energies @ np.stack([np.ones(n_shots), u * u, f * f,
+                                            u * f])
     scale = np.max(np.abs(e_b))
     assert np.max(np.abs(r.e_b_samples - e_b)) <= 1e-12 * scale
     assert abs(r.E_B_oracle - np.mean(r.e_b_samples)) <= 1e-12 * scale
-    assert r.E_A_oracle == pytest.approx(
-        np.mean(st.e_a_const + st.q_a * u ** 2), rel=1e-12, abs=0.0)
+    assert r.E_A_oracle == pytest.approx(np.mean(e_a), rel=1e-12, abs=0.0)
     if feedback_mode == "off":
         assert r.E_1_oracle == 0.0
     else:
-        assert r.E_1_oracle == pytest.approx(np.mean(st.q_1 * f ** 2),
-                                             rel=1e-12, abs=0.0)
+        assert r.E_1_oracle == pytest.approx(np.mean(e_1), rel=1e-12,
+                                             abs=0.0)
     assert r.E_B_stderr == pytest.approx(
         np.std(r.e_b_samples, ddof=1) / math.sqrt(n_shots), rel=1e-10,
         abs=0.0)
+
+
+@pytest.mark.parametrize("feedback_mode", ["correlated", "scrambled", "off"])
+def test_sample_E_B_within_five_stderr_of_ensemble_mean(params,
+                                                        feedback_mode):
+    """The E_B row applied to the ensemble moments is the exact mean: the
+    outcome u has variance s = s_pred, so E[u.u/n] = s; f is u when
+    correlated, a random permutation of u when scrambled (one fixed
+    point on average, so E[u.f/n] = s/n), zero when off.  4000 shots at
+    64 modes sample it to within 5 standard errors (|z| <= 0.36 over
+    seeds 0-4)."""
+    grid = O.default_grid(params, n_modes=64)
+    n_shots = 4000
+    r = O.run_protocol(params, grid, feedback_mode=feedback_mode,
+                       n_shots=n_shots, seed=0, coupling_scale=1.0,
+                       ramp_fraction=0.05, n_profile=16)
+    st = propagator.protocol_setup(params, grid, 1.0, 0.05)
+    s = st.s_pred
+    moments = {"correlated": (1.0, s, s, s),
+               "scrambled": (1.0, s, s, s / n_shots),
+               "off": (1.0, s, 0.0, 0.0)}[feedback_mode]
+    exact = st.energies[2] @ moments
+    assert abs(r.E_B_oracle - exact) <= 5.0 * r.E_B_stderr
+
+
+def test_gain_entry_meets_first_order_closed_form(params):
+    """The correlation gain, the E_B row's uf entry times s_pred, is
+    first order in the coupling: per unit g at g = 0.01 (sudden, 64
+    modes) it equals the closed form, -_eb_prefactor times
+    ``_eb_integral`` at eps = 0, to 1e-4 (4.9e-6 measured, from the
+    window's 4 sigma edge and the ring's periodic images)."""
+    g = 0.01
+    st = propagator.protocol_setup(params, O.default_grid(params, 64), g,
+                                   0.0)
+    closed = -_eb_prefactor(params) * _eb_integral(params, 1e-8, 0.0).value
+    assert st.energies[2, 3] * st.s_pred / g == pytest.approx(
+        closed, rel=1e-4, abs=0.0)
 
 
 @pytest.mark.parametrize("ramp_fraction,n_ramp,calls",
@@ -591,10 +629,10 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     # cached arrays are shared, so they are read-only
     run()
     st = propagator.protocol_setup(params, grid, 0.3, 0.05)
-    memo = [a for terms in st._profiles.values() for a in terms]
-    assert len(memo) == 2
+    memo = list(st._profiles.values())
+    assert len(memo) == 1 and memo[0].shape == (64, 4)
     for a in (st.window.b, st.window.l, st.a_vec, st.b_vec, st.kick_f,
-              *memo):
+              st.energies, *memo):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
     # and cache_clear releases the memo with its setup
@@ -609,7 +647,7 @@ def _memoised_arrays(st):
     """Every array a setup holds, its profile memo included."""
     arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
     arrays += [st.window.b, st.window.l]
-    return arrays + [a for terms in st._profiles.values() for a in terms]
+    return arrays + list(st._profiles.values())
 
 
 def test_run_protocol_results_never_alias_the_memo(params):
@@ -918,7 +956,7 @@ def test_free_window_gives_rotated_basis_bit_for_bit(params, grid):
         st = propagator.protocol_setup(params, grid, 0.0, ramp_fraction)
         assert not st.window.l.any()
         assert st.window.mirror_residual <= 1e-13
-        assert st.e_u_cov == 0.0
+        assert st.energies[2, 0] == 0.0
 
 
 def test_broken_mirror_is_refused(params, grid, monkeypatch):
