@@ -34,6 +34,10 @@ TWO_PI = 2.0 * math.pi
 #: coordinate (``_coupling_nodes``).
 N_QUAD = 96
 
+#: Floats of density rows per block of points in ``local_energy_density``
+#: (64 points at 256 modes, 16 at 1024).
+PROFILE_BLOCK = 2 ** 15
+
 
 class DegenerateObservable(RuntimeError):
     """Measured observable has (numerically) no variance."""
@@ -135,15 +139,25 @@ def local_energy_density(x_grid, grid: ModeGrid,
     quadratures, mean included, is given factored as
     cols diag(weights) cols^T (``cols`` 2N x k), so
     eps(x) = (pi hbar v_g / nu) sum_j w_j (u(x) . c_j)^2 costs the
-    n_x x 2N density rows u at ``x_grid`` and one n_x x 2N by 2N x k
-    product.  ``weights`` k x m (instead of length k) gives m densities,
-    one per column, from that one product.
+    density rows u at ``x_grid`` and their product with ``cols``.
+    ``weights`` k x m (instead of length k) gives m densities, one per
+    column, from that one product.  The points are taken in blocks of
+    about PROFILE_BLOCK floats of rows, each block's result written into
+    the output, so the memory beyond the output and ``cols`` is one
+    block's rows and product whatever the number of points.
     """
     nu = params.nu_S if channel == "S" else params.nu_U
     chirality = {"S": "left", "U": "right"}[channel]
-    v = density_basis(grid, nu, x_grid, chirality) @ cols
-    v *= v
-    return math.pi * P.HBAR * params.v_g / nu * (v @ weights)
+    x = np.asarray(x_grid, dtype=float).ravel()
+    scale = math.pi * P.HBAR * params.v_g / nu
+    out = np.empty(x.shape + np.shape(weights)[1:])
+    step = max(1, PROFILE_BLOCK // (2 * grid.n_modes))
+    for start in range(0, x.size, step):
+        block = slice(start, start + step)
+        v = density_basis(grid, nu, x[block], chirality) @ cols
+        v *= v
+        np.multiply(v @ weights, scale, out=out[block])
+    return out
 
 
 # Hamiltonians ---------------------------------------------------------
@@ -411,9 +425,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     table.  S moves rigidly at v_g after t_f, so the snapshot at t is
     the t_f profile at x + v_g (t - t_f), and one request holds every
     snapshot's points.  The shot stage draws the outcomes u from
-    ``seed`` and forms the feedback values f: u when correlated, a
-    seeded permutation of u when scrambled, zeros when off.  Every
-    shot energy is a quadratic form in (u, f), so every mean is a row
+    ``seed`` and forms the feedback values f: u when correlated, a copy
+    of u shuffled by the same generator when scrambled, zeros when off.
+    Every shot energy is a quadratic form in (u, f), so every mean is a row
     of a table over (1, u^2, f^2, u f) applied to the sample moments
     m = (1, u.u/n, f.f/n, u.f/n), three dot products: E_A, E_1 and
     E_B are ``energies @ m`` and the profile is
@@ -478,9 +492,11 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     # each mean is a row of the setup's tables applied to the moments m
     rng = np.random.default_rng(seed)
     upsilon = math.sqrt(st.s_pred) * rng.standard_normal(n_shots)
-    fb = (upsilon if feedback_mode == "correlated"
-          else upsilon[rng.permutation(n_shots)]
-          if feedback_mode == "scrambled" else np.zeros(n_shots))
+    if feedback_mode == "scrambled":
+        fb = upsilon.copy()
+        rng.shuffle(fb)
+    else:
+        fb = upsilon if feedback_mode == "correlated" else np.zeros(n_shots)
     m = np.array([1.0, upsilon @ upsilon, fb @ fb, upsilon @ fb])
     m[1:] /= n_shots
     e_a, e_1, e_b_mean = map(float, st.energies @ m)

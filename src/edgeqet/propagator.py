@@ -25,7 +25,10 @@ breaks it.
 The build holds only what the rest of the schedule still needs.
 ``window_propagator`` computes the window basis first; with sudden
 switching the plateau is the window, and its last doubling level takes
-that basis instead of computing it again.  It then builds the distinct
+that basis instead of computing it again.  Every shorter step reads an
+interval inside the window's, so its basis is taken inside the window
+basis (``_step_basis``): the build makes one SVD of 2N-row density
+samples, whatever its number of steps.  It then builds the distinct
 coupled steps, longest first, so that the plateau's doubling
 temporaries never sit beside the finished ramp steps; ramp steps share
 their duration, so they share each level's basis, which lives for that
@@ -120,31 +123,27 @@ def _doublings(norm: float) -> int:
 
 
 def expm_action(apply, b: np.ndarray, norm: float) -> np.ndarray:
-    """exp(A) @ b for A given as ``apply`` (x -> A @ x),
+    """exp(A) @ b for A given as ``apply`` (x -> A @ x, a new array),
     ||A||_1 <= norm <= theta_30.
 
-    One truncated Taylor series of at most m terms, the fewest whose
-    theta_m covers the norm bound, cut short once two successive terms
-    drop below double precision of the sum (infinity norms): the
-    exponential action of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488
-    (2011), Algorithm 3.2) with its scaling done by the caller's
-    doublings (``_step_propagators``).  scipy's ``expm_multiply`` would
-    estimate the norm from numpy's global random stream, and the last
-    bits of its result, which reach the output files, would then differ
-    from run to run.
+    One truncated Taylor series of m terms, m the fewest whose theta_m
+    covers the norm bound: the exponential action of Al-Mohy & Higham
+    (SIAM J. Sci. Comput. 33, 488 (2011), Algorithm 3.2) with its
+    scaling done by the caller's doublings (``_step_propagators``) and
+    without its early stop, which never fires on these steps (every
+    action of a 5%-ramp build takes its m terms at 256 and at 1024
+    modes) and costs an infinity norm per term.  scipy's
+    ``expm_multiply`` would estimate the norm from numpy's global
+    random stream, and the last bits of its result, which reach the
+    output files, would then differ from run to run.
     """
     terms = min(m for m, theta in _THETA.items() if norm <= theta)
     f = b.copy()
-    term = b.copy()
-    c1 = np.linalg.norm(term, np.inf)
+    term = b
     for j in range(1, terms + 1):
         term = apply(term)
         term /= j
-        c2 = np.linalg.norm(term, np.inf)
         f += term
-        if c1 + c2 <= 2.0 ** -53 * np.linalg.norm(f, np.inf):
-            break
-        c1 = c2
     return f
 
 
@@ -155,8 +154,8 @@ def _samples(grid: ModeGrid, length: float) -> int:
     return min(math.ceil(0.5 * grid.k[-1] * length) + 40, 2 * grid.n_modes)
 
 
-def _step_basis(grid: ModeGrid, params: P.ExperimentParams,
-                tau: float) -> np.ndarray:
+def _step_basis(grid: ModeGrid, params: P.ExperimentParams, tau: float,
+                window: np.ndarray | None = None) -> np.ndarray:
     """B_tau, 2N x r/2 orthonormal: the S block of Q_tau, which spans
     all the coupling reads during a step of length tau, in terms of the
     state at the start of the step.
@@ -167,15 +166,26 @@ def _step_basis(grid: ModeGrid, params: P.ExperimentParams,
     same length and u_U(y) is u_S(-y) up to a constant, so one channel
     basis serves both: Q_tau = [[B, 0], [0, B_U]] with B_U = R(b/v) B,
     the mirror of [B; 0] (``_mirror_blocks``).  B is the SVD basis of
-    the S density vectors at ``_samples`` Chebyshev points, cut at
+    the S density samples D at ``_samples`` Chebyshev points, cut at
     SVD_CUT.
+
+    ``window``, the basis of a step at least as long (the window's),
+    already spans the samples, since [0, b + v tau] lies inside its
+    interval: B is then ``window`` @ U with U the SVD basis of
+    window^T D, cut at SVD_CUT.  Its singular values are those of D (the
+    window is orthonormal), so the cut keeps the same rank, and the SVD
+    is of an r/2 x m matrix instead of 2N x m.
     """
     length = params.b + params.v_g * tau
     m = _samples(grid, length)
     x = 0.5 * length * (1.0 - np.cos(np.pi * (np.arange(m) + 0.5) / m))
-    u, sv, _ = np.linalg.svd(density_basis(grid, 1.0, x, "left").T,
-                             full_matrices=False)
-    return u[:, sv > SVD_CUT * sv[0]]
+    d = density_basis(grid, 1.0, x, "left").T
+    if window is not None:
+        d = window.T @ d
+    u, sv, _ = np.linalg.svd(d, full_matrices=False)
+    del d
+    u = u[:, sv > SVD_CUT * sv[0]]
+    return u if window is None else window @ u
 
 
 def _mirror_blocks(grid: ModeGrid, params: P.ExperimentParams):
@@ -207,10 +217,14 @@ def _mirror(a: np.ndarray, grid: ModeGrid,
 
 
 def _apply(b: np.ndarray, l: np.ndarray, dt: float, x: np.ndarray,
-           grid: ModeGrid, params: P.ExperimentParams) -> np.ndarray:
+           grid: ModeGrid, params: P.ExperimentParams,
+           g: np.ndarray | None = None) -> np.ndarray:
     """E x for the propagator E = R(dt) + [l, Pi l] Q^T held as (b, l),
     Q = [[b, 0], [0, B_U]] = [[b; 0], Pi [b; 0]]: x becomes
     R(dt) x + l (b^T x_S) + Pi l (B_U^T x_U), in place, and is returned.
+    ``g`` (r_b x x's columns) is added to b^T x_S: the result is then
+    E x + l g, with no product of its own (the doublings,
+    ``_step_propagators``).
 
     B_U and Pi l enter one channel at a time, as the turned rows of b
     and l (2N-row temporaries): in the build b and l have no more
@@ -218,6 +232,8 @@ def _apply(b: np.ndarray, l: np.ndarray, dt: float, x: np.ndarray,
     """
     n2 = b.shape[0]
     c_s = b.T @ x[:n2]
+    if g is not None:
+        c_s += g
     c_u = free_rotate(b, grid, params, params.b / params.v_g).T @ x[n2:]
     free_rotate(x, grid, params, dt, out=x)
     for rows, other, t in _mirror_blocks(grid, params):
@@ -281,7 +297,8 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     E Q - R Q on the S-half columns [b; 0] of Q (``_apply``).
     ``window`` = (span, B_span) is the window's basis, already built: a
     level of duration span (sudden switching) uses it instead of
-    building it again.
+    building it again, and every shorter level takes its basis inside
+    it (``_step_basis``), so the build makes one SVD of 2N-row samples.
 
     A = Omega (hw + hw + scale K) / hbar, with K = f_s f_u^T from
     ``factors`` = (f_s, f_u, ||K||_1 bound).  One ``expm_action`` per
@@ -294,8 +311,8 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     E(2h) Q_2h - R(2h) Q_2h are E(h) L + l G with L = l P0 the
     deviation E(h) Q_2h - R(h) Q_2h of those columns after one step,
     P0 = B_h^T B_2h and G = B_h^T R(h) B_2h: one ``_apply`` of E(h)
-    and one product.  The scales share each level's basis, which lives
-    for that level only.
+    to L with G added to its coefficient of l.  The scales share each
+    level's basis, which lives for that level only.
     """
     f_s, f_u, k_norm = factors
     n = grid.n_modes
@@ -316,7 +333,7 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
 
     def basis(tau):
         return (window[1] if tau == window[0]
-                else _step_basis(grid, params, tau))
+                else _step_basis(grid, params, tau, window[1]))
 
     b = basis(h)
     q_s = np.zeros((4 * n, b.shape[1]))
@@ -332,9 +349,7 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
         p0 = b.T @ b2
         g = b.T @ free_rotate(b2, grid, params, h)
         for scale, l in ls.items():
-            lp = _apply(b, l, h, l @ p0, grid, params)
-            lp += l @ g
-            ls[scale] = lp
+            ls[scale] = _apply(b, l, h, l @ p0, grid, params, g)
         del l
         b, h = b2, 2.0 * h
     return b, ls
@@ -378,9 +393,10 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     """The propagator over the interaction window, on the coupling's
     subspace.
 
-    b is the S block of Q_(t_f - t_i) (``_step_basis``).  l is built in
-    time order through the ``ramp_schedule``: each distinct
-    (duration, scale) step with a nonzero coupling costs one
+    b is the S block of Q_(t_f - t_i) (``_step_basis``), the one basis
+    built from the full density samples: every step's basis is taken
+    inside it.  l is built in time order through the ``ramp_schedule``:
+    each distinct (duration, scale) step with a nonzero coupling costs one
     ``expm_action`` (``_step_propagators``), and applying a step to the
     S-half columns [b; 0] costs O(N r r_step) (``_apply``).  No 4N x 4N
     matrix is formed, and no U-half column: M commutes with the
@@ -503,7 +519,10 @@ class ProtocolSetup:
         are the densities of a and b; ``local_energy_density`` forms
         squares, so the cross term u f (a b^T + b a^T) is the density of
         a + b less those of a and b.  All four come from one call on
-        the stacked columns with a k x 4 weight matrix.  After t_f the S
+        the stacked columns with a k x 4 weight matrix, which takes the
+        points in blocks (``oracle.PROFILE_BLOCK``): beyond the table
+        and the stacked columns a request holds one block's density
+        rows and product, however many points it has.  After t_f the S
         channel moves freely, a rigid translation at v_g, so a snapshot
         dt later is this profile at x + v_g dt: one request can hold
         the points of every snapshot.  The last request is memoised;

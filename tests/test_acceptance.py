@@ -124,7 +124,7 @@ def test_c03_measurement_energy_band_and_quadrature(params, report):
     in_band = 0.1e-3 * P.E_CHARGE <= e_a <= 10e-3 * P.E_CHARGE
     matches = abs(quad - e_a) <= 1e-8 * e_a
     assert l2 == pytest.approx(
-        g * g * window_derivative_l2(w, 2) / g / g, rel=1e-9)
+        g * g * window_derivative_l2(w, 2) / g / g, rel=1e-9, abs=0.0)
     report(3, in_band and matches,
             f"E_A = {e_a * MEV:.4f} meV in [0.1, 10] meV; "
             f"quadrature route agrees to {abs(quad / e_a - 1):.1e}")

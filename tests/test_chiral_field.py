@@ -30,10 +30,12 @@ def test_window_derivatives_match_finite_differences(window):
     x = np.linspace(-3e-5, 3e-5, 11)
     h = 1e-9  # small against sigma = 1e-5, large against fp noise
     d1 = (window(x + h) - window(x - h)) / (2 * h)
-    assert window.derivative(x, order=1) == pytest.approx(d1, rel=1e-6)
+    assert window.derivative(x, order=1) == pytest.approx(d1, rel=1e-6,
+                                                          abs=0.0)
     h = 1e-7
     d2 = (window(x + h) - 2 * window(x) + window(x - h)) / h ** 2
-    assert window.derivative(x, order=2) == pytest.approx(d2, rel=1e-4)
+    assert window.derivative(x, order=2) == pytest.approx(d2, rel=1e-4,
+                                                          abs=0.0)
     with pytest.raises(ValueError):
         window.derivative(x, order=3)
 
@@ -45,7 +47,7 @@ def test_derivative_l2_closed_forms(window):
     for order in (1, 2):
         sampled = np.trapezoid(window.derivative(x, order=order) ** 2, x)
         assert window_derivative_l2(window, order) == pytest.approx(
-            sampled, rel=1e-8)
+            sampled, rel=1e-8, abs=0.0)
     with pytest.raises(ValueError):
         window_derivative_l2(window, 3)
 
@@ -59,7 +61,7 @@ def test_fourier_abs_is_transform_magnitude(window):
         g = window(x) if order == 0 else window.derivative(x, order=1)
         ft = np.trapezoid(g * np.exp(-1j * k * x), x)
         assert fourier_abs(window, k, order=order) == pytest.approx(
-            abs(ft), rel=1e-7)
+            abs(ft), rel=1e-7, abs=0.0)
 
 
 def test_correlator_values():
@@ -70,7 +72,7 @@ def test_correlator_values():
     # large-x tail: Re Delta -> -nu/(4 pi^2 x^2)
     x = 1e-3
     assert kern.correlator(x).real == pytest.approx(
-        -3.0 / (4 * math.pi ** 2 * x ** 2), rel=1e-6)
+        -3.0 / (4 * math.pi ** 2 * x ** 2), rel=1e-6, abs=0.0)
     with pytest.raises(ValueError):
         CorrelatorKernel(nu=0.0, eps_uv=1e-7)
 
@@ -82,7 +84,8 @@ def test_spectral_weight_is_correlator_transform():
     k = np.linspace(0, 60 / 1e-7, 2_000_001)
     x = 2.5e-7
     val = np.trapezoid(kern.spectral_weight(k) * np.exp(-1j * k * x), k)
-    assert val.real == pytest.approx(kern.correlator(x).real, rel=1e-6)
+    assert val.real == pytest.approx(kern.correlator(x).real, rel=1e-6,
+                                     abs=0.0)
 
 
 def test_quad_form_spectral_vs_position_space():
@@ -93,7 +96,7 @@ def test_quad_form_spectral_vs_position_space():
     closed = quad_form_vacuum(3.0, 1e-7, window, order=1)
     direct = quad_form_vacuum_position_space(kern, window, order=1)
     assert closed > 0
-    assert direct == pytest.approx(closed, rel=1e-6)
+    assert direct == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -109,14 +112,14 @@ def test_quad_form_closed_form_matches_spectral_quadrature(order, ratio):
                                           coupling=1.5, rel_tol=1e-14)
     closed = quad_form_vacuum(3.0, ratio * sigma, window, order=order,
                               coupling=1.5)
-    assert closed == pytest.approx(reference, rel=1e-13)
+    assert closed == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_moment_without_regulator_is_gamma_function(n):
     sigma = 1e-5
     exact = math.gamma(0.5 * (n + 1)) / (2.0 * sigma ** (n + 1))
-    assert _moment(n, 0.0, sigma) == pytest.approx(exact, rel=1e-15)
+    assert _moment(n, 0.0, sigma) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 def test_quad_form_scaling(params):
@@ -124,9 +127,11 @@ def test_quad_form_scaling(params):
     base = quad_form_vacuum(params.nu_S, params.eps_uv, window, order=1)
     # quadratic in the coupling, linear in nu
     assert quad_form_vacuum(params.nu_S, params.eps_uv, window, order=1,
-                            coupling=2.0) == pytest.approx(4 * base, rel=1e-12)
+                            coupling=2.0) == pytest.approx(
+        4 * base, rel=1e-12, abs=0.0)
     assert quad_form_vacuum(2 * params.nu_S, params.eps_uv, window,
-                            order=1) == pytest.approx(2 * base, rel=1e-12)
+                            order=1) == pytest.approx(2 * base, rel=1e-12,
+                                                      abs=0.0)
     assert quad_form_vacuum(params.nu_S, params.eps_uv, window, order=1,
                             coupling=0.0) == 0.0
     # eps_uv = 0 is finite and lies above every regulated value

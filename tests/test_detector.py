@@ -15,9 +15,9 @@ def test_delta_v_closed_form(params):
     x = det.omega_c * det.R * det.C
     expected = math.sqrt(P.HBAR / (2 * math.pi * det.R * det.C ** 2)
                          * math.log1p(x * x))
-    assert delta_v(det) == pytest.approx(expected, rel=1e-14)
+    assert delta_v(det) == pytest.approx(expected, rel=1e-14, abs=0.0)
     # the quoted setup lands at 12.43 uV, the expected ~10 uV order
-    assert delta_v(det) == pytest.approx(12.43e-6, rel=1e-3)
+    assert delta_v(det) == pytest.approx(12.43e-6, rel=1e-3, abs=0.0)
 
 
 def test_delta_v_monotone_in_cutoff(params):
@@ -32,17 +32,17 @@ def test_delta_v_monotone_in_cutoff(params):
 def test_signal_rms_order(params):
     rms = signal_rms(params)
     # O(100 uV); frozen value 77.76 uV
-    assert rms == pytest.approx(77.76e-6, rel=1e-3)
+    assert rms == pytest.approx(77.76e-6, rel=1e-3, abs=0.0)
     # scales linearly with the drive e v_g R
     assert signal_rms(params.replace(R=2 * params.R)) == pytest.approx(
-        2 * rms, rel=1e-10)
+        2 * rms, rel=1e-10, abs=0.0)
 
 
 def test_measurement_coupling(params):
     dv = delta_v(detector_from_params(params))
     g = measurement_coupling(params)
     assert g == pytest.approx(
-        P.E_CHARGE * params.v_g * params.R / (2 * dv), rel=1e-14)
+        P.E_CHARGE * params.v_g * params.R / (2 * dv), rel=1e-14, abs=0.0)
     # no spectral band, no vacuum noise: the guard on dV refuses it
     with pytest.raises(ValueError):
         measurement_coupling(params.replace(omega_c=0.0))

@@ -87,9 +87,10 @@ def test_EA_closed_form_vs_quadrature(params):
     spec = IntegrationSpec(bounds=((-10 * w.sigma, 10 * w.sigma),),
                            rel_tol=1e-12)
     l2 = integrate_1d(lambda x: w.derivative(x, order=2) ** 2, spec).value
-    assert window_derivative_l2(w, order=2) == pytest.approx(l2, rel=1e-8)
+    assert window_derivative_l2(w, order=2) == pytest.approx(l2, rel=1e-8,
+                                                             abs=0.0)
     # frozen value at the defaults
-    assert e_a * 1e3 / P.E_CHARGE == pytest.approx(0.8672, rel=1e-3)
+    assert e_a * 1e3 / P.E_CHARGE == pytest.approx(0.8672, rel=1e-3, abs=0.0)
 
 
 def test_gs_squared_matches_cutoff_free_closed_form(params):
@@ -97,9 +98,9 @@ def test_gs_squared_matches_cutoff_free_closed_form(params):
     g = (P.E_CHARGE * params.v_g * params.R
          / (2 * delta_v(detector_from_params(params))))
     closed = g * g * params.nu_S / (4 * math.pi * params.l ** 2)
-    assert gs_squared(params) == pytest.approx(closed, rel=0.02)
+    assert gs_squared(params) == pytest.approx(closed, rel=0.02, abs=0.0)
     assert gs_squared(params.replace(eps_uv=params.l / 1e4)) == \
-        pytest.approx(closed, rel=2e-4)
+        pytest.approx(closed, rel=2e-4, abs=0.0)
 
 
 def test_E1_band_and_structure(params):
@@ -109,11 +110,11 @@ def test_E1_band_and_structure(params):
     expected = (math.pi * P.HBAR * params.v_g / params.nu_U
                 * window_derivative_l2(lam, order=1)
                 * (gs_squared(params) + 0.25))
-    assert e_1 == pytest.approx(expected, rel=1e-12)
+    assert e_1 == pytest.approx(expected, rel=1e-12, abs=0.0)
     # quadratic in the feedback amplitude (through the profile L2 norm)
     ratio = compute_E1(params.replace(lambda_amp=20.0)) / e_1
     # the <G^2>+1/4 factor is amplitude-independent
-    assert ratio == pytest.approx(4.0, rel=1e-10)
+    assert ratio == pytest.approx(4.0, rel=1e-10, abs=0.0)
 
 
 def test_feedback_window_geometry(params):
@@ -179,16 +180,18 @@ def test_EB_matches_wofz_rule(params, monkeypatch):
     for mult, value in ours.items():
         reference = compute_EB(params.replace(L=mult * params.l),
                                rel_tol=1e-8)
-        assert value == pytest.approx(reference, rel=2e-12), f"L={mult}l"
+        assert value == pytest.approx(reference, rel=2e-12,
+                                      abs=0.0), f"L={mult}l"
 
 
 def test_EB_frozen_values(params, eb_default):
     """Regression against the frozen separation scan (micro-eV)."""
-    assert eb_default * UEV == pytest.approx(40.291086, rel=1e-4)
+    assert eb_default * UEV == pytest.approx(40.291086, rel=1e-4, abs=0.0)
     frozen = {3: 55.849898, 4: 8.245024, 5: -4.748838}
     for mult, value in frozen.items():
         e_b = compute_EB(params.replace(L=mult * params.l), rel_tol=1e-4)
-        assert e_b * UEV == pytest.approx(value, rel=1e-4), f"L = {mult}l"
+        assert e_b * UEV == pytest.approx(value, rel=1e-4,
+                                          abs=0.0), f"L = {mult}l"
 
 
 def _non_causal_EB(p, rel_tol):
@@ -205,7 +208,8 @@ def test_EB_full_window_matches_faddeeva_reduction(params):
         p = params.replace(L=mult * params.l)
         production = _non_causal_EB(p, 1e-5)
         reference = quintic_reference(p)
-        assert production == pytest.approx(reference, rel=2e-4), f"L={mult}l"
+        assert production == pytest.approx(reference, rel=2e-4,
+                                           abs=0.0), f"L={mult}l"
 
 
 def test_EB_causal_window_effect(params):
@@ -217,7 +221,7 @@ def test_EB_causal_window_effect(params):
     p5 = params.replace(L=5 * params.l)
     at_5l = compute_EB(p5, rel_tol=1e-4)
     full_5l = _non_causal_EB(p5, 1e-4)
-    assert full_5l == pytest.approx(at_5l, rel=0.005)
+    assert full_5l == pytest.approx(at_5l, rel=0.005, abs=0.0)
 
 
 def test_EB_matches_4d_reference(params):
@@ -229,7 +233,8 @@ def test_EB_matches_4d_reference(params):
         production = (compute_EB(p, rel_tol=1e-8) if causal
                       else _non_causal_EB(p, 1e-8))
         assert production == pytest.approx(
-            -E._eb_prefactor(p) * reference.value, rel=1e-6), f"L={mult}l"
+            -E._eb_prefactor(p) * reference.value, rel=1e-6,
+            abs=0.0), f"L={mult}l"
 
 
 def test_EB_node_doubling_at_long_separation(params):
@@ -241,7 +246,7 @@ def test_EB_node_doubling_at_long_separation(params):
     assert res.error_estimate <= 1e-4 * abs(res.value)
     n = E._EB_START_NODES * 2 ** res.subdivisions_used
     finer = E._eb_rule(p, p.eps_uv, True, 2 * n)
-    assert res.value == pytest.approx(finer, rel=1e-4)
+    assert res.value == pytest.approx(finer, rel=1e-4, abs=0.0)
     e_b = compute_EB(p)
     assert e_b == -E._eb_prefactor(p) * res.value
     assert e_b.error_estimate == abs(E._eb_prefactor(p) * res.error_estimate)
@@ -272,7 +277,7 @@ def test_EB_non_finite_rule_raises_at_once(params):
 
 def test_EB_linearity_in_feedback_amplitude(params, eb_default):
     double = compute_EB(params.replace(lambda_amp=20.0), rel_tol=1e-4)
-    assert double == pytest.approx(2.0 * eb_default, rel=1e-10)
+    assert double == pytest.approx(2.0 * eb_default, rel=1e-10, abs=0.0)
     assert compute_EB(params.replace(lambda_amp=0.0), rel_tol=1e-4) == 0.0
 
 
@@ -309,9 +314,9 @@ def test_EB_sign_structure(params):
 
 def test_order_estimate_value_and_scaling(params):
     est = eb_order_estimate(params)
-    assert est * UEV == pytest.approx(57.99, rel=1e-3)
+    assert est * UEV == pytest.approx(57.99, rel=1e-3, abs=0.0)
     assert eb_order_estimate(params.replace(L=2 * params.L)) == \
-        pytest.approx(est / 32, rel=1e-12)
+        pytest.approx(est / 32, rel=1e-12, abs=0.0)
 
 
 def test_order_estimate_within_decade_of_integral(params):
@@ -345,9 +350,10 @@ def test_fit_scaling_exponent(params):
 def test_current_energy_density_conversion(params):
     eps = energy_density_from_current(1e-8, params)
     # 10 nA pairs with ~1.34 ueV/um at nu_U = 6
-    assert eps / P.E_CHARGE * 1e6 / 1e6 == pytest.approx(1.3426, rel=1e-3)
+    assert eps / P.E_CHARGE * 1e6 / 1e6 == pytest.approx(1.3426, rel=1e-3,
+                                                         abs=0.0)
     assert current_from_energy_density(eps, params) == \
-        pytest.approx(1e-8, rel=1e-12)
+        pytest.approx(1e-8, rel=1e-12, abs=0.0)
     assert current_from_energy_density(0.0, params) == 0.0
     with pytest.raises(ValueError):
         current_from_energy_density(-1.0, params)
@@ -356,9 +362,9 @@ def test_current_energy_density_conversion(params):
 def test_energy_budget_aggregates(params, eb_default):
     budget = energy_budget(params, rel_tol=1e-4)
     assert isinstance(budget, EnergyBudget)
-    assert budget.E_B == pytest.approx(eb_default, rel=1e-6)
-    assert budget.E_A == pytest.approx(compute_EA(params), rel=1e-12)
-    assert budget.E_1 == pytest.approx(compute_E1(params), rel=1e-12)
+    assert budget.E_B == pytest.approx(eb_default, rel=1e-6, abs=0.0)
+    assert budget.E_A == pytest.approx(compute_EA(params), rel=1e-12, abs=0.0)
+    assert budget.E_1 == pytest.approx(compute_E1(params), rel=1e-12, abs=0.0)
     assert budget.thermal == pytest.approx(P.KB * params.temperature)
     assert budget.detect_current > 0
     assert budget.E_A > budget.E_B > 0
@@ -373,19 +379,21 @@ def test_energy_budget_aggregates(params, eb_default):
                       "E_B_unregularized", "E_B_unregularized_shift",
                       "E_B_order_estimate", "thermal", "detect_current"}
     # the regulator bias: E_B at eps_uv = 0 lies 2.68% above E_B
-    assert budget.E_B_unregularized * UEV == pytest.approx(41.3706, rel=1e-4)
+    assert budget.E_B_unregularized * UEV == pytest.approx(
+        41.3706, rel=1e-4, abs=0.0)
     assert budget.E_B_unregularized_shift == pytest.approx(
-        budget.E_B_unregularized / budget.E_B - 1.0, rel=1e-12)
+        budget.E_B_unregularized / budget.E_B - 1.0, rel=1e-12, abs=0.0)
     assert budget.E_B_unregularized_shift == pytest.approx(0.0268, abs=5e-4)
     # E_1 and the signal RMS at eps_uv = 0: +1.30% and +0.67%; the
     # oracle's exact mean packet energy is 4.972065e-21 J
     assert budget.E_1_unregularized == pytest.approx(
-        compute_E1(params.replace(eps_uv=0.0)), rel=1e-15)
-    assert budget.E_1_unregularized == pytest.approx(4.972041e-21, rel=1e-6)
+        compute_E1(params.replace(eps_uv=0.0)), rel=1e-15, abs=0.0)
+    assert budget.E_1_unregularized == pytest.approx(
+        4.972041e-21, rel=1e-6, abs=0.0)
     assert budget.E_1_unregularized / budget.E_1 - 1.0 == pytest.approx(
         0.0130, abs=5e-4)
     assert budget.signal_rms_unregularized * 1e6 == pytest.approx(
-        78.2828, rel=1e-5)
+        78.2828, rel=1e-5, abs=0.0)
     assert budget.signal_rms_unregularized / budget.signal_rms - 1.0 == \
         pytest.approx(0.0067, abs=5e-4)
 

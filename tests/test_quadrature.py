@@ -28,7 +28,7 @@ def test_1d_polynomial_exact():
     spec = IntegrationSpec(bounds=((0.0, 2.0),), rel_tol=1e-12)
     res = integrate_1d(lambda x: 7 * x ** 6, spec)
     assert res.converged
-    assert res.value == pytest.approx(2.0 ** 7, rel=1e-14)
+    assert res.value == pytest.approx(2.0 ** 7, rel=1e-14, abs=0.0)
 
 
 def test_1d_oscillatory_adaptive():
@@ -43,7 +43,7 @@ def test_1d_oscillatory_adaptive():
 def test_1d_gaussian_tail():
     spec = IntegrationSpec(bounds=((-8.0, 8.0),), rel_tol=1e-12)
     res = integrate_1d(lambda x: np.exp(-x * x), spec)
-    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12, abs=0.0)
 
 
 def test_convergence_failure_carries_partial_result():
@@ -62,13 +62,13 @@ def test_convergence_failure_carries_partial_result():
 def test_2d_separable_gaussian():
     res = integrate_nd(lambda p: np.exp(-p[:, 0] ** 2 - p[:, 1] ** 2),
                        ((-6.0, 6.0), (-6.0, 6.0)), rel_tol=1e-10)
-    assert res.value == pytest.approx(math.pi, rel=1e-10)
+    assert res.value == pytest.approx(math.pi, rel=1e-10, abs=0.0)
 
 
 def test_3d_polynomial():
     res = integrate_nd(lambda p: p[:, 0] * p[:, 1] ** 2 * p[:, 2] ** 3,
                        ((0.0, 1.0),) * 3, rel_tol=1e-12)
-    assert res.value == pytest.approx(0.5 * (1 / 3) * 0.25, rel=1e-12)
+    assert res.value == pytest.approx(0.5 * (1 / 3) * 0.25, rel=1e-12, abs=0.0)
 
 
 def test_4d_anisotropic_needs_subdivision():
@@ -76,7 +76,7 @@ def test_4d_anisotropic_needs_subdivision():
         lambda p: np.sin(12 * p[:, 0]) ** 2 + p[:, 1] * p[:, 2] * p[:, 3],
         ((0.0, 1.0),) * 4, rel_tol=1e-8, max_subdivisions=400)
     exact = 0.5 - math.sin(24) / 48 + 0.125
-    assert res.value == pytest.approx(exact, rel=1e-8)
+    assert res.value == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
 def test_nd_determinism():
