@@ -132,31 +132,33 @@ def density_basis(grid: ModeGrid, nu: float, x, chirality: str) -> np.ndarray:
 
 def local_energy_density(x_grid, grid: ModeGrid,
                          params: P.ExperimentParams, cols: np.ndarray,
-                         weights, channel: str = "S") -> np.ndarray:
+                         pairs, channel: str = "S") -> np.ndarray:
     """Normal-ordered <eps(x)> = (pi hbar v_g / nu) <:rho(x)^2:>, J/m.
 
     The channel's normal-ordered second moment <R R^T> - I/2 over its 2N
-    quadratures, mean included, is given factored as
-    cols diag(weights) cols^T (``cols`` 2N x k), so
-    eps(x) = (pi hbar v_g / nu) sum_j w_j (u(x) . c_j)^2 costs the
-    density rows u at ``x_grid`` and their product with ``cols``.
-    ``weights`` k x m (instead of length k) gives m densities, one per
-    column, from that one product.  The points are taken in blocks of
-    about PROFILE_BLOCK floats of rows, each block's result written into
-    the output, so the memory beyond the output and ``cols`` is one
-    block's rows and product whatever the number of points.
+    quadratures, mean included, is given factored as column pairs:
+    ``pairs`` = (i, j, w) makes it sum_p w_p sym(c_(i_p) c_(j_p)^T) over
+    the columns c of ``cols`` (2N x k), with squares the pairs i = j, so
+    eps(x) = (pi hbar v_g / nu) sum_p w_p (u(x) . c_(i_p)) (u(x) . c_(j_p))
+    costs the density rows u at ``x_grid`` and their product with
+    ``cols``.  ``w`` pairs x m (instead of one weight per pair) gives m
+    densities, one per column, from that one product.  The points are
+    taken in blocks of about PROFILE_BLOCK floats of rows, each block's
+    result written into the output, so the memory beyond the output and
+    ``cols`` is one block's rows and products whatever the number of
+    points.
     """
     nu = params.nu_S if channel == "S" else params.nu_U
     chirality = {"S": "left", "U": "right"}[channel]
     x = np.asarray(x_grid, dtype=float).ravel()
     scale = math.pi * P.HBAR * params.v_g / nu
-    out = np.empty(x.shape + np.shape(weights)[1:])
+    i, j, w = pairs
+    out = np.empty(x.shape + np.shape(w)[1:])
     step = max(1, PROFILE_BLOCK // (2 * grid.n_modes))
     for start in range(0, x.size, step):
         block = slice(start, start + step)
         v = density_basis(grid, nu, x[block], chirality) @ cols
-        v *= v
-        np.multiply(v @ weights, scale, out=out[block])
+        np.multiply((v[:, i] * v[:, j]) @ w, scale, out=out[block])
     return out
 
 
@@ -413,8 +415,10 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     free flight R, a per-mode rotation (``free_rotate``).  No 2N x 2N or
     4N x 4N array is formed: the covariance at t_f is
     (I - (RQ)(RQ)^T + (MQ)(MQ)^T)/2 plus two rank-1 measurement terms,
-    E_B reads its U diagonal and the profile its S block as weighted
-    columns (``local_energy_density``).
+    and with the mean it gives the normal-ordered second moment as one
+    table of column pairs (``propagator._moment_pairs``), which the
+    energies reduce over a channel's quadratures and the profile at
+    each point (``local_energy_density``).
 
     The run has two stages.  The setup stage
     (``propagator.protocol_setup``) depends only on (params, grid,
@@ -443,9 +447,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
     of channel S at the requested times (>= t_f, default exactly t_f).
-    Its covariance part (mq mq^T - rq rq^T)/2 is a difference of terms
-    of the size of the profile's maximum, so samples below ~1e-14 of
-    that maximum are rounding, and so are their signs.
+    It agrees with the dense reference to a few 1e-15 of its maximum,
+    so samples below ~1e-14 of that maximum are rounding, and so are
+    their signs.
     ``subspace_rank`` is the size of Q, ``symplectic_residual`` how far
     M is from symplectic on it and ``mirror_residual`` how far the
     coupling is from the S <-> U mirror symmetry the build relies on;

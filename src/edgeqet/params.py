@@ -114,11 +114,6 @@ class ExperimentParams:
         """Elapsed time T until the feedback packet exists, seconds."""
         return self.T_delay_ratio * self.L / self.v_g
 
-    @property
-    def separation_AB(self) -> float:
-        """Distance between the measured region and the coupling region."""
-        return self.L + self.v_g * self.T_delay
-
     def replace(self, **changes) -> "ExperimentParams":
         """Copy with ``changes`` applied field by field.
 

@@ -477,6 +477,74 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     return WindowPropagator(window, mq, span, grid, params, residual, mirror)
 
 
+def _moment_pairs(r_b: int, s_pred: float, back: float):
+    """(i, j, w): a channel's normal-ordered second moment
+    <R R^T> - I/2, mean included, as sum_p w_p sym(c_(i_p) c_(j_p)^T),
+    sym(X) = (X + X^T)/2, over the shot moments (1, u^2, f^2, u f)
+    (w is pairs x 4), on the columns [a, b, kick, rq, l, l'] of
+    ``_columns``, r_b each of the last three.
+
+    The mean (a u + b f)(a u + b f)^T gives the u^2, f^2 and u f terms
+    and the measurement adds -s_pred a a^T + back kick kick^T.
+    M (I/2) M^T = I/2 + (mq mq^T - rq rq^T)/2 with mq = M Q and
+    rq = R(span) Q, and on a channel's rows mq mq^T - rq rq^T is
+    rq l^T + l rq^T + l l^T + l' l'^T: the covariance pairs (rq, l) with
+    weight 1 and (l, l), (l', l') with 1/2.  With r_b = 0 the table is
+    the moment before the window, on [a, b, kick] at t = 0.
+    """
+    k = np.arange(3, 3 + r_b)
+    i = np.concatenate([[0, 1, 0, 2], k, k + r_b, k + 2 * r_b])
+    j = np.concatenate([[0, 1, 1, 2], k + r_b, k + r_b, k + 2 * r_b])
+    w = np.zeros((i.size, 4))
+    w[:4] = [[-s_pred, 1.0, 0.0, 0.0],              # a a
+             [0.0, 0.0, 1.0, 0.0],                  # b b
+             [0.0, 0.0, 0.0, 2.0],                  # a b
+             [back, 0.0, 0.0, 0.0]]                 # kick kick
+    w[4:, 0] = np.repeat([1.0, 0.5, 0.5], r_b)    # (rq, l), (l, l), (l', l')
+    return i, j, w
+
+
+def _columns(m: WindowPropagator, vecs, channel: str) -> list:
+    """The columns [a, b, kick, rq, l, l'] of ``_moment_pairs`` on the
+    2N rows of ``channel`` at t_f, as a list of blocks, with ``vecs``
+    the three 4N vectors (a, b, kick) carried to t_f.
+
+    On S, rq is R(span) b, the S rows of the S-half columns of RQ (its
+    U-half columns have no S rows), l is l_S and l' (Pi l)_S.  On U the
+    halves trade places: rq is R(span) B_U, l is (Pi l)_U and l' is
+    l_U.  rq and the turned deviation are new 2N x r_b arrays; the
+    rest are views.
+    """
+    grid, params = m.grid, m.params
+    rows, other, t = dict(zip("SU", _mirror_blocks(grid, params)))[channel]
+    turned = free_rotate(m.l[other], grid, params, t)   # (Pi l) on rows
+    if channel == "S":
+        cols = [free_rotate(m.b, grid, params, m.span), m.l[rows], turned]
+    else:
+        cols = [free_rotate(m.b, grid, params, m.span + t), turned, m.l[rows]]
+    return [v[rows] for v in vecs] + cols
+
+
+def _energy(cols, pairs, hw2: np.ndarray) -> np.ndarray:
+    """The channel energy of the moment ``pairs`` = (i, j, w) on the
+    columns ``cols`` (blocks of 2N rows, in the table's column order),
+    J over the shot moments: 1/2 hw2 . (c_i * c_j) per pair, @ w.
+
+    The rows are taken in blocks of about ``oracle.PROFILE_BLOCK``
+    floats of pair products, as ``oracle.local_energy_density`` takes
+    its points, so no 2N-row copy of the columns or of a pair's product
+    is made.
+    """
+    i, j, w = pairs
+    e = np.zeros(i.size)
+    step = max(1, O.PROFILE_BLOCK // i.size)
+    for start in range(0, hw2.size, step):
+        rows = slice(start, start + step)
+        v = np.column_stack([c[rows] for c in cols])
+        e += hw2[rows] @ (v[:, i] * v[:, j])
+    return 0.5 * (e @ w)
+
+
 @dataclass(frozen=True)
 class ProtocolSetup:
     """What ``oracle.run_protocol`` computes from its setup alone.
@@ -487,11 +555,15 @@ class ProtocolSetup:
     carried to t_f, and every coefficient of the shot energies: a shot
     with outcome u (variance ``s_pred``) and feedback value f has
     (E_A, E_1, E_B) = ``energies`` @ (1, u^2, f^2, u f), and the shot
-    means are ``energies`` @ (1, u.u/n, f.f/n, u.f/n).
-    ``profile_terms`` gives the S profile over the same columns.  The
-    arrays, and the profile table it memoises (the last request), are
-    read-only: ``protocol_setup`` hands one instance to every caller
-    with the same setup.
+    means are ``energies`` @ (1, u.u/n, f.f/n, u.f/n).  The rows and
+    ``profile_terms``, the S profile over the same columns, are the two
+    reductions of one column-pair table of the normal-ordered second
+    moment (``_moment_pairs``): the energy sums each pair's product
+    with the mode energies (``_energy``), the profile takes it at each
+    point (``oracle.local_energy_density``).  The arrays, and the
+    profile table it memoises (the last request), are read-only:
+    ``protocol_setup`` hands one instance to every caller with the same
+    setup.
     """
 
     window: WindowPropagator
@@ -510,43 +582,29 @@ class ProtocolSetup:
         len(x) x 4 table over the shot moments (1, u^2, f^2, u f), like
         ``energies``: a run's profile is the table @ its moments.
 
-        The constant column is what M adds to the vacuum,
-        (mq mq^T - rq rq^T)/2 with mq = M Q and rq = R(span) Q, plus the
-        conditioning terms -s_pred a a^T + back kick kick^T.  On the
-        S rows rq is [rq_s, 0] and mq is [rq_s + l_S, (Pi l)_S], so the
-        first part comes from those three blocks with weights +1/2,
-        +1/2 and -1/2, 1.5 r columns for Q's r.  The u^2 and f^2 columns
-        are the densities of a and b; ``local_energy_density`` forms
-        squares, so the cross term u f (a b^T + b a^T) is the density of
-        a + b less those of a and b.  All four come from one call on
-        the stacked columns with a k x 4 weight matrix, which takes the
-        points in blocks (``oracle.PROFILE_BLOCK``): beyond the table
-        and the stacked columns a request holds one block's density
-        rows and product, however many points it has.  After t_f the S
-        channel moves freely, a rigid translation at v_g, so a snapshot
-        dt later is this profile at x + v_g dt: one request can hold
-        the points of every snapshot.  The last request is memoised;
-        another one replaces it.
+        It is the density reduction of the moment's pair table
+        (``_moment_pairs``) on the S columns [a, b, kick, rq, l, l']
+        (``_columns``, 1.5 r + 3 columns for Q's r), stacked for the
+        request and dropped after it: the covariance part
+        rq l^T + l rq^T + l l^T + l' l'^T over two, the conditioning
+        terms -s_pred a a^T + back kick kick^T, and a a^T, b b^T and
+        a b^T + b a^T for the u^2, f^2 and u f columns.  The density
+        takes the points in blocks (``oracle.PROFILE_BLOCK``): beyond
+        the table and the stacked columns a request holds one block's
+        density rows and products, however many points it has.  After
+        t_f the S channel moves freely, a rigid translation at v_g, so a
+        snapshot dt later is this profile at x + v_g dt: one request can
+        hold the points of every snapshot.  The last request is
+        memoised; another one replaces it.
         """
         key = x.tobytes()
         if key not in self._profiles:
             m = self.window
-            grid, params = m.grid, m.params
-            (s_sl, u_sl, to_s), _ = _mirror_blocks(grid, params)
-            rq_s = free_rotate(m.b, grid, params, m.span)
-            a_s, b_s = self.a_vec[s_sl], self.b_vec[s_sl]
-            cols = np.column_stack(
-                [rq_s + m.l[s_sl], free_rotate(m.l[u_sl], grid, params, to_s),
-                 rq_s, a_s, b_s, a_s + b_s, self.kick_f[s_sl]])
-            r = 2 * m.b.shape[1]
-            weights = np.zeros((cols.shape[1], 4))
-            weights[:r, 0] = 0.5                 # the S rows of mq
-            weights[r:-4, 0] = -0.5              # rq_s
-            weights[-4:] = [[-self.s_pred, 1.0, 0.0, -1.0],   # a
-                            [0.0, 0.0, 1.0, -1.0],            # b
-                            [0.0, 0.0, 0.0, 1.0],             # a + b
-                            [self.back, 0.0, 0.0, 0.0]]       # kick
-            table = O.local_energy_density(x, grid, params, cols, weights)
+            cols = np.column_stack(_columns(
+                m, (self.a_vec, self.b_vec, self.kick_f), "S"))
+            table = O.local_energy_density(
+                x, m.grid, m.params, cols,
+                _moment_pairs(m.b.shape[1], self.s_pred, self.back))
             table.flags.writeable = False
             self._profiles.clear()
             self._profiles[key] = table
@@ -574,11 +632,7 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
     this keeps one key per setup.
     """
     t_i, _ = interaction_window(params)
-    n = grid.n_modes
-    hw = grid.mode_energies(params.v_g)
-    hw2 = np.concatenate([hw, hw])
-    u_sl = slice(2 * n, 4 * n)
-    s_sl = slice(0, 2 * n)
+    hw2 = np.tile(grid.mode_energies(params.v_g), 2)
 
     # measurement conditioning at t = 0 (vacuum prior, Cov = I/2)
     o = O.measurement_observable(params, grid)
@@ -587,9 +641,6 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
     s_pred, kick = _conditioning(sigma, o, dv)
     back = 1.0 / (4.0 * dv ** 2)             # weight of the back-action term
     gain = sigma / s_pred                    # posterior mean per unit outcome
-
-    # S-channel covariance part of the post-measurement energy
-    cov_diag = 0.5 - sigma * sigma / s_pred + back * kick * kick
     d_unit = O.feedback_displacement(params, grid)
 
     # the measurement response turns freely from t = 0 to t_i, the
@@ -600,31 +651,14 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
         free_rotate(d_unit, grid, params, t_i - params.T_delay),
         free_rotate(kick, grid, params, t_i)], axis=1)).T
 
-    # U-channel energy at t_f: the covariance I/2 + (mq mq^T - rq rq^T)/2
-    # - s_pred a a^T + back kick kick^T (sigma carried to t_f is
-    # s_pred * a_vec) on its diagonal, the mean quadratic in (outcome,
-    # feedback).  On the U rows rq is [0, rq_u] and mq is
-    # [l_U, rq_u + d_u], with rq_u = R(span) B_U and d_u = (Pi l)_U, so
-    # the diagonal of mq mq^T - rq rq^T is exactly 0 when l = 0
-    turn = params.b / params.v_g
-    d_u = free_rotate(m.l[s_sl], grid, params, turn)
-    cross = free_rotate(m.b, grid, params, m.span + turn)
-    cross *= 2.0
-    cross += d_u                             # 2 rq_u + d_u
-    excess_d = (0.5 * (np.einsum("ij,ij->i", m.l[u_sl], m.l[u_sl])
-                       + np.einsum("ij,ij->i", d_u, cross))
-                - s_pred * a_vec[u_sl] ** 2 + back * kick_f[u_sl] ** 2)
-    # the energy table over (1, u^2, f^2, u f); E_B is <H_U>(t_f) less
-    # <H_U> just after the displacement, E_1
-    au, bu = a_vec[u_sl], b_vec[u_sl]
-    q_1 = 0.5 * (hw2 @ (d_unit[u_sl] ** 2))
-    energies = np.array([
-        [0.5 * (hw @ (cov_diag[:n] + cov_diag[n:2 * n] - 1.0)),    # E_A
-         0.5 * (hw2 @ (gain[s_sl] ** 2)), 0.0, 0.0],
-        [0.0, 0.0, q_1, 0.0],                                       # E_1
-        [0.5 * (hw @ (excess_d[:n] + excess_d[n:])),                # E_B
-         0.5 * (hw2 @ (au * au)), 0.5 * (hw2 @ (bu * bu)) - q_1,
-         hw2 @ (au * bu)]])
+    # E_A is <H_S> and E_1 <H_U> of the moment before the window (free
+    # flight keeps each channel's energy), E_B <H_U>(t_f) less E_1
+    before = np.split(np.stack([gain, d_unit, kick], axis=1), 2)
+    e_a, e_1 = (_energy([half], _moment_pairs(0, s_pred, back), hw2)
+                for half in before)
+    e_u = _energy(_columns(m, (a_vec, b_vec, kick_f), "U"),
+                  _moment_pairs(m.b.shape[1], s_pred, back), hw2)
+    energies = np.array([e_a, e_1, e_u - e_1])
     for a in (a_vec, b_vec, kick_f, energies):
         a.flags.writeable = False
     return ProtocolSetup(

@@ -76,7 +76,8 @@ def test_vacuum_energies_are_zero(params, grid):
     assert channel_energy(vac, grid, params, "U") == 0.0
     x = np.linspace(-1e-4, 1e-4, 64)
     prof = O.local_energy_density(x, grid, params,
-                                  vac.mean[:2 * grid.n_modes, None], [1.0])
+                                  vac.mean[:2 * grid.n_modes, None],
+                                  (np.arange(1), np.arange(1), [1.0]))
     assert np.max(np.abs(prof)) < 1e-12 * P.HBAR * params.v_g / params.l ** 2
 
 
@@ -100,8 +101,10 @@ def test_local_energy_density_factored_form(params, grid):
         moment = (state.cov[sl, sl] - 0.5 * np.eye(2 * grid.n_modes)
                   + np.outer(mean, mean))
         weights, cols = np.linalg.eigh(moment)
-        prof = O.local_energy_density(x, grid, params, cols, weights,
-                                      channel=channel)
+        prof = O.local_energy_density(
+            x, grid, params, cols,
+            (np.arange(weights.size), np.arange(weights.size), weights),
+            channel=channel)
         if channel == "S":
             want = s_energy_density(state.cov, np.outer(mean, mean), x,
                                     grid, params)
@@ -112,11 +115,12 @@ def test_local_energy_density_factored_form(params, grid):
             energy, rel=1e-12, abs=0.0)
 
 
-def _one_shot_density(x, grid, params, cols, weights):
+def _one_shot_density(x, grid, params, cols, pairs):
     """The S density as one product over every point (no blocks)."""
+    i, j, w = pairs
     v = O.density_basis(grid, params.nu_S, x, "left") @ cols
-    v *= v
-    return math.pi * P.HBAR * params.v_g / params.nu_S * (v @ weights)
+    return math.pi * P.HBAR * params.v_g / params.nu_S * (
+        (v[:, i] * v[:, j]) @ w)
 
 
 @pytest.mark.parametrize("n_x", [1, 256, 257])
@@ -130,8 +134,9 @@ def test_blocked_density_matches_one_product(params, grid, n_x):
     cols = rng.standard_normal((2 * grid.n_modes, 7))
     x = rng.uniform(-0.5, 0.5, n_x) * grid.ring_length
     for weights in (rng.standard_normal((7, 4)), rng.standard_normal(7)):
-        got = O.local_energy_density(x, grid, params, cols, weights)
-        want = _one_shot_density(x, grid, params, cols, weights)
+        pairs = np.arange(7), np.arange(7), weights
+        got = O.local_energy_density(x, grid, params, cols, pairs)
+        want = _one_shot_density(x, grid, params, cols, pairs)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -144,17 +149,17 @@ def test_blocked_profile_table_over_snapshots(params, grid, monkeypatch):
     calls = []
     density = O.local_energy_density
     monkeypatch.setattr(O, "local_energy_density",
-                        lambda x, g, p, c, w: calls.append(
-                            (x, c, w, density(x, g, p, c, w)))
+                        lambda x, g, p, c, pairs: calls.append(
+                            (x, c, pairs, density(x, g, p, c, pairs)))
                         or calls[-1][-1])
     propagator.protocol_setup.cache_clear()
     _, t_f = O.interaction_window(params)
     O.run_protocol(params, grid, n_shots=10, n_profile=64,
                    profile_times=[t_f + j * params.l / params.v_g
                                   for j in range(5)])
-    (x, cols, weights, table), = calls
+    (x, cols, pairs, table), = calls
     assert table.shape == (320, 4)
-    want = _one_shot_density(x, grid, params, cols, weights)
+    want = _one_shot_density(x, grid, params, cols, pairs)
     assert np.all(np.max(np.abs(table - want), axis=0)
                   <= 1e-15 * np.max(np.abs(want), axis=0))
 
@@ -256,7 +261,8 @@ def test_packet_moves_chirally_at_vg(params, grid):
         # the covariance stays I/2: the mean alone carries the packet
         sl = channel_slice(grid, channel)
         prof = O.local_energy_density(x, grid, params, s.mean[sl, None],
-                                      [1.0], channel=channel)
+                                      (np.arange(1), np.arange(1), [1.0]),
+                                      channel=channel)
         prof = np.clip(prof, 0.0, None)
         sel = np.abs(x - x[np.argmax(prof)]) < 4 * params.l
         return float(np.sum(x[sel] * prof[sel]) / np.sum(prof[sel]))
@@ -538,6 +544,69 @@ def test_gain_entry_meets_first_order_closed_form(params):
         closed, rel=1e-4, abs=0.0)
 
 
+@pytest.mark.parametrize("g", [0.3, 1.0])
+@pytest.mark.parametrize("ramp_fraction", [0.0, 0.05])
+@pytest.mark.parametrize("n_modes", [64, 128])
+def test_E_B_row_parity_in_the_coupling(params, n_modes, ramp_fraction, g):
+    """The S <-> U sign flip D = diag(I_S, -I_U) gives M(-g) = D M(g) D,
+    so the E_B row at -g is the row at +g with its u f entry, the
+    correlation gain, negated, to 1e-12 relative entry by entry: the
+    gain is odd in g and the rest of the row even."""
+    grid = O.default_grid(params, n_modes=n_modes)
+    plus, minus = (propagator.protocol_setup(params, grid, scale,
+                                             ramp_fraction).energies[2]
+                   for scale in (g, -g))
+    assert minus == pytest.approx(plus * [1.0, 1.0, 1.0, -1.0], rel=1e-12,
+                                  abs=0.0)
+
+
+def _channel_energy_table(st, channel, pairs=None):
+    """The energy reduction of a setup's pair table (or of ``pairs``) on
+    one channel's columns at t_f."""
+    m = st.window
+    if pairs is None:
+        pairs = propagator._moment_pairs(m.b.shape[1], st.s_pred, st.back)
+    cols = propagator._columns(m, (st.a_vec, st.b_vec, st.kick_f), channel)
+    hw2 = np.tile(m.grid.mode_energies(m.params.v_g), 2)
+    return propagator._energy(cols, pairs, hw2)
+
+
+@pytest.mark.parametrize("g", [0.1, 1.0])
+@pytest.mark.parametrize("ramp_fraction", [0.0, 0.05])
+@pytest.mark.parametrize("n_modes", [64, 128, 256])
+def test_vacuum_switching_is_mirror_equal_and_positive(params, n_modes,
+                                                       ramp_fraction, g):
+    """The vacuum-switching share of the constant column, the covariance
+    pairs alone (what M does to the vacuum), is the same on S and on U
+    to 1e-12 relative, by the S <-> U mirror, and positive: switching
+    the coupling on and off costs work on the product vacuum, which is
+    passive."""
+    st = propagator.protocol_setup(
+        params, O.default_grid(params, n_modes=n_modes), g, ramp_fraction)
+    i, j, w = propagator._moment_pairs(st.window.b.shape[1], st.s_pred,
+                                       st.back)
+    covariance = i[4:], j[4:], w[4:]
+    e_s, e_u = (_channel_energy_table(st, channel, covariance)[0]
+                for channel in "SU")
+    assert e_u == pytest.approx(e_s, rel=1e-12, abs=0.0)
+    assert e_s > 0.0
+
+
+@pytest.mark.parametrize("n_modes", [64, 128])
+def test_profile_ring_integral_is_the_S_energy_reduction(params, n_modes):
+    """The two reductions of one pair table agree: the ring integral of
+    ``profile_terms`` at 8N uniform points, exact for the 2 k_N harmonics
+    of the density, equals the energy reduction of the same S columns at
+    t_f, column by column over (1, u^2, f^2, u f), to 1e-12 relative."""
+    grid = O.default_grid(params, n_modes=n_modes)
+    st = propagator.protocol_setup(params, grid, 1.0, 0.05)
+    n_x = 8 * n_modes
+    x = np.linspace(-0.5, 0.5, n_x, endpoint=False) * grid.ring_length
+    ring = st.profile_terms(x).sum(axis=0) * grid.ring_length / n_x
+    assert ring == pytest.approx(_channel_energy_table(st, "S"), rel=1e-12,
+                                 abs=0.0)
+
+
 @pytest.mark.parametrize("ramp_fraction,n_ramp,calls",
                          [(0.05, 5, 6), (0.2, 3, 4), (0.0, 5, 1),
                           (0.5, 3, 3)])
@@ -594,8 +663,8 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     cols = []
     density = O.local_energy_density
     monkeypatch.setattr(O, "local_energy_density",
-                        lambda x, g, p, c, w: cols.append(c.shape[1])
-                        or density(x, g, p, c, w))
+                        lambda x, g, p, c, pairs: cols.append(c.shape[1])
+                        or density(x, g, p, c, pairs))
     # the setup-only work a warm call must not repeat
     setup_calls = []
 
@@ -628,11 +697,10 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         assert a.symplectic_residual == b.symplectic_residual
 
     want = cold(mode="scrambled", seed=2)
-    # a cold call fills the memo with one density product: the S rows of
-    # mq and the nonzero S half of rq (r + r/2 columns) stacked with the
-    # four shot columns
+    # a cold call fills the memo with one density product: the S columns
+    # rq, l and l' (r + r/2 columns) stacked with a, b and kick
     r = want.subspace_rank
-    assert cols == [r + r // 2 + 4]
+    assert cols == [r + r // 2 + 3]
     assert setup_calls
     cold()
     before = len(actions), len(rows)
@@ -659,11 +727,11 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
         n_rows = len(rows)
         warm = run(**changes)
         assert len(st._profiles) == 1 and before not in st._profiles
-        assert cols == [r + r // 2 + 4]
+        assert cols == [r + r // 2 + 3]
         assert sum(a[2].size for a in rows[n_rows:]) == (
             warm.energy_density_profile.size)
         assert_same(run(**changes), warm)
-        assert cols == [r + r // 2 + 4]
+        assert cols == [r + r // 2 + 3]
         assert_same(warm, cold(**changes))
 
     # an equal parameter set built separately finds the same entry

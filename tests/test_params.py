@@ -29,7 +29,6 @@ def test_derived_quantities(params):
     assert params.rc_time == pytest.approx(1e-10)
     assert params.transit_time == pytest.approx(1e-11)
     assert params.T_delay == pytest.approx(0.01 * params.L / params.v_g)
-    assert params.separation_AB == pytest.approx(1.01 * params.L)
     assert params.epsilon == pytest.approx(10 * P.EPS0)
 
 
