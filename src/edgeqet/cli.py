@@ -335,6 +335,7 @@ def cmd_simulate(args) -> int:
         "subspace_rank": result.subspace_rank,
         "symplectic_residual": _clean(result.symplectic_residual),
         "mirror_residual": _clean(result.mirror_residual),
+        "reversal_residual": _clean(result.reversal_residual),
         "wrap_margin_m": _clean(result.wrap_margin_m),
     }
     _write_json(out / "summary.json", summary)

@@ -196,7 +196,9 @@ def _coupling_nodes(params: P.ExperimentParams, grid: ModeGrid):
     gives, K^T = R(b/v) K R(b/v) with R the free flight: the nodes are
     symmetric about b/2, the kernel depends on |x - y| only and nu_S,
     nu_U enter as a constant factor (``propagator._mirror_residual``
-    checks it).
+    checks it); and on the time-reversal symmetry, which needs the
+    kernel invariant under (x, y) -> (b - x, b - y)
+    (``propagator._reversal_residual``).
     """
     xq, wq = _gauss_legendre(N_QUAD, 0.0, params.b)
     f_kernel = 1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)
@@ -359,6 +361,7 @@ class ProtocolResult:
     subspace_rank: int                 # r, columns of the window basis
     symplectic_residual: float         # max |mq^T Omega mq - q^T Omega q|
     mirror_residual: float             # S <-> U mirror residual of K
+    reversal_residual: float           # time-reversal residual of K
     wrap_margin_m: float               # m, ring_length/2 - farthest edge
 
 
@@ -451,8 +454,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     so samples below ~1e-14 of that maximum are rounding, and so are
     their signs.
     ``subspace_rank`` is the size of Q, ``symplectic_residual`` how far
-    M is from symplectic on it and ``mirror_residual`` how far the
-    coupling is from the S <-> U mirror symmetry the build relies on;
+    M is from symplectic on it, and ``mirror_residual`` and
+    ``reversal_residual`` how far the coupling is from the S <-> U
+    mirror and the time-reversal symmetry the build relies on;
     ``wrap_margin_m`` is the ``wrap_margin`` at the last profile time.
     Raises ValueError for an unknown feedback mode, ``n_shots`` < 2
     (the standard error needs two shots), ``n_profile`` < 1, a
@@ -540,4 +544,5 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         subspace_rank=2 * st.window.b.shape[1],
         symplectic_residual=st.window.symplectic_residual,
         mirror_residual=st.window.mirror_residual,
+        reversal_residual=st.window.reversal_residual,
         wrap_margin_m=margin)

@@ -22,19 +22,23 @@ routine (``_apply``).  The build checks the symmetry first, from the
 coupling's factors (``_mirror_residual``), and refuses a coupling that
 breaks it.
 
-The build holds only what the rest of the schedule still needs.
-``window_propagator`` computes the window basis first; with sudden
-switching the plateau is the window, and its last doubling level takes
-that basis instead of computing it again.  Every shorter step reads an
-interval inside the window's, so its basis is taken inside the window
-basis (``_step_basis``): the build makes one SVD of 2N-row density
-samples, whatever its number of steps.  It then builds the distinct
-coupled steps, longest first, so that the plateau's doubling
-temporaries never sit beside the finished ramp steps; ramp steps share
-their duration, so they share each level's basis, which lives for that
-level only.  Only then does it apply the steps in time order to the
-S-half columns [b; 0] of the window, in place, and drop each step
-after its last use.
+The coupled Hamiltonian has a second symmetry, antisymplectic: Theta,
+time reversal p -> -p combined with the mirror x -> b - x of each
+channel (``_reverse``), maps it onto itself as long as the nodes are
+symmetric about b/2 and the kernel is invariant under
+(x, y) -> (b - x, b - y).  Every step E then obeys
+Theta E Theta = E^-1, and since the coupling schedule is symmetric in
+time, M = Theta X^-1 Theta X with X the first half of the window, the
+ramp-up steps and half the plateau.  So only X is built: the build
+checks this symmetry too (``_reversal_residual``), chains the first
+half's steps in time order on the S-half columns [b; 0], each step
+applied as soon as it is built and then dropped, and finishes M in
+closed form from X^-1 = Omega^-1 X^T Omega (``_second_half``).
+Every step reads an interval inside the window's, so its basis is
+taken inside the window basis (``_step_basis``): the build makes one
+SVD of 2N-row density samples, whatever its number of steps.  Ramp
+steps share their duration, so they share each doubling level's basis,
+which lives for that level only.
 
 The same module holds the setup stage of ``oracle.run_protocol``
 (``protocol_setup``): the window propagator together with everything
@@ -48,8 +52,8 @@ commands that never simulate neither load nor compile it.
 
 from __future__ import annotations
 
-import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -79,6 +83,16 @@ SVD_CUT = 1e-14
 #: rounding of the turn b/v); a channel-dependent velocity or kernel
 #: gives O(1).
 MIRROR_TOL = 1e-11
+
+#: Bound on the relative time-reversal residual
+#: ||Theta_S K Theta_U - K|| / ||K|| of the coupling
+#: (``_reversal_residual``), above which the window propagator refuses
+#: to take the second half of the window from the first.  The default
+#: parameters give 1.3e-15 at 64 modes and 2.8e-14 at 1024 (the rounding
+#: of the turn b/v); a kernel that is not invariant under
+#: (x, y) -> (b - x, b - y) gives O(0.1) even when it keeps the mirror
+#: (0.49 at 32 modes for the Coulomb kernel times 1 + 0.3 sign(x - y)).
+REVERSAL_TOL = 1e-11
 
 #: Bound on ``symplectic_residual`` above which the window propagator is
 #: refused.  Stable couplings give at most 1.1e-14 (16 to 512 modes,
@@ -242,6 +256,14 @@ def _apply(b: np.ndarray, l: np.ndarray, dt: float, x: np.ndarray,
     return x
 
 
+def _product_norm(a: np.ndarray, c: np.ndarray) -> float:
+    """||a c^T||_F from the triangular factors of a and c, in
+    O(n k^2) for n x k factors and without squaring them (a Gram matrix
+    would cancel to ~1e-8 of the norm)."""
+    return float(np.linalg.norm(np.linalg.qr(a, mode="r")
+                                @ np.linalg.qr(c, mode="r").T))
+
+
 def _mirror_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
                      params: P.ExperimentParams) -> float:
     """||K^T - R(b/v) K R(b/v)||_F / ||K||_F for K = f_s f_u^T.
@@ -250,17 +272,58 @@ def _mirror_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
     [0, b] are symmetric, the kernel depends on |x - y| only and
     nu_S / nu_U enters K as a constant factor.  The difference is
     [f_u, R f_s] [f_s, -R^T f_u]^T, R = R(b/v), with R f_s and R^T f_u
-    the halves of Pi [f_s; f_u] (``_mirror``); the triangular factors of
-    the two stacked factors give its norm in O(N rho^2) without squaring
-    them (a Gram matrix would cancel to ~1e-8).
+    the halves of Pi [f_s; f_u] (``_mirror``).
     """
     n2 = f_s.shape[0]
     turned = _mirror(np.vstack([f_s, f_u]), grid, params)
     rot_u, rot_s = turned[:n2], turned[n2:]
-    diff = (np.linalg.qr(np.hstack([f_u, rot_s]), mode="r")
-            @ np.linalg.qr(np.hstack([f_s, -rot_u]), mode="r").T)
-    k = np.linalg.qr(f_s, mode="r") @ np.linalg.qr(f_u, mode="r").T
-    return float(np.linalg.norm(diff) / np.linalg.norm(k))
+    return (_product_norm(np.hstack([f_u, rot_s]), np.hstack([f_s, -rot_u]))
+            / _product_norm(f_s, f_u))
+
+
+def _reverse(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
+             t: float, omega: bool = False,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """T R(t) a, or Omega T R(t) a with ``omega``, for ``a`` with the 2N
+    rows of one channel, T the time reversal p -> -p.  The result goes
+    to ``out``, which may be ``a`` itself, or to a new array.
+
+    Theta, time reversal combined with the mirror x -> b - x of each
+    channel, is T R(b/v) on S and T R(-b/v) on U: per mode, the
+    reflection of (x, p) across the angle k b/2 on S and -k b/2 on U,
+    since rho(b - x) of a state is rho(x) of its image.  Theta is
+    orthogonal, its own inverse and antisymplectic
+    (Theta Omega Theta = -Omega); it keeps the free Hamiltonian, and
+    the coupling when ``_reversal_residual`` is zero.  Omega T swaps x
+    and p with a sign, x -> -p and p -> -x.
+    """
+    n = grid.n_modes
+    out = free_rotate(a, grid, params, t, out=out)
+    if omega:
+        x = -out[:n]
+        np.negative(out[n:], out=out[:n])
+        out[n:] = x
+    else:
+        np.negative(out[n:], out=out[n:])
+    return out
+
+
+def _reversal_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
+                       params: P.ExperimentParams) -> float:
+    """||Theta_S K Theta_U - K||_F / ||K||_F for K = f_s f_u^T.
+
+    Zero when Theta (``_reverse``) maps the coupling onto itself: the
+    nodes on [0, b] are symmetric and the kernel is invariant under
+    (x, y) -> (b - x, b - y).  The mirror check does not imply it: a
+    kernel times (1 + c sign(x - y)) keeps the mirror and breaks this.
+    The difference is [Theta_S f_s, f_s] [Theta_U f_u, -f_u]^T (Theta is
+    symmetric).
+    """
+    turn = params.b / params.v_g
+    return (_product_norm(
+        np.hstack([_reverse(f_s, grid, params, turn), f_s]),
+        np.hstack([_reverse(f_u, grid, params, -turn), -f_u]))
+        / _product_norm(f_s, f_u))
 
 
 def _omega_form(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -280,7 +343,9 @@ def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float):
     """[(duration, scale), ...] of the coupling over [t_i, t_f], in time
     order: N_RAMP equal steps up (scales (j + 1/2)/N_RAMP) over the
     first ``ramp_fraction`` of the window, the plateau at scale 1, and
-    the same steps down.  Zero-length steps are left out."""
+    the same steps down.  Zero-length steps are left out.  The schedule
+    is symmetric in time, and ``window_propagator`` builds only its
+    first half."""
     span = t_f - t_i
     ramp = ramp_fraction * span
     up = ([(ramp / N_RAMP, (j + 0.5) / N_RAMP) for j in range(N_RAMP)]
@@ -290,15 +355,14 @@ def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float):
 
 
 def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
-                      dt: float, scales, window):
-    """(b, {scale: l}): exp(dt A_scale) held as (b, l) for each of
-    ``scales``, that is R(dt) + [l, Pi l] Q^T with Q = Q_dt given by
+                      dt: float, scales, window: np.ndarray):
+    """(b, [l, ...]): exp(dt A_scale) held as (b, l) for each of
+    ``scales``, in their order, that is R(dt) + [l, Pi l] Q^T with Q = Q_dt given by
     its S block b (``_step_basis``) and l (4N x r_b) the deviation
     E Q - R Q on the S-half columns [b; 0] of Q (``_apply``).
-    ``window`` = (span, B_span) is the window's basis, already built: a
-    level of duration span (sudden switching) uses it instead of
-    building it again, and every shorter level takes its basis inside
-    it (``_step_basis``), so the build makes one SVD of 2N-row samples.
+    ``window``, the window's basis, already built, is longer than any
+    step of the half window: every level's basis is taken inside it
+    (``_step_basis``), so the build makes one SVD of 2N-row samples.
 
     A = Omega (hw + hw + scale K) / hbar, with K = f_s f_u^T from
     ``factors`` = (f_s, f_u, ||K||_1 bound).  One ``expm_action`` per
@@ -331,28 +395,59 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
             return _omega_times(gx)
         return apply
 
-    def basis(tau):
-        return (window[1] if tau == window[0]
-                else _step_basis(grid, params, tau, window[1]))
-
-    b = basis(h)
+    b = _step_basis(grid, params, h, window)
     q_s = np.zeros((4 * n, b.shape[1]))
     q_s[:2 * n] = b
     rq_s = free_rotate(q_s, grid, params, h)
-    ls = {}
+    ls = []
     for scale, rate in zip(scales, rates):
-        ls[scale] = expm_action(apply_at(scale * h / P.HBAR), q_s, rate * h)
-        ls[scale] -= rq_s
+        ls.append(expm_action(apply_at(scale * h / P.HBAR), q_s, rate * h))
+        ls[-1] -= rq_s
     del q_s, rq_s
     for _ in range(k):
-        b2 = basis(2.0 * h)
+        b2 = _step_basis(grid, params, 2.0 * h, window)
         p0 = b.T @ b2
         g = b.T @ free_rotate(b2, grid, params, h)
-        for scale, l in ls.items():
-            ls[scale] = _apply(b, l, h, l @ p0, grid, params, g)
+        for j, l in enumerate(ls):
+            ls[j] = _apply(b, l, h, l @ p0, grid, params, g)
         del l
         b, h = b2, 2.0 * h
     return b, ls
+
+
+def _second_half(y: np.ndarray, window: np.ndarray, half: float,
+                 grid: ModeGrid, params: P.ExperimentParams) -> np.ndarray:
+    """M [b; 0] from y = X [b; 0], X the first half of the window
+    (duration ``half``) and b = ``window``, in place on y.
+
+    M = Theta X^-1 Theta X (``_reverse``) and X^-1 = Omega^-1 X^T Omega
+    for a symplectic X.  With X = R(half) + [l_X, Pi l_X] Q^T and
+    l_X = y - R(half) [b; 0], and Theta R(-half) Theta = R(half) and
+    Theta Omega^-1 = Omega Theta, that is
+    M [b; 0] = R(half) y + Omega Theta Q ([l_X, Pi l_X]^T Omega Theta y):
+    two r/2 x r/2 coefficients c, then Q c = [b c_S; B_U c_U] turned by
+    Omega Theta, one channel at a time.  (Pi l_X)^T z on a channel's
+    rows is l_X's other rows against z turned back by Pi's turn, which
+    is Theta's turn on that channel.  Omega Theta_U B_U is Omega T b.
+    """
+    n2 = window.shape[0]
+    turn = params.b / params.v_g
+    lx_s = free_rotate(window, grid, params, half)
+    np.subtract(y[:n2], lx_s, out=lx_s)
+    c_s = c_u = 0.0
+    z = np.empty_like(lx_s)
+    for rows, mine, theirs, t in ((slice(0, n2), lx_s, y[n2:], turn),
+                                  (slice(n2, None), y[n2:], lx_s, -turn)):
+        _reverse(y[rows], grid, params, t, omega=True, out=z)
+        c_s = c_s + mine.T @ z
+        free_rotate(z, grid, params, t, out=z)
+        c_u = c_u + theirs.T @ z
+    del lx_s, mine, theirs, z
+    free_rotate(y, grid, params, half, out=y)
+    for rows, c, t in ((slice(0, n2), c_s, turn), (slice(n2, None), c_u, 0.0)):
+        qc = window @ c
+        y[rows] += _reverse(qc, grid, params, t, omega=True, out=qc)
+    return y
 
 
 @dataclass(frozen=True)
@@ -369,7 +464,10 @@ class WindowPropagator:
     over Q's columns, zero for a symplectic M and at most
     SYMPLECTIC_TOL; ``mirror_residual`` is how far the coupling is from
     the S <-> U mirror symmetry that gives the U half
-    (``_mirror_residual``), at most MIRROR_TOL.  b and l are read-only:
+    (``_mirror_residual``), at most MIRROR_TOL, and ``reversal_residual``
+    how far it is from the time-reversal symmetry that gives the second
+    half of the window (``_reversal_residual``), at most REVERSAL_TOL.
+    b and l are read-only:
     ``protocol_setup`` memoises the propagator with the rest of a run's
     setup and shares it between calls.
     """
@@ -381,6 +479,7 @@ class WindowPropagator:
     params: P.ExperimentParams
     symplectic_residual: float
     mirror_residual: float
+    reversal_residual: float
 
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
         return _apply(self.b, self.l, self.span, np.array(a, dtype=float),
@@ -395,27 +494,31 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
 
     b is the S block of Q_(t_f - t_i) (``_step_basis``), the one basis
     built from the full density samples: every step's basis is taken
-    inside it.  l is built in time order through the ``ramp_schedule``:
-    each distinct (duration, scale) step with a nonzero coupling costs one
-    ``expm_action`` (``_step_propagators``), and applying a step to the
-    S-half columns [b; 0] costs O(N r r_step) (``_apply``).  No 4N x 4N
-    matrix is formed, and no U-half column: M commutes with the
+    inside it.  Only the first half X of the ``ramp_schedule`` is built,
+    the ramp-up steps and half the plateau, in time order: each group
+    of steps that share a duration costs one ``expm_action`` per scale
+    (``_step_propagators``), and each step is applied to the S-half
+    columns [b; 0] as soon as its group is built, in O(N r r_step)
+    (``_apply``), and then dropped.  The second half comes in closed
+    form (``_second_half``): the coupling is invariant under Theta and
+    the schedule is symmetric in time, so M = Theta X^-1 Theta X.  No
+    4N x 4N matrix is formed, and no U-half column: M commutes with the
     S <-> U mirror Pi (``_mirror``), so they follow from the S half.  A
     free window (``coupling_scale`` 0) is one free rotation by span
-    whatever the ramp, so it gives l = 0 exactly.  The mirror is checked
-    first, from the coupling factors: a ``mirror_residual`` above
-    MIRROR_TOL raises StepInstability, and so does a
-    ``symplectic_residual`` above SYMPLECTIC_TOL or NaN: M is then not
-    symplectic to working precision.  Pi is symplectic and commutes
-    with M, so the residual's U-U block repeats its S-S block and, as
-    q^T Omega Pi q = 0 for the S-half columns q, its S-U block is
-    mq^T Omega Pi mq: both come from the S half.
+    whatever the ramp, so it gives l = 0 exactly.
 
-    The build holds only what the rest of the schedule needs: the
-    window basis, then every distinct step, built longest first, then
-    the S-half columns, updated in place, each step dropped after its
-    last use.  Its peak is set by the steps, not by what it returns,
-    b and l, 3/8 of the dense Q and MQ.  Each call builds afresh;
+    Both symmetries are checked first, from the coupling factors: a
+    ``mirror_residual`` above MIRROR_TOL or a ``reversal_residual``
+    above REVERSAL_TOL raises StepInstability before any step is built,
+    and so does a ``symplectic_residual`` above SYMPLECTIC_TOL or NaN:
+    M is then not symplectic to working precision.  Pi is symplectic
+    and commutes with M, so the residual's U-U block repeats its S-S
+    block and, as q^T Omega Pi q = 0 for the S-half columns q, its S-U
+    block is mq^T Omega Pi mq: both come from the S half.
+
+    The build holds the window basis, one group of steps at a time and,
+    from the first step applied on, the S-half columns, updated in
+    place: each step is used once.  Each call builds afresh;
     ``protocol_setup`` memoises the result with the rest of a run's
     setup.
     """
@@ -427,45 +530,44 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
         raise StepInstability(
             f"coupling breaks the S <-> U mirror: residual {mirror:.3g} "
             f"> {MIRROR_TOL:g}")
+    reversal = _reversal_residual(f_s, f_u, grid, params)
+    if not reversal <= REVERSAL_TOL:
+        raise StepInstability(
+            f"coupling breaks time reversal with x -> b - x: residual "
+            f"{reversal:.3g} > {REVERSAL_TOL:g}")
     # ||K||_1 and ||K^T||_1 bounded through the factors
     k_norm = max(np.max(np.abs(f_u) @ np.abs(f_s).sum(0)),
                  np.max(np.abs(f_s) @ np.abs(f_u).sum(0)))
     window = _step_basis(grid, params, span)
-    # with no coupling the ramp steps are free flight: one rotation by
-    # span, not a chain of them, gives R(span) [b; 0] exactly
-    schedule = [(dt, scale * coupling_scale)
-                for dt, scale in ramp_schedule(
-                    t_i, t_f, ramp_fraction if coupling_scale else 0.0)]
-    # distinct nonzero scales per duration, in order
-    scales = {}
-    for dt, scale in schedule:
-        if scale != 0.0:
-            scales.setdefault(dt, {})[scale] = None
-    steps = {}
-    for dt in sorted(scales, reverse=True):
-        b, ls = _step_propagators(grid, params, (f_s, f_u, k_norm), dt,
-                                  list(scales[dt]), (span, window))
-        for scale, l in ls.items():
-            steps[dt, scale] = b, l
-        del b, ls
-    uses = collections.Counter(schedule)
-
     n2, r = window.shape
-    mq = np.zeros((2 * n2, r))
-    mq[:n2] = window
-    omega_q = _omega_form(mq, mq)
-    for dt, scale in schedule:
-        if scale == 0.0:                 # free flight alone, exactly
-            free_rotate(mq, grid, params, dt, out=mq)
-            continue
-        b, l = steps[dt, scale]
-        _apply(b, l, dt, mq, grid, params)
-        uses[dt, scale] -= 1
-        if not uses[dt, scale]:
-            del steps[dt, scale]
-        del b, l
+    if coupling_scale == 0.0:
+        # free flight alone: one rotation by span, not a chain of them,
+        # gives R(span) [b; 0] exactly
+        mq = np.zeros((2 * n2, r))
+        mq[:n2] = free_rotate(window, grid, params, span)
+    else:
+        # the first half of the symmetric schedule: the steps before its
+        # middle and half the middle step, if there is one
+        schedule = ramp_schedule(t_i, t_f, ramp_fraction)
+        mid, odd = divmod(len(schedule), 2)
+        first = schedule[:mid] + [(0.5 * dt, scale)
+                                  for dt, scale in schedule[mid:mid + odd]]
+        mq = None
+        for dt, group in itertools.groupby(first, key=lambda step: step[0]):
+            scales = [scale * coupling_scale for _, scale in group]
+            b, ls = _step_propagators(grid, params, (f_s, f_u, k_norm), dt,
+                                      scales, window)
+            if mq is None:
+                mq = np.zeros((2 * n2, r))
+                mq[:n2] = window
+            while ls:                    # in time order, each used once
+                _apply(b, ls.pop(0), dt, mq, grid, params)
+            del b, ls
+        _second_half(mq, window, 0.5 * span, grid, params)
+    # q^T Omega q of the S-half columns [b; 0]
+    b_x, b_p = window[:grid.n_modes], window[grid.n_modes:]
     residual = float(np.max(np.abs([
-        _omega_form(mq, mq) - omega_q,
+        _omega_form(mq, mq) - (b_x.T @ b_p - b_p.T @ b_x),
         _omega_form(mq, _mirror(mq, grid, params))])))
     if not residual <= SYMPLECTIC_TOL:
         raise StepInstability(
@@ -474,7 +576,8 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     # the coupled deviation: R(span) [b; 0] has no U rows
     mq[:n2] -= free_rotate(window, grid, params, span)
     window.flags.writeable = mq.flags.writeable = False
-    return WindowPropagator(window, mq, span, grid, params, residual, mirror)
+    return WindowPropagator(window, mq, span, grid, params, residual, mirror,
+                            reversal)
 
 
 def _moment_pairs(r_b: int, s_pred: float, back: float):

@@ -3,10 +3,10 @@
 ``run_protocol_dense`` runs the measurement-feedback protocol the
 direct way: every segment of the ramped coupling schedule gets its own
 dense propagator (``segment_propagator``), the segments are multiplied
-in time order (``window_propagator_dense``), free flight is a dense rotation matrix, the
-post-measurement covariance is formed as a dense matrix and carried
-through every propagator, and the profile is the triple-product
-``einsum``.  Production code
+in time order (``window_propagator_dense``), free flight is a dense
+rotation matrix, the post-measurement covariance is formed as a dense
+matrix and carried through every propagator, and the profile is the
+triple-product ``einsum``.  Production code
 (``edgeqet.oracle.run_protocol``) reaches the same numbers on the
 subspace the coupling touches, with per-mode rotations and the rank-2
 form of the conditioned covariance; the tests compare the two.
@@ -167,16 +167,39 @@ def ramp_segments(t_i, t_f, ramp_fraction, n_ramp):
 
 
 def window_propagator_dense(params, grid, coupling_scale, ramp_fraction,
-                            n_ramp):
+                            n_ramp, first_half=False):
     """The window propagator as the time-ordered product of the dense
-    ``segment_propagator`` of every ``ramp_segments`` segment."""
+    ``segment_propagator`` of every ``ramp_segments`` segment; with
+    ``first_half``, of the ramp-up segments and half the plateau."""
     t_i, t_f = interaction_window(params)
     g_s, g_u, g_int = build_hamiltonians(params, grid)
+    segments = ramp_segments(t_i, t_f, ramp_fraction, n_ramp)
+    if first_half:
+        plateau, scale = segments[n_ramp]
+        segments = segments[:n_ramp] + [(0.5 * plateau, scale)]
     prop = np.eye(4 * grid.n_modes)
-    for dt, scale in ramp_segments(t_i, t_f, ramp_fraction, n_ramp):
+    for dt, scale in segments:
         prop = segment_propagator(grid, params, g_s + g_u, g_int, dt,
                                   coupling_scale * scale) @ prop
     return prop
+
+
+def time_reversal(grid, params):
+    """Theta as a dense matrix: time reversal combined with the mirror
+    x -> b - x of each channel.  Per mode it is the reflection of
+    (x_n, p_n) across the angle k_n b/2 on S and -k_n b/2 on U, since
+    rho(b - x) = rho(x) Theta on each channel (``density_basis``)."""
+    n = grid.n_modes
+    kb = grid.k * params.b
+    cs, sn = np.cos(kb), np.sin(kb)
+    idx = np.arange(n)
+    theta = np.zeros((4 * n, 4 * n))
+    for base, sign in ((0, 1.0), (2 * n, -1.0)):
+        theta[base + idx, base + idx] = cs
+        theta[base + idx, base + n + idx] = sign * sn
+        theta[base + n + idx, base + idx] = sign * sn
+        theta[base + n + idx, base + n + idx] = -cs
+    return theta
 
 
 def s_energy_density(cov, mean_second_moment, x_grid, grid, params):

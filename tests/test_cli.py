@@ -346,6 +346,7 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert summary["subspace_rank"] > 0
     assert 0.0 <= summary["symplectic_residual"] < 1e-12
     assert 0.0 <= summary["mirror_residual"] <= propagator.MIRROR_TOL
+    assert 0.0 <= summary["reversal_residual"] <= propagator.REVERSAL_TOL
     assert summary["wrap_margin_m"] > 0.0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 3 and manifest["shots"] == 60

@@ -17,10 +17,10 @@ from edgeqet.energetics import (_eb_integral, _eb_prefactor, compute_EA,
                                 compute_E1)
 
 from dense_reference import (channel_energy, channel_slice,
-                             displace_feedback, run_protocol_dense,
-                             s_energy_density, symplectic_form,
-                             validate_setup, validate_state,
-                             window_propagator_dense)
+                             displace_feedback, free_propagator,
+                             run_protocol_dense, s_energy_density,
+                             symplectic_form, time_reversal, validate_setup,
+                             validate_state, window_propagator_dense)
 
 
 @pytest.fixture(scope="module")
@@ -840,27 +840,41 @@ def test_window_propagator_matches_dense_product(params, ramp_fraction):
     assert np.max(np.abs(prop.T @ omega @ prop - omega)) <= 1e-13
 
 
-def test_window_propagator_build_memory(params):
-    """A cold build at 128 modes with the 5% ramp peaks (traced) at a
-    small multiple of the dense Q and MQ, two 4N x r arrays: it holds
-    only what the rest of the ramp schedule still needs.  What it
-    returns, b and l, is 3/8 of those."""
+def _build_peak(params, ramp_fraction):
+    """(traced peak of a cold 128-mode build, bytes of the dense Q and
+    MQ, two 4N x r arrays, the propagator)."""
     # the first build in a process imports the quadrature rule's module;
     # a 16-mode build pays for that before the traced one
     propagator.window_propagator(params, O.default_grid(params, 16), 1.0,
-                                 0.05)
+                                 ramp_fraction)
     grid = O.default_grid(params, n_modes=128)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        m = propagator.window_propagator(params, grid, 1.0, 0.05)
+        m = propagator.window_propagator(params, grid, 1.0, ramp_fraction)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    dense = 2 * (4 * grid.n_modes) * (2 * m.b.shape[1]) * 8
-    assert peak <= 2.2 * dense
+    return peak, 2 * (4 * grid.n_modes) * (2 * m.b.shape[1]) * 8, m
+
+
+def test_window_propagator_build_memory(params):
+    """A cold build at 128 modes with the 5% ramp peaks (traced) at a
+    small multiple of the dense Q and MQ: it builds only the first half
+    of the window, holds one group of steps at a time and uses each
+    step once.  What it returns, b and l, is 3/8 of those."""
+    peak, dense, m = _build_peak(params, 0.05)
+    assert peak <= 1.4 * dense
     assert 8 * (m.b.nbytes + m.l.nbytes) == 3 * dense
+
+
+def test_window_propagator_sudden_build_memory(params):
+    """A cold sudden build at 128 modes, half the window's plateau and
+    no ramp, peaks (traced) at no more than 1.2 times the dense Q and
+    MQ."""
+    peak, dense, _ = _build_peak(params, 0.0)
+    assert peak <= 1.2 * dense
 
 
 def test_profile_terms_memory_is_one_block(params):
@@ -933,9 +947,11 @@ def test_step_basis_is_complete(params):
 def test_step_bases_inside_window_keep_full_rank(params, monkeypatch,
                                                  n_modes):
     """Every step basis a sudden, 5% or 20% build takes inside the
-    window basis has the rank of the basis built from the full samples,
-    is orthonormal, and holds density vectors at held-out points of its
-    interval [0, b + v tau] to 1e-13 relative."""
+    window basis, each doubling level of the first half of the window,
+    has the rank of the basis built from the full samples, is
+    orthonormal, and holds density vectors at held-out points of its
+    interval [0, b + v tau] to 1e-13 relative.  Only the window basis
+    is built from the full samples."""
     grid = O.default_grid(params, n_modes=n_modes)
     made = []
     step_basis = propagator._step_basis
@@ -945,8 +961,14 @@ def test_step_bases_inside_window_keep_full_rank(params, monkeypatch,
                         or made[-1][-1])
     for ramp_fraction in (0.0, 0.05, 0.2):
         propagator.window_propagator(params, grid, 1.0, ramp_fraction)
+    t_i, t_f = O.interaction_window(params)
+    assert [tau for tau, window, _ in made if window is None] == (
+        [t_f - t_i] * 3)
     inside = {tau: b for tau, window, b in made if window is not None}
-    assert len(inside) >= 16
+    # the levels of half the plateau (sudden and 5%) and of the ramp
+    # steps (5% and 20%), 15 distinct durations at 64 modes
+    assert len(inside) >= 15
+    assert max(inside) == 0.5 * (t_f - t_i)
     rng = np.random.default_rng(6)
     for tau, b in inside.items():
         assert b.shape == step_basis(grid, params, tau).shape
@@ -962,16 +984,26 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
                               residual):
     """M is symplectic on its subspace, every step propagator the build
     makes conserves the energy of its own Hamiltonian, and with a
-    constant coupling so does M.  A step is recorded by its S-half
-    deviation l; the mirror gives the rest, [l, Pi l]."""
+    constant coupling so does M.  The build makes the steps of the
+    first half of the window only: half the plateau and, with a ramp,
+    the ramp-up steps.  A step is recorded by its S-half deviation l
+    (a copy: the build drops each step once it is applied); the mirror
+    gives the rest, [l, Pi l]."""
     steps = []
     build = propagator._step_propagators
-    monkeypatch.setattr(propagator, "_step_propagators",
-                        lambda *a: steps.append((a[3], build(*a)))
-                        or steps[-1][1])
+
+    def record(*a):
+        b, ls = build(*a)
+        steps.append((a[3], (b, dict(zip(a[4], ls)))))
+        return b, ls
+
+    monkeypatch.setattr(propagator, "_step_propagators", record)
     grid = O.default_grid(params, n_modes=n_modes)
     m = propagator.window_propagator(params, grid, 1.0, ramp_fraction)
     assert m.symplectic_residual <= residual
+    t_i, t_f = O.interaction_window(params)
+    span, ramp = t_f - t_i, ramp_fraction * (t_f - t_i)
+    assert steps[-1][0] == 0.5 * (span - 2.0 * ramp)
     # H = (1/2) R^T G R with G = G_S + G_U + scale G_int is conserved:
     # probe E^T G E = G on random directions
     g_s, g_u, g_int = O.build_hamiltonians(params, grid)
@@ -984,9 +1016,11 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
 
     if ramp_fraction == 0.0:
         assert_conserved(m @ z, g_s + g_u + g_int)
-    # the plateau, and for a ramp its steps, which share a duration
+    # half the plateau, and for a ramp the ramp-up steps, which share a
+    # duration
     assert len(steps) == (1 if ramp_fraction == 0.0 else 2)
     for dt, (b, ls) in steps:
+        assert ls
         q = _dense_basis(b, grid, params)
         for scale, l in ls.items():
             assert l.shape == (4 * grid.n_modes, b.shape[1])
@@ -1026,13 +1060,14 @@ def test_coupling_nodes_match_direct_rule(params, grid):
 
 @pytest.mark.parametrize("doublings", [None, 0])
 def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
-    """With sudden switching the plateau is the window: its basis is
-    built once, the one basis built from the full samples, and used at
-    the plateau's last doubling level (or its short step when there are
-    no doublings), with the same bits as a build that recomputes it;
-    every shorter level's basis is taken inside it.  16 modes take
-    doublings; on 4 modes one Taylor series covers the whole window
-    (norm bound 3.47 <= theta_30), so the bound itself gives none."""
+    """With sudden switching the build makes half the plateau, which is
+    half the window: the window basis is built once, the one basis built
+    from the full samples, and every doubling level of the half plateau,
+    its last (half the window) included, takes its basis inside it; a
+    build with every level's basis from the full samples gives the same
+    M to 1e-12 of max|l|.  16 modes take doublings; on 4 modes one
+    Taylor series covers half the window (norm bound 1.74 <= theta_30),
+    so the bound itself gives none."""
     grid = O.default_grid(params, n_modes=16 if doublings is None else 4)
     depths = []
     depth = propagator._doublings
@@ -1044,8 +1079,6 @@ def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
     step_basis = propagator._step_basis
 
     def basis(g, p, tau, window=None):
-        # the window basis, when recomputed, from the full samples
-        window = None if tau == t_f - t_i else window
         taus.append(tau)
         if window is None:
             full.append(tau)
@@ -1053,33 +1086,36 @@ def test_sudden_build_reuses_window_basis(params, monkeypatch, doublings):
 
     monkeypatch.setattr(propagator, "_step_basis", basis)
     m = propagator.window_propagator(params, grid, 1.0, 0.0)
-    assert taus.count(t_f - t_i) == 1
     assert full == [t_f - t_i]
-    # the same build with the window basis not handed on as the plateau's
-    build = propagator._step_propagators
-    monkeypatch.setattr(propagator, "_step_propagators",
-                        lambda *a: build(*a[:-1], (math.nan, a[-1][1])))
+    assert taus.count(t_f - t_i) == 1
+    assert taus[-1] == 0.5 * (t_f - t_i)
+    assert len(taus) == depths[0] + 2
+    # the same build with every level's basis from the full samples
+    monkeypatch.setattr(propagator, "_step_basis",
+                        lambda g, p, tau, window=None: step_basis(g, p, tau))
     fresh = propagator.window_propagator(params, grid, 1.0, 0.0)
-    assert taus.count(t_f - t_i) == 3
-    assert np.array_equal(m.b, fresh.b) and np.array_equal(m.l, fresh.l)
+    assert np.array_equal(m.b, fresh.b)
+    assert np.max(np.abs(m.l - fresh.l)) <= 1e-12 * np.max(np.abs(m.l))
     assert (depths == [0, 0]) if doublings == 0 else (min(depths) > 0)
 
 
 @pytest.mark.parametrize("n_modes, depths", [
-    (16, [(3,), (2, 0), (2, 0), (0,)]),
-    (64, [(5,), (4, 0), (4, 0), (1,)]),
-    (256, [(6,), (6, 0), (6, 2), (3,)]),
-    (1024, [(8,), (8, 2), (8, 4), (5,)]),
+    (16, [(2,), (0, 1), (0, 1), (0,)]),
+    (64, [(4,), (0, 3), (0, 3), (1,)]),
+    (256, [(5,), (0, 5), (2, 5), (3,)]),
+    (1024, [(7,), (2, 7), (4, 7), (5,)]),
 ])
 def test_step_doublings_follow_taylor_bound(params, monkeypatch, n_modes,
                                             depths):
-    """The doublings of each distinct step, longest first, for sudden
-    switching and 5%, 20% and 50% ramps (5 steps): the fewest after
-    which one Taylor series covers the short step, so every exponential
-    action gets a norm bound within max(_THETA).  The depths follow
-    from the step durations and the norm bounds alone, so one unit
-    column stands in for every step basis and keeps the 1024-mode builds
-    cheap."""
+    """The doublings of each group of steps of the first half of the
+    window, in time order (the ramp-up steps, then half the plateau),
+    for sudden switching and 5%, 20% and 50% ramps (5 steps): half the
+    plateau takes one doubling fewer than the whole took, and each
+    count is the fewest after which one Taylor series covers the short
+    step, so every exponential action gets a norm bound within
+    max(_THETA).  The depths follow from the step durations and the
+    norm bounds alone, so one unit column stands in for every step
+    basis and keeps the 1024-mode builds cheap."""
     grid = O.default_grid(params, n_modes=n_modes)
     monkeypatch.setattr(propagator, "_step_basis",
                         lambda g, p, tau, window=None:
@@ -1131,7 +1167,8 @@ def test_mirror_is_a_symplectic_involution(params, grid):
 def test_mirror_commutes_with_coupled_generator(params, n_modes, changes):
     """Pi A x = A Pi x for A = Omega G / hbar, G = G_S + G_U + G_int from
     the dense Hamiltonians, and for the coupling part alone, to 1e-12 of
-    |A x|; the build's factor check reads the same."""
+    |A x|; the build's factor check reads the same, and so does its
+    time-reversal check."""
     p = params.replace(**changes)
     grid = O.default_grid(p, n_modes=n_modes)
     g_s, g_u, g_int = O.build_hamiltonians(p, grid)
@@ -1147,6 +1184,7 @@ def test_mirror_commutes_with_coupled_generator(params, n_modes, changes):
             np.abs(ax))
     f_s, f_u = propagator._coupling_factors(p, grid)
     assert propagator._mirror_residual(f_s, f_u, grid, p) <= 1e-13
+    assert propagator._reversal_residual(f_s, f_u, grid, p) <= 1e-13
 
 
 def test_free_window_gives_rotated_basis_bit_for_bit(params, grid):
@@ -1157,6 +1195,7 @@ def test_free_window_gives_rotated_basis_bit_for_bit(params, grid):
         st = propagator.protocol_setup(params, grid, 0.0, ramp_fraction)
         assert not st.window.l.any()
         assert st.window.mirror_residual <= 1e-13
+        assert st.window.reversal_residual <= 1e-13
         assert st.energies[2, 0] == 0.0
 
 
@@ -1173,6 +1212,102 @@ def test_broken_mirror_is_refused(params, grid, monkeypatch):
     monkeypatch.setattr(propagator, "_step_propagators",
                         lambda *a: pytest.fail("step built"))
     with pytest.raises(O.StepInstability, match="mirror"):
+        propagator.window_propagator(params, grid, 1.0, 0.05)
+
+
+def test_time_reversal_is_an_antisymplectic_involution(params, grid):
+    """Theta, built per mode from its definition (``time_reversal``), is
+    what ``_reverse`` applies one channel at a time (T R(b/v) on S,
+    T R(-b/v) on U, and Omega times those).  It is its own inverse,
+    antisymplectic (Theta Omega Theta = -Omega) and keeps the free and
+    the coupling Hamiltonians to 1e-14 of their largest entries; and
+    rho(b - x) = rho(x) Theta on each channel."""
+    n2 = 2 * grid.n_modes
+    theta = time_reversal(grid, params)
+    omega = symplectic_form(grid.n_modes)
+    eye = np.eye(n2)
+    turn = params.b / params.v_g
+    # the angle k b (8.4 rad at the top mode) is rounded as k b here and
+    # as v k (b/v) there: the two differ by ~2e-15
+    for rows, t in ((slice(0, n2), turn), (slice(n2, None), -turn)):
+        for want, got in (
+                (theta[rows, rows], propagator._reverse(eye, grid, params, t)),
+                ((omega @ theta)[rows, rows],
+                 propagator._reverse(eye, grid, params, t, omega=True))):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+    assert np.allclose(theta @ theta, np.eye(2 * n2), rtol=0.0, atol=1e-15)
+    assert np.allclose(theta @ omega @ theta, -omega, rtol=0.0, atol=1e-15)
+    g_s, g_u, g_int = O.build_hamiltonians(params, grid)
+    for g in (g_s + g_u, g_int):
+        assert np.max(np.abs(theta @ g @ theta - g)) <= 1e-14 * np.max(
+            np.abs(g))
+    x = np.random.default_rng(8).uniform(0.0, params.b, 7)
+    for rows, nu, chirality in ((slice(0, n2), params.nu_S, "left"),
+                                (slice(n2, None), params.nu_U, "right")):
+        at = O.density_basis(grid, nu, x, chirality)
+        mirrored = O.density_basis(grid, nu, params.b - x, chirality)
+        assert np.allclose(at @ theta[rows, rows], mirrored, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(at)))
+
+
+def _reversal_defects(params, grid, ramp_fraction):
+    """max |M - Theta M^-1 Theta| and max |M - Theta X^-1 Theta X| of
+    the dense reference, X its first half, with the inverses
+    Omega^-1 (.)^T Omega of a symplectic matrix."""
+    m, x = (window_propagator_dense(params, grid, 1.0, ramp_fraction,
+                                    propagator.N_RAMP, first_half=half)
+            for half in (False, True))
+    theta = time_reversal(grid, params)
+    omega = symplectic_form(grid.n_modes)
+
+    def inverse(a):
+        return -omega @ a.T @ omega
+
+    return (np.max(np.abs(m - theta @ inverse(m) @ theta)),
+            np.max(np.abs(m - theta @ inverse(x) @ theta @ x)), m)
+
+
+@pytest.mark.parametrize("n_modes", [16, 32, 64])
+@pytest.mark.parametrize("ramp_fraction", [0.0, 0.05, 0.5])
+def test_window_propagator_is_its_time_reversed_inverse(params, n_modes,
+                                                        ramp_fraction):
+    """The symmetry the build takes the second half of the window from,
+    on the dense reference: M = Theta M^-1 Theta and, with X the first
+    half (the ramp-up and half the plateau),
+    M = Theta X^-1 Theta X, to 1e-14 of max|M| (5e-15 measured), for
+    sudden switching, the 5% ramp and a ramp with no plateau."""
+    grid = O.default_grid(params, n_modes=n_modes)
+    whole, half, m = _reversal_defects(params, grid, ramp_fraction)
+    assert whole <= 1e-14 * np.max(np.abs(m))
+    assert half <= 1e-14 * np.max(np.abs(m))
+
+
+def test_broken_time_reversal_is_refused(params, monkeypatch):
+    """A kernel times 1 + 0.3 sign(x - y) keeps the S <-> U mirror
+    (residual ~1e-15) but not Theta: on the dense reference at 32 modes
+    with the 5% ramp, M = Theta M^-1 Theta then fails by 6.7% of
+    max|M - R| (M - R is the coupling's part of M), and the build raises StepInstability before any step
+    is built."""
+    grid = O.default_grid(params, n_modes=32)
+    nodes = O._coupling_nodes
+    xq = np.polynomial.legendre.leggauss(O.N_QUAD)[0]
+    sign = np.sign(xq[:, None] - xq[None, :])
+
+    def skewed(p, g):
+        u_s, u_u, kernel = nodes(p, g)
+        return u_s, u_u, kernel * (1.0 + 0.3 * sign)
+    monkeypatch.setattr(O, "_coupling_nodes", skewed)
+    monkeypatch.setattr(propagator, "_coupling_nodes", skewed)
+    f_s, f_u = propagator._coupling_factors(params, grid)
+    assert propagator._mirror_residual(f_s, f_u, grid, params) <= 1e-13
+    assert propagator._reversal_residual(f_s, f_u, grid, params) >= 0.1
+    whole, _, m = _reversal_defects(params, grid, 0.05)
+    t_i, t_f = O.interaction_window(params)
+    r = free_propagator(grid, params, t_f - t_i)
+    assert whole >= 0.01 * np.max(np.abs(m - r))
+    monkeypatch.setattr(propagator, "_step_propagators",
+                        lambda *a: pytest.fail("step built"))
+    with pytest.raises(O.StepInstability, match="time reversal"):
         propagator.window_propagator(params, grid, 1.0, 0.05)
 
 
