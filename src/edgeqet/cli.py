@@ -120,11 +120,12 @@ def _csv_cells(column):
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` (float arrays or sequences of
     cells) under ``header``, one row per index, in csv.writer's default
-    format (comma-separated, CRLF line ends)."""
-    lines = [",".join(map(_csv_field, header))]
-    lines += map(",".join, zip(*map(_csv_cells, columns)))
+    format (comma-separated, CRLF line ends).  Each row goes to the
+    file as it is formatted, so the text is never held whole."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in zip(*map(_csv_cells, columns)))
 
 
 def _parse_overrides(pairs):

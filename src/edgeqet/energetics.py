@@ -121,16 +121,53 @@ def _eb_prefactor(params: P.ExperimentParams) -> float:
             / (16.0 * math.pi ** 3 * params.epsilon * dv))
 
 
+def _legval(x: np.ndarray, c) -> np.ndarray:
+    """sum_k c[k] P_k(x), len(c) >= 2, by Clenshaw's recurrence in the
+    order of numpy's ``legval``."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
+def _leggauss(n: int):
+    """(t, w), the n-point Gauss-Legendre rule on [-1, 1], n >= 2, step
+    for step as numpy's ``leggauss`` builds it, so with its bits, and
+    without importing ``numpy.polynomial``: the eigenvalues of the
+    symmetric companion matrix of P_n, one Newton step on P_n, and
+    weights 1/(P_n-1 P_n') scaled to their maxima, symmetrised and
+    normalised to sum 2.  P_n' is the series sum (2k + 1) P_k over
+    k = n - 1, n - 3, ..., as numpy's ``legder`` gives it."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * n + [1.0]
+    der = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0
+           for k in range(n)]
+    dy = _legval(x, c)
+    df = _legval(x, der)
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @functools.cache
 def _legendre_rule(n: int):
-    """(t, w), the n-point Gauss-Legendre rule on [-1, 1], as read-only
-    arrays.
+    """(t, w), the n-point Gauss-Legendre rule on [-1, 1] (``_leggauss``),
+    as read-only arrays.
 
     Every E_B rule and the oracle's coupling nodes take their rule from
     here, so each n is built once per process; ``cache_clear()``
     releases the rules.
     """
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = _leggauss(n)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 

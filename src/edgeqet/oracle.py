@@ -439,13 +439,15 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     m = (1, u.u/n, f.f/n, u.f/n), three dot products: E_A, E_1 and
     E_B are ``energies @ m`` and the profile is
     ``profile_terms(points) @ m``.  The per-shot E_B is the E_B row
-    applied in place, with the same arithmetic in every mode; besides
-    the draws and f, it and one scratch array, which holds its
-    deviations from the mean for the standard error, are the
-    shot-length arrays formed.  So a repeated call on one setup costs
-    little more than its draws.  The cached arrays are read-only and no
-    result shares them; ``propagator.protocol_setup.cache_clear()``
-    releases the setups with their propagators and profiles.
+    applied in place, with the same arithmetic in every mode.  The
+    shot-length arrays a call forms are the draws, scaled to the
+    outcomes in place; f, unless it is the outcomes themselves
+    (correlated); the per-shot E_B; and one scratch array, which holds
+    its deviations from the mean for the standard error.  So a repeated
+    call on one setup costs little more than its draws.  The cached
+    arrays are read-only and no result shares them;
+    ``propagator.protocol_setup.cache_clear()`` releases the setups with
+    their propagators and profiles.
 
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
@@ -499,7 +501,8 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     # shots: every energy is a quadratic form in (outcome, feedback), so
     # each mean is a row of the setup's tables applied to the moments m
     rng = np.random.default_rng(seed)
-    upsilon = math.sqrt(st.s_pred) * rng.standard_normal(n_shots)
+    upsilon = rng.standard_normal(n_shots)
+    upsilon *= math.sqrt(st.s_pred)              # in place: no temporary
     if feedback_mode == "scrambled":
         fb = upsilon.copy()
         rng.shuffle(fb)

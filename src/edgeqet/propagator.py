@@ -37,8 +37,9 @@ closed form from X^-1 = Omega^-1 X^T Omega (``_second_half``).
 Every step reads an interval inside the window's, so its basis is
 taken inside the window basis (``_step_basis``): the build makes one
 SVD of 2N-row density samples, whatever its number of steps.  Ramp
-steps share their duration, so they share each doubling level's basis,
-which lives for that level only.
+steps share their duration, so they share the short step's basis and
+each doubling level's, which live while the ramp's steps are built; the
+steps themselves are built one at a time.
 
 The same module holds the setup stage of ``oracle.run_protocol``
 (``protocol_setup``): the window propagator together with everything
@@ -356,10 +357,12 @@ def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float):
 
 def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
                       dt: float, scales, window: np.ndarray):
-    """(b, [l, ...]): exp(dt A_scale) held as (b, l) for each of
-    ``scales``, in their order, that is R(dt) + [l, Pi l] Q^T with Q = Q_dt given by
-    its S block b (``_step_basis``) and l (4N x r_b) the deviation
-    E Q - R Q on the S-half columns [b; 0] of Q (``_apply``).
+    """Yields (b, l), exp(dt A_scale) held as (b, l) for each of
+    ``scales`` in turn, that is R(dt) + [l, Pi l] Q^T with Q = Q_dt
+    given by its S block b (``_step_basis``) and l (4N x r_b) the
+    deviation E Q - R Q on the S-half columns [b; 0] of Q (``_apply``).
+    The next scale is built when the next one is asked for, so a caller
+    that drops each l before asking holds one step at a time.
     ``window``, the window's basis, already built, is longer than any
     step of the half window: every level's basis is taken inside it
     (``_step_basis``), so the build makes one SVD of 2N-row samples.
@@ -375,8 +378,10 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     E(2h) Q_2h - R(2h) Q_2h are E(h) L + l G with L = l P0 the
     deviation E(h) Q_2h - R(h) Q_2h of those columns after one step,
     P0 = B_h^T B_2h and G = B_h^T R(h) B_2h: one ``_apply`` of E(h)
-    to L with G added to its coefficient of l.  The scales share each
-    level's basis, which lives for that level only.
+    to L with G added to its coefficient of l.  The scales share the
+    short step's columns and every level's (B_2h, P0, G), built by the
+    first scale and held until the last drops each after its use: a
+    group of one scale holds one level at a time.
     """
     f_s, f_u, k_norm = factors
     n = grid.n_modes
@@ -399,20 +404,27 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     q_s = np.zeros((4 * n, b.shape[1]))
     q_s[:2 * n] = b
     rq_s = free_rotate(q_s, grid, params, h)
-    ls = []
-    for scale, rate in zip(scales, rates):
-        ls.append(expm_action(apply_at(scale * h / P.HBAR), q_s, rate * h))
-        ls[-1] -= rq_s
-    del q_s, rq_s
-    for _ in range(k):
-        b2 = _step_basis(grid, params, 2.0 * h, window)
-        p0 = b.T @ b2
-        g = b.T @ free_rotate(b2, grid, params, h)
-        for j, l in enumerate(ls):
-            ls[j] = _apply(b, l, h, l @ p0, grid, params, g)
-        del l
-        b, h = b2, 2.0 * h
-    return b, ls
+    levels = []                          # (B_2h, P0, G) per doubling
+    for j, (scale, rate) in enumerate(zip(scales, rates)):
+        last = j == len(scales) - 1
+        l = expm_action(apply_at(scale * h / P.HBAR), q_s, rate * h)
+        l -= rq_s
+        b_h, t = b, h
+        if last:
+            del b, q_s, rq_s
+        for d in range(k):
+            if d == len(levels):         # the first scale builds the level
+                b2 = _step_basis(grid, params, 2.0 * t, window)
+                levels.append((b2, b_h.T @ b2,
+                               b_h.T @ free_rotate(b2, grid, params, t)))
+            b2, p0, g = levels[d]
+            if last:
+                levels[d] = None
+            l = _apply(b_h, l, t, l @ p0, grid, params, g)
+            b_h, t = b2, 2.0 * t
+            del b2, p0, g
+        yield b_h, l
+        del l                            # before the next scale's action
 
 
 def _second_half(y: np.ndarray, window: np.ndarray, half: float,
@@ -498,14 +510,15 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     the ramp-up steps and half the plateau, in time order: each group
     of steps that share a duration costs one ``expm_action`` per scale
     (``_step_propagators``), and each step is applied to the S-half
-    columns [b; 0] as soon as its group is built, in O(N r r_step)
-    (``_apply``), and then dropped.  The second half comes in closed
-    form (``_second_half``): the coupling is invariant under Theta and
-    the schedule is symmetric in time, so M = Theta X^-1 Theta X.  No
-    4N x 4N matrix is formed, and no U-half column: M commutes with the
-    S <-> U mirror Pi (``_mirror``), so they follow from the S half.  A
-    free window (``coupling_scale`` 0) is one free rotation by span
-    whatever the ramp, so it gives l = 0 exactly.
+    columns [b; 0] as soon as it is built, in O(N r r_step)
+    (``_apply``), and dropped before the next is built.  The second
+    half comes in closed form (``_second_half``): the coupling is
+    invariant under Theta and the schedule is symmetric in time, so
+    M = Theta X^-1 Theta X.  No 4N x 4N matrix is formed, and no U-half
+    column: M commutes with the S <-> U mirror Pi (``_mirror``), so
+    they follow from the S half.  A free window (``coupling_scale`` 0)
+    is one free rotation by span whatever the ramp, so it gives l = 0
+    exactly.
 
     Both symmetries are checked first, from the coupling factors: a
     ``mirror_residual`` above MIRROR_TOL or a ``reversal_residual``
@@ -516,11 +529,11 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     block and, as q^T Omega Pi q = 0 for the S-half columns q, its S-U
     block is mq^T Omega Pi mq: both come from the S half.
 
-    The build holds the window basis, one group of steps at a time and,
-    from the first step applied on, the S-half columns, updated in
-    place: each step is used once.  Each call builds afresh;
-    ``protocol_setup`` memoises the result with the rest of a run's
-    setup.
+    The build holds the window basis, one step at a time with the
+    bases its group shares and, from the first step applied on, the
+    S-half columns, updated in place: each step is used once.  Each
+    call builds afresh; ``protocol_setup`` memoises the result with the
+    rest of a run's setup.
     """
     t_i, t_f = interaction_window(params)
     span = t_f - t_i
@@ -555,14 +568,13 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
         mq = None
         for dt, group in itertools.groupby(first, key=lambda step: step[0]):
             scales = [scale * coupling_scale for _, scale in group]
-            b, ls = _step_propagators(grid, params, (f_s, f_u, k_norm), dt,
-                                      scales, window)
-            if mq is None:
-                mq = np.zeros((2 * n2, r))
-                mq[:n2] = window
-            while ls:                    # in time order, each used once
-                _apply(b, ls.pop(0), dt, mq, grid, params)
-            del b, ls
+            for b, l in _step_propagators(grid, params, (f_s, f_u, k_norm),
+                                          dt, scales, window):
+                if mq is None:
+                    mq = np.zeros((2 * n2, r))
+                    mq[:n2] = window
+                _apply(b, l, dt, mq, grid, params)
+                del b, l                 # each step used once, then dropped
         _second_half(mq, window, 0.5 * span, grid, params)
     # q^T Omega q of the S-half columns [b; 0]
     b_x, b_p = window[:grid.n_modes], window[grid.n_modes:]

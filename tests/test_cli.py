@@ -74,22 +74,39 @@ def test_import_loads_no_scipy_submodules():
     assert out.strip() == "[]"
 
 
-def test_commands_load_no_scipy(tmp_path):
-    """budget, sweep and simulate run without importing any scipy
-    module: only oracle.expm and oracle.evolve need scipy.linalg."""
+def _loaded_after(tmp_path, commands, package):
+    """The last stdout line of a fresh interpreter that runs
+    ``commands`` through cli.main: their exit codes and the sorted
+    modules of ``package`` (a dotted prefix) then loaded."""
     src = str(Path(edgeqet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
-                ["simulate", "--modes", "32", "--shots", "50"]]
     code = ("import sys, warnings; from edgeqet import cli; "
             "warnings.simplefilter('ignore'); "
             f"codes = [cli.main(a + ['--out', {str(tmp_path)!r}]) "
             f"for a in {commands!r}]; "
             "print(codes, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            f"if (m + '.').startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.splitlines()[-1] == "[0, 0, 0] []"
+    return out.splitlines()[-1]
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """budget, sweep and simulate run without importing any scipy
+    module: only oracle.expm and oracle.evolve need scipy.linalg."""
+    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
+                ["simulate", "--modes", "32", "--shots", "50"]]
+    assert _loaded_after(tmp_path, commands, "scipy") == "[0, 0, 0] []"
+
+
+def test_commands_load_no_numpy_polynomial(tmp_path):
+    """The Gauss-Legendre rules are built in house
+    (``energetics._leggauss``), so budget, sweep and simulate never
+    import numpy.polynomial."""
+    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
+                ["simulate", "--modes", "16", "--shots", "50"]]
+    assert (_loaded_after(tmp_path, commands, "numpy.polynomial")
+            == "[0, 0, 0] []")
 
 
 # budget -----------------------------------------------------------------

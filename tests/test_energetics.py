@@ -17,6 +17,7 @@ import pytest
 from scipy.special import wofz
 
 from edgeqet import energetics as E
+from edgeqet import oracle as O
 from edgeqet import params as P
 from edgeqet.chiral_field import window_derivative_l2
 from edgeqet.detector import delta_v, detector_from_params, sense_window
@@ -145,10 +146,19 @@ def test_gauss_legendre_matches_direct_mapping(params, n):
         assert np.array_equal(wx, half * w)
 
 
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, O.N_QUAD])
+def test_legendre_rule_matches_numpy_bit_for_bit(n):
+    """The in-house rule is numpy's ``leggauss``, step for step, so the
+    nodes and weights carry the same bits."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    rule = E._legendre_rule(n)
+    assert np.array_equal(rule[0], t) and np.array_equal(rule[1], w)
+
+
 def test_EB_sweep_builds_each_rule_once(params, monkeypatch):
     built = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+    leggauss = E._leggauss
+    monkeypatch.setattr(E, "_leggauss",
                         lambda n: built.append(n) or leggauss(n))
     E._legendre_rule.cache_clear()
     for mult in (2, 3, 4):

@@ -993,9 +993,11 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
     build = propagator._step_propagators
 
     def record(*a):
-        b, ls = build(*a)
-        steps.append((a[3], (b, dict(zip(a[4], ls)))))
-        return b, ls
+        ls = {}
+        for scale, (b, l) in zip(a[4], build(*a)):
+            ls[scale] = l.copy()
+            yield b, l
+        steps.append((a[3], (b, ls)))
 
     monkeypatch.setattr(propagator, "_step_propagators", record)
     grid = O.default_grid(params, n_modes=n_modes)
@@ -1027,6 +1029,46 @@ def _assert_window_invariants(params, monkeypatch, n_modes, ramp_fraction,
             l = np.hstack([l, propagator._mirror(l, grid, params)])
             assert_conserved(O.free_rotate(z, grid, params, dt)
                              + l @ (q.T @ z), g_s + g_u + scale * g_int)
+
+
+@pytest.mark.parametrize("ramp_fraction, depth", [(0.05, 0), (0.5, 1)])
+def test_ramp_steps_are_built_one_at_a_time(params, monkeypatch,
+                                            ramp_fraction, depth):
+    """In a ramped build at 64 modes each step's deviation l is freed
+    before the next step's exponential action starts, so the build holds
+    one step at a time.  The 5% ramp's steps take no doublings; the 50%
+    ramp's take one, and its level's basis is built once for the five
+    scales: besides the window basis, each group builds its short
+    step's basis and one per doubling."""
+    events = []
+    action = propagator.expm_action
+    monkeypatch.setattr(propagator, "expm_action",
+                        lambda *a: events.append("action") or action(*a))
+    build = propagator._step_propagators
+
+    def record(*a):
+        for step in build(*a):
+            weakref.finalize(step[1], events.append, "freed")
+            events.append("built")
+            yield step
+            del step
+
+    monkeypatch.setattr(propagator, "_step_propagators", record)
+    depths = []
+    doublings = propagator._doublings
+    monkeypatch.setattr(propagator, "_doublings",
+                        lambda norm: depths.append(doublings(norm))
+                        or depths[-1])
+    bases = []
+    step_basis = propagator._step_basis
+    monkeypatch.setattr(propagator, "_step_basis",
+                        lambda *a: bases.append(a[2]) or step_basis(*a))
+    grid = O.default_grid(params, n_modes=64)
+    propagator.window_propagator(params, grid, 1.0, ramp_fraction)
+    steps = propagator.N_RAMP + (ramp_fraction < 0.5)   # + half the plateau
+    assert events == ["action", "built", "freed"] * steps
+    assert depths[0] == depth
+    assert len(bases) == 1 + sum(k + 1 for k in depths)
 
 
 def test_window_propagator_invariants_at_512_modes(params, monkeypatch):

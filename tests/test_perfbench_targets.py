@@ -3,14 +3,18 @@
 ``perfbench/tracing.TARGETS`` names each traced function by module and
 attribute, and the traced run's probe (``perfbench/worker._run_probe``)
 calls oracle functions by attribute; a cleanup that removes one of them
-breaks ``perfbench/run.py --trace 1``.  These tests read perfbench's
-sources and change nothing in it.
+breaks ``perfbench/run.py --trace 1``.  The suite also runs on the
+thread pools perfbench pins.  These tests read perfbench's sources and
+change nothing in it.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 from pathlib import Path
+
+import conftest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +67,15 @@ def test_probe_calls_resolve():
     for module_name, attr in reads:
         module = importlib.import_module(module_name)
         assert hasattr(module, attr), f"{module_name}.{attr}"
+
+
+def test_suite_pins_thread_pools_like_perfbench():
+    """conftest sets every thread variable perfbench's ``THREAD_VARS``
+    names to one thread, and does so before numpy loads, which is when
+    OpenBLAS reads them."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "THREAD_VARS")
+    assert names and all(os.environ[name] == "1" for name in names)
+    assert not conftest.NUMPY_BEFORE_PINNING
