@@ -11,7 +11,7 @@ import numpy as np
 
 from edgeqet import params as P
 from edgeqet.energetics import (compute_EB, eb_order_estimate,
-                                fit_scaling_exponent)
+                                fit_scaling_exponent, loglog_slope)
 
 UEV = 1e6 / P.E_CHARGE
 
@@ -45,5 +45,6 @@ print(f"log|E_B| vs log L slope over 3l..6l: {slope:.3f} "
       "in places and shallower in others)")
 
 # the envelope is exactly a power law, as a control
-slope_env = fit_scaling_exponent(base, window, use_order_estimate=True)
+slope_env, _ = loglog_slope(
+    window, [eb_order_estimate(base.replace(L=L)) for L in window])
 print(f"envelope slope (control):            {slope_env:.3f}")

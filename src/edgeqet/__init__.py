@@ -15,7 +15,7 @@ The command-line interface (``edgeqet``) wraps both.
 
 from .params import (ExperimentParams, FastDetectorWarning, ParamFileError,
                      RegimeWarning, ValidationError, default_paper_params,
-                     load_params, thermal_energy, validate)
+                     thermal_energy, validate)
 from .chiral_field import WindowProfile
 from .detector import RCDetector, delta_v, signal_rms
 from .energetics import (ConvergenceFailure, EnergyBudget, QuadResult,
@@ -23,8 +23,7 @@ from .energetics import (ConvergenceFailure, EnergyBudget, QuadResult,
                          current_from_energy_density, eb_order_estimate,
                          energy_budget, energy_density_from_current,
                          fit_scaling_exponent)
-from .oracle import (ModeGrid, ProtocolResult, default_grid,
-                     local_energy_density, run_protocol)
+from .oracle import ModeGrid, ProtocolResult, default_grid, run_protocol
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "WindowProfile", "compute_EA", "compute_EB", "compute_E1",
     "current_from_energy_density", "default_grid", "default_paper_params",
     "delta_v", "eb_order_estimate", "energy_budget",
-    "energy_density_from_current", "fit_scaling_exponent", "load_params",
-    "local_energy_density", "run_protocol", "signal_rms", "thermal_energy",
-    "validate",
+    "energy_density_from_current", "fit_scaling_exponent", "run_protocol",
+    "signal_rms", "thermal_energy", "validate",
 ]

@@ -9,8 +9,9 @@ simulate   run the Gaussian protocol oracle shot by shot
 convert    convert between edge current and energy density
 
 Each command reads ``--params`` and ``--set`` once; the parameters,
-every sweep point and the manifest come from that one read.  Every
-file-producing command writes a ``manifest.json`` (``_write_manifest``)
+every sweep point and the manifest come from that one read.  Only the
+file-producing commands (budget, sweep, simulate) take ``--out`` and
+``--tol``.  Each writes a ``manifest.json`` (``_write_manifest``)
 holding the fully resolved inputs (parameters, regulators, tolerances,
 grid, seed, tool version) so that any result can be reproduced
 bit-exactly: replay with ``--set`` for every ``params`` entry not
@@ -36,44 +37,39 @@ from . import params as P
 from .energetics import (ConvergenceFailure, compute_EA, compute_EB,
                          compute_E1, energy_budget, eb_order_estimate,
                          current_from_energy_density,
-                         energy_density_from_current)
-from .oracle import (DegenerateObservable, ModeGrid, StepInstability,
-                     default_grid, run_protocol)
+                         energy_density_from_current, loglog_slope)
+from .oracle import (DegenerateObservable, StepInstability, default_grid,
+                     run_protocol)
 
 
 class UsageError(ValueError):
     """Bad command-line input (maps to exit code 1)."""
 
 
-# Reference orders of magnitude for the printed budget comparison; the
-# pass band around each is [ref/10, ref*10].
-_ORDER_REFS = {
-    "delta_v": 10e-6,        # V
-    "signal_rms": 100e-6,    # V
-    "E_A": 1e-3 * P.E_CHARGE,    # J (1 meV)
-    "E_1": 10e-3 * P.E_CHARGE,   # J (10 meV)
-    "E_B": 100e-6 * P.E_CHARGE,  # J (100 ueV, at the default L = 2l)
-}
+_MEV = 1e3 / P.E_CHARGE
+_UEV = 1e6 / P.E_CHARGE
 
-_UNITS = {
-    # field -> (SI unit, scale to display unit, display unit)
-    "delta_v": ("V", 1e6, "uV"),
-    "signal_rms": ("V", 1e6, "uV"),
-    "signal_rms_unregularized": ("V", 1e6, "uV"),
-    "E_A": ("J", 1e3 / P.E_CHARGE, "meV"),
-    "E_1": ("J", 1e3 / P.E_CHARGE, "meV"),
-    "E_1_unregularized": ("J", 1e3 / P.E_CHARGE, "meV"),
-    "E_B": ("J", 1e6 / P.E_CHARGE, "ueV"),
-    "E_B_unregularized": ("J", 1e6 / P.E_CHARGE, "ueV"),
-    "E_B_unregularized_shift": ("", 100.0, "%"),
-    "E_B_error": ("J", 1e6 / P.E_CHARGE, "ueV"),
-    "E_B_evals": ("", 1.0, ""),
-    "E_B_order_estimate": ("J", 1e6 / P.E_CHARGE, "ueV"),
-    "thermal": ("J", 1e6 / P.E_CHARGE, "ueV"),
-    "detect_current": ("A", 1e9, "nA"),
-    "eps_uv": ("m", 1e6, "um"),
-    "omega_c": ("rad/s", 1.0, "rad/s"),
-    "rel_tol": ("", 1.0, ""),
+# EnergyBudget field -> (SI unit, scale to display unit, display unit,
+# reference order of magnitude in SI or None).  The printed pass band
+# around a reference is [ref/10, ref*10].
+_QUANTITIES = {
+    "delta_v": ("V", 1e6, "uV", 10e-6),
+    "signal_rms": ("V", 1e6, "uV", 100e-6),
+    "signal_rms_unregularized": ("V", 1e6, "uV", None),
+    "E_A": ("J", _MEV, "meV", 1e-3 * P.E_CHARGE),
+    "E_1": ("J", _MEV, "meV", 10e-3 * P.E_CHARGE),
+    "E_1_unregularized": ("J", _MEV, "meV", None),
+    "E_B": ("J", _UEV, "ueV", 100e-6 * P.E_CHARGE),  # at the default L = 2l
+    "E_B_unregularized": ("J", _UEV, "ueV", None),
+    "E_B_unregularized_shift": ("", 100.0, "%", None),
+    "E_B_error": ("J", _UEV, "ueV", None),
+    "E_B_evals": ("", 1.0, "", None),
+    "E_B_order_estimate": ("J", _UEV, "ueV", None),
+    "thermal": ("J", _UEV, "ueV", None),
+    "detect_current": ("A", 1e9, "nA", None),
+    "eps_uv": ("m", 1e6, "um", None),
+    "omega_c": ("rad/s", 1.0, "rad/s", None),
+    "rel_tol": ("", 1.0, "", None),
 }
 
 
@@ -155,7 +151,7 @@ def _load(args):
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -194,12 +190,11 @@ def cmd_budget(args) -> int:
     out = _out_dir(args)
     rows = []
     for key, value in budget.as_dict().items():
-        si_unit, scale, disp_unit = _UNITS[key]
+        si_unit, scale, disp_unit, ref = _QUANTITIES[key]
         if value is None:       # a ratio to a zero E_B
             rows.append([key, "", si_unit, "", disp_unit, "", "", ""])
             continue
         value = _clean(value)
-        ref = _ORDER_REFS.get(key)
         lo = ref / 10.0 if ref else ""
         hi = ref * 10.0 if ref else ""
         in_band = (lo <= value <= hi) if ref else ""
@@ -212,9 +207,11 @@ def cmd_budget(args) -> int:
     _write_json(out / "budget.json",
                 {"budget": {k: _clean(v) for k, v in
                             budget.as_dict().items()},
-                 "si_units": {k: u[0] for k, u in _UNITS.items()},
-                 "order_bands": {k: [_clean(v / 10.0), _clean(v * 10.0)]
-                                 for k, v in _ORDER_REFS.items()}})
+                 "si_units": {k: q[0] for k, q in _QUANTITIES.items()},
+                 "order_bands": {k: [_clean(q[3] / 10.0),
+                                     _clean(q[3] * 10.0)]
+                                 for k, q in _QUANTITIES.items()
+                                 if q[3] is not None}})
     _write_manifest(out, "budget", params, given, args, t0)
 
     print(f"{'quantity':24s} {'value':>12s} {'unit':6s} {'order band':>24s} ok")
@@ -224,7 +221,7 @@ def cmd_budget(args) -> int:
         elif lo == "":
             print(f"{key:24s} {disp:12.4g} {unit:6s}")
         else:
-            scale = _UNITS[key][1]
+            scale = _QUANTITIES[key][1]
             band = f"[{lo * scale:.3g}, {hi * scale:.3g}]"
             print(f"{key:24s} {disp:12.4g} {unit:6s} {band:>24s} "
                   f"{'pass' if ok else 'FAIL'}")
@@ -258,16 +255,8 @@ def cmd_sweep(args) -> int:
                [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"],
                zip(*rows))
 
-    xs = np.array([r[0] for r in rows])
-    ys = np.array([r[1] for r in rows])
-    if len(rows) >= 2 and np.all(ys != 0.0) and xs.min() > 0:
-        logx, logy = np.log(xs), np.log(np.abs(ys))
-        if len(rows) > 2:
-            coeffs, cov = np.polyfit(logx, logy, 1, cov=True)
-            stderr = float(math.sqrt(cov[0, 0]))
-        else:
-            coeffs, stderr = np.polyfit(logx, logy, 1), None
-        slope = float(coeffs[0])
+    slope, stderr = loglog_slope([r[0] for r in rows], [r[1] for r in rows])
+    if slope is not None:
         fit = {"slope": slope, "slope_stderr": stderr,
                "n_points": len(rows), "fitted_on": "log|E_B| vs log x"}
     else:
@@ -347,9 +336,8 @@ def cmd_simulate(args) -> int:
         seed=args.seed, shots=args.shots, feedback=args.feedback,
         coupling_scale=args.coupling_scale, ramp_fraction=args.ramp_fraction,
         profile_points=args.profile_points)
-    ue = 1e6 / P.E_CHARGE
     print(f"{args.feedback} feedback, {args.shots} shots: "
-          f"E_B = {result.E_B_oracle * ue:.4f} +- {stderr * ue:.4f} ueV "
+          f"E_B = {result.E_B_oracle * _UEV:.4f} +- {stderr * _UEV:.4f} ueV "
           + (f"({significance:.1f} sigma)" if significance is not None
              else "(significance not computable)"))
     return 0
@@ -392,16 +380,19 @@ def _rel_tol(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every command reads the parameters; only the file-producing ones
+    # take an output directory and a quadrature tolerance
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", metavar="FILE",
                         help="parameter file (key = value [unit] lines)")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one parameter (repeatable)")
-    common.add_argument("--out", default=".", metavar="DIR",
-                        help="output directory (default: .)")
-    common.add_argument("--tol", type=_rel_tol, default=1e-4,
-                        help="quadrature relative tolerance, in (0, 1) "
-                             "(default 1e-4)")
+    producing = argparse.ArgumentParser(add_help=False, parents=[common])
+    producing.add_argument("--out", default=".", metavar="DIR",
+                           help="output directory (default: .)")
+    producing.add_argument("--tol", type=_rel_tol, default=1e-4,
+                           help="quadrature relative tolerance, in (0, 1) "
+                                "(default 1e-4)")
 
     parser = argparse.ArgumentParser(
         prog="edgeqet",
@@ -412,17 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("validate", parents=[common],
                    help="check parameters and print the resolved set")
-    sub.add_parser("budget", parents=[common],
+    sub.add_parser("budget", parents=[producing],
                    help="compute the full energy budget")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[producing],
                              help="sweep a parameter and fit the E_B slope")
     p_sweep.add_argument("--sweep", default="L", metavar="KEY",
                          help="parameter to sweep (default L)")
     p_sweep.add_argument("--values", required=True, metavar="V1,V2,...",
                          help="comma-separated grid (strictly monotone)")
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[producing],
                            help="run the Gaussian protocol oracle")
     p_sim.add_argument("--shots", type=int, default=1000,
                        help="shots to draw, at least 2 (default 1000)")

@@ -298,31 +298,41 @@ def compute_EB(params: P.ExperimentParams,
                     abs(prefactor * res.error_estimate), res.n_evals)
 
 
-def fit_scaling_exponent(params: P.ExperimentParams, L_values,
-                         rel_tol: float = 1e-4,
-                         use_order_estimate: bool = False) -> float:
-    """Least-squares slope of log |E_B| versus log L.
+def loglog_slope(x, y):
+    """(slope, stderr): the least-squares slope of log |y| versus log x
+    over the points in the order given, and its standard error.
 
-    The order estimate scales as exactly (l/L)^5; the full integral is
-    fitted on magnitudes because it changes sign over the usual L grid.
+    Both are None below 2 points, with a zero y or with an x <= 0 (not
+    computable); stderr is None at exactly 2 points.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 2 or np.any(y == 0.0) or x.min() <= 0:
+        return None, None
+    logx, logy = np.log(x), np.log(np.abs(y))
+    if len(x) == 2:
+        return float(np.polyfit(logx, logy, 1)[0]), None
+    coeffs, cov = np.polyfit(logx, logy, 1, cov=True)
+    return float(coeffs[0]), math.sqrt(cov[0, 0])
+
+
+def fit_scaling_exponent(params: P.ExperimentParams, L_values,
+                         rel_tol: float = 1e-4) -> float:
+    """Least-squares slope of log |E_B| versus log L over the distinct
+    ``L_values`` (at least 4, each >= 2l), in increasing order.
+
+    E_B is fitted on magnitudes because it changes sign over the usual
+    L grid; raises ValueError where it vanishes.
     """
     L_values = sorted(set(float(L) for L in L_values))
     if len(L_values) < 4:
         raise ValueError("need at least 4 distinct L values")
     if min(L_values) < 2.0 * params.l:
         raise ValueError("all L values must be >= 2l")
-    energies = []
-    for L in L_values:
-        p = params.replace(L=L)
-        if use_order_estimate:
-            energies.append(eb_order_estimate(p))
-        else:
-            energies.append(compute_EB(p, rel_tol=rel_tol))
-    energies = np.abs(energies)
-    if np.any(energies == 0.0):
+    slope, _ = loglog_slope(L_values, [
+        compute_EB(params.replace(L=L), rel_tol=rel_tol) for L in L_values])
+    if slope is None:
         raise ValueError("E_B vanished at a grid point; slope undefined")
-    slope = np.polyfit(np.log(L_values), np.log(energies), 1)[0]
-    return float(slope)
+    return slope
 
 
 def energy_density_from_current(j: float, params: P.ExperimentParams) -> float:

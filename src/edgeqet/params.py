@@ -118,8 +118,8 @@ class ExperimentParams:
         """Copy with ``changes`` applied field by field.
 
         eps_uv and omega_c are copied as they are, not re-derived; build
-        through ``ExperimentParams(**inputs)`` or
-        ``load_params(overrides=...)`` to have them follow l and R*C.
+        through ``ExperimentParams(**inputs)`` (for instance with
+        ``read_inputs``) to have them follow l and R*C.
         """
         return dataclasses.replace(self, **changes)
 
@@ -143,6 +143,8 @@ _POSITIVE_FIELDS = (
     "eps_uv", "omega_c",
 )
 
+_NON_NEGATIVE_FIELDS = ("lambda_amp", "temperature")
+
 
 def default_paper_params() -> ExperimentParams:
     """Parameter set quoted for the proposed experiment, the same as
@@ -164,10 +166,10 @@ def validate(params: ExperimentParams) -> ExperimentParams:
         value = getattr(params, name)
         if not (value > 0) or not math.isfinite(value):
             violations.append(f"NonPositiveParameter: {name} = {value!r}")
-    if params.lambda_amp < 0 or not math.isfinite(params.lambda_amp):
-        violations.append(f"NonPositiveParameter: lambda_amp = {params.lambda_amp!r}")
-    if params.temperature < 0 or not math.isfinite(params.temperature):
-        violations.append(f"NonPositiveParameter: temperature = {params.temperature!r}")
+    for name in _NON_NEGATIVE_FIELDS:
+        value = getattr(params, name)
+        if value < 0 or not math.isfinite(value):
+            violations.append(f"NonPositiveParameter: {name} = {value!r}")
     if not (0 < params.T_delay_ratio < 1):
         violations.append(
             f"T_delay_ratio must be in (0, 1), got {params.T_delay_ratio!r}")
@@ -243,15 +245,3 @@ def read_inputs(path=None, overrides=None) -> dict:
             raise ParamFileError(f"unknown override key {key!r}")
         values[key] = float(value)
     return values
-
-
-def load_params(path=None, overrides=None) -> ExperimentParams:
-    """Resolve a parameter set from an optional file and overrides
-    (see :func:`read_inputs`).
-
-    Keys given by neither keep their quoted-experiment defaults, and the
-    DERIVED_FIELDS eps_uv and omega_c follow l and R*C unless given
-    explicitly (see :class:`ExperimentParams`).  ``load_params()`` is
-    the quoted experiment.
-    """
-    return ExperimentParams(**read_inputs(path, overrides))

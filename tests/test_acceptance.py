@@ -237,6 +237,15 @@ def test_c11_negative_energy_density(dip_runs, report):
 
 
 def test_c12_chirality(params, grid256, report):
+    """Centroid speed of the S energy lump between t_f and t_f + 4l/v_g.
+
+    run_protocol evaluates a snapshot after t_f as the t_f profile at
+    x + v_g (t - t_f), so this criterion reads v_g back by construction.
+    The independent check of that free flight is
+    test_oracle.py::test_run_protocol_matches_dense_reference, which
+    compares a later snapshot, translated the same way, against dense
+    propagation at 64 and 128 modes.
+    """
     _, t_f = O.interaction_window(params)
     dt = 4 * params.l / params.v_g
     r = O.run_protocol(params, grid256, feedback_mode="correlated",

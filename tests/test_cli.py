@@ -54,6 +54,22 @@ def test_unknown_subcommand_is_usage_error():
     assert run(["teleport"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--out", "{out}"],
+    ["validate", "--tol", "0.5"],
+    ["convert", "--current", "1e-8", "--out", "{out}"],
+    ["convert", "--current", "1e-8", "--tol", "0.5"],
+])
+def test_options_only_where_they_act(tmp_path, capsys, argv):
+    """validate and convert write no file and run no quadrature, so they
+    refuse --out and --tol as usage errors instead of ignoring them."""
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in argv]
+    assert run(argv) == 1
+    assert argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_exported_name_resolves():
     for name in edgeqet.__all__:
         assert getattr(edgeqet, name) is not None, name
@@ -270,7 +286,7 @@ def test_sweep_rows_follow_derived_defaults(tmp_path, key, values, extra):
     assert len(rows) == 2
     for row in rows:
         x, e_b, err, order = (float(c) for c in row.split(","))
-        p = P.load_params(overrides={**extra, key: x})
+        p = P.ExperimentParams(**P.read_inputs(overrides={**extra, key: x}))
         expected = energetics.compute_EB(p, rel_tol=1e-3)
         assert e_b == expected
         assert err == expected.error_estimate

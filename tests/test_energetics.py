@@ -26,7 +26,8 @@ from edgeqet.energetics import (ConvergenceFailure, EnergyBudget, Estimate,
                                 current_from_energy_density,
                                 eb_order_estimate, energy_budget,
                                 energy_density_from_current, feedback_window,
-                                fit_scaling_exponent, gs_squared)
+                                fit_scaling_exponent, gs_squared,
+                                loglog_slope)
 from nd_reference import eb_integral_4d
 from quad_reference import IntegrationSpec, integrate_1d
 
@@ -343,8 +344,9 @@ def test_order_estimate_within_decade_of_integral(params):
 
 def test_fit_scaling_exponent(params):
     grid = [m * params.l for m in (3, 4, 5, 6)]
-    assert fit_scaling_exponent(params, grid, use_order_estimate=True) == \
-        pytest.approx(-5.0, abs=1e-10)
+    envelope, _ = loglog_slope(
+        grid, [eb_order_estimate(params.replace(L=L)) for L in grid])
+    assert envelope == pytest.approx(-5.0, abs=1e-10)
     slope = fit_scaling_exponent(params, grid, rel_tol=1e-4)
     # the true integral is non-monotonic with a sign change inside the
     # grid; the magnitude fit lands near -4.3, not -5
@@ -353,6 +355,21 @@ def test_fit_scaling_exponent(params):
         fit_scaling_exponent(params, grid[:3])
     with pytest.raises(ValueError):
         fit_scaling_exponent(params, [params.l] + grid)
+
+
+def test_loglog_slope_rules():
+    x = np.array([2.0, 3.0, 5.0, 7.0])
+    y = -3.0 * x ** -2.5
+    slope, stderr = loglog_slope(x, y)
+    assert slope == pytest.approx(-2.5, abs=1e-12)
+    assert stderr == pytest.approx(0.0, abs=1e-12)
+    # the points are taken in the order given
+    assert loglog_slope(x[::-1], y[::-1])[0] == pytest.approx(-2.5, abs=1e-12)
+    slope, stderr = loglog_slope(x[:2], y[:2])
+    assert slope == pytest.approx(-2.5, abs=1e-12) and stderr is None
+    for xs, ys in ((x[:1], y[:1]), (x, np.r_[y[:3], 0.0]),
+                   (np.r_[0.0, x[1:]], y), (np.r_[-1.0, x[1:]], y)):
+        assert loglog_slope(xs, ys) == (None, None)
 
 
 # conversions and the budget ----------------------------------------------

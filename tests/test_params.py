@@ -21,8 +21,9 @@ def test_defaults_are_the_quoted_experiment(params):
     # derived knobs
     assert params.eps_uv == params.l / 100
     assert params.omega_c == 100 / (params.R * params.C)
-    # the constructor, the named default and an empty load agree exactly
-    assert P.ExperimentParams() == P.default_paper_params() == P.load_params()
+    # the constructor, the named default and empty inputs agree exactly
+    assert (P.ExperimentParams() == P.default_paper_params()
+            == P.ExperimentParams(**P.read_inputs()))
 
 
 def test_derived_quantities(params):
@@ -89,24 +90,29 @@ def test_parse_param_line_rejects(line):
         P.parse_param_line(line)
 
 
-def test_load_params_file_and_overrides(tmp_path):
+def _resolve(path=None, overrides=None):
+    """The parameter set the given inputs resolve to, as the CLI builds it."""
+    return P.ExperimentParams(**P.read_inputs(path, overrides))
+
+
+def test_read_inputs_file_and_overrides(tmp_path):
     f = tmp_path / "run.par"
     f.write_text("# experiment\nL = 4e-5 m\nnu_S = 4\n", encoding="utf-8")
-    p = P.load_params(f)
+    p = _resolve(f)
     assert p.L == 4e-5 and p.nu_S == 4.0
     assert p.v_g == 1e6  # default retained
-    p = P.load_params(f, overrides={"nu_S": 5})
+    p = _resolve(f, overrides={"nu_S": 5})
     assert p.nu_S == 5.0
 
 
-def test_load_params_recomputes_dependent_defaults(tmp_path, capsys):
+def test_read_inputs_recomputes_dependent_defaults(tmp_path, capsys):
     f = tmp_path / "run.par"
     f.write_text("l = 2e-5 m\nR = 2e4 ohm\n", encoding="utf-8")
-    p = P.load_params(f)
+    p = _resolve(f)
     assert p.eps_uv == p.l / 100
     assert p.omega_c == 100 / (p.R * p.C)
     # the same inputs as overrides, constructor arguments or --set agree
-    assert P.load_params(overrides={"l": 2e-5, "R": 2e4}) == p
+    assert _resolve(overrides={"l": 2e-5, "R": 2e4}) == p
     assert P.ExperimentParams(l=2e-5, R=2e4) == p
     with pytest.warns(P.RegimeWarning):  # L = 2e-5 is now below 2l
         assert cli.main(["validate", "--set", "l=2e-5", "--set", "R=2e4"]) == 0
@@ -115,20 +121,20 @@ def test_load_params_recomputes_dependent_defaults(tmp_path, capsys):
     assert re.search(r"omega_c\s+= 5e\+11 rad/s", out)
     # explicit values win on every route
     f.write_text("l = 2e-5 m\neps_uv = 1e-9 m\n", encoding="utf-8")
-    assert P.load_params(f).eps_uv == 1e-9
-    assert P.load_params(overrides={"l": 2e-5, "eps_uv": 1e-9}).eps_uv == 1e-9
+    assert _resolve(f).eps_uv == 1e-9
+    assert _resolve(overrides={"l": 2e-5, "eps_uv": 1e-9}).eps_uv == 1e-9
     assert P.ExperimentParams(l=2e-5, eps_uv=1e-9).eps_uv == 1e-9
 
 
-def test_load_params_reports_line_numbers(tmp_path):
+def test_read_inputs_reports_line_numbers(tmp_path):
     f = tmp_path / "bad.par"
     f.write_text("v_g = 1e6 m/s\nL = snail\n", encoding="utf-8")
     with pytest.raises(P.ParamFileError, match="2"):
-        P.load_params(f)
+        P.read_inputs(f)
     good = tmp_path / "good.par"
     good.write_text("v_g = 1e6 m/s\n", encoding="utf-8")
     with pytest.raises(P.ParamFileError, match="warp"):
-        P.load_params(good, overrides={"warp": 9})
+        P.read_inputs(good, overrides={"warp": 9})
 
 
 def test_t_delay_is_one_percent_of_transit(params):
