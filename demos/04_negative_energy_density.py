@@ -28,11 +28,11 @@ corr = run_protocol(params, grid, feedback_mode="correlated", **kwargs)
 off = run_protocol(params, grid, feedback_mode="off", **kwargs)
 
 x = corr.profile_x
-diff = corr.energy_density_profile[0] - off.energy_density_profile[0]
+diff = corr.energy_density_profile - off.energy_density_profile
 
 neg = np.where(diff < 0.0, diff, 0.0)
 neg_integral = np.trapezoid(neg, x)
-print(f"snapshot at t = {corr.profile_times[0] * 1e12:.1f} ps "
+print(f"snapshot at t = {corr.t_f * 1e12:.1f} ps "
       f"(just after the interaction window)")
 print(f"extracted energy per shot  E_B = {corr.E_B_oracle * UEV:.4f} ueV")
 print(f"negative-region integral       = {neg_integral * UEV:.4f} ueV")
@@ -42,7 +42,7 @@ print(f"ratio (-integral / E_B)        = {-neg_integral / corr.E_B_oracle:.3f}"
 # where is the dip? S is a left-mover, so by snapshot time the imprint
 # left near the coupling region has advected to -v_g * t
 x_dip = x[np.argmin(diff)]
-x_expected = -params.v_g * corr.profile_times[0]
+x_expected = -params.v_g * corr.t_f
 print(f"\ndip centre {x_dip * 1e6:7.2f} um; "
       f"coupling-region imprint advected to {x_expected * 1e6:7.2f} um")
 

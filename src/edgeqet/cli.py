@@ -302,10 +302,8 @@ def cmd_simulate(args) -> int:
     _write_csv(out / "shots.csv", ["shot", "outcome_V", "E_B_J"],
                [np.arange(args.shots), result.outcome_samples,
                 result.e_b_samples])
-    header = ["x_m"] + [f"eps_S_J_per_m_t{j}"
-                        for j in range(len(result.profile_times))]
-    _write_csv(out / "profile.csv", header,
-               [result.profile_x, *result.energy_density_profile])
+    _write_csv(out / "profile.csv", ["x_m", "eps_S_J_per_m_t0"],
+               [result.profile_x, result.energy_density_profile])
 
     stderr = float(result.E_B_stderr)
     # zero spread (e.g. no coupling and no feedback): not computable
@@ -321,7 +319,7 @@ def cmd_simulate(args) -> int:
         "E_A_oracle_J": _clean(result.E_A_oracle),
         "E_1_oracle_J": _clean(result.E_1_oracle),
         **closed_forms,
-        "profile_times_s": [_clean(t) for t in result.profile_times],
+        "profile_times_s": [_clean(result.t_f)],
         "subspace_rank": result.subspace_rank,
         "symplectic_residual": _clean(result.symplectic_residual),
         "mirror_residual": _clean(result.mirror_residual),

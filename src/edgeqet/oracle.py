@@ -20,6 +20,7 @@ dR/dt = (1/hbar) Omega G R.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +133,15 @@ def density_basis(grid: ModeGrid, nu: float, x, chirality: str) -> np.ndarray:
 
 def local_energy_density(x_grid, grid: ModeGrid,
                          params: P.ExperimentParams, cols: np.ndarray,
-                         pairs, channel: str = "S") -> np.ndarray:
-    """Normal-ordered <eps(x)> = (pi hbar v_g / nu) <:rho(x)^2:>, J/m.
+                         pairs) -> np.ndarray:
+    """Normal-ordered <eps_S(x)> = (pi hbar v_g / nu_S) <:rho_S(x)^2:>,
+    J/m, of the left-moving channel S.
 
     The channel's normal-ordered second moment <R R^T> - I/2 over its 2N
     quadratures, mean included, is given factored as column pairs:
     ``pairs`` = (i, j, w) makes it sum_p w_p sym(c_(i_p) c_(j_p)^T) over
     the columns c of ``cols`` (2N x k), with squares the pairs i = j, so
-    eps(x) = (pi hbar v_g / nu) sum_p w_p (u(x) . c_(i_p)) (u(x) . c_(j_p))
+    eps(x) = (pi hbar v_g / nu_S) sum_p w_p (u(x) . c_(i_p)) (u(x) . c_(j_p))
     costs the density rows u at ``x_grid`` and their product with
     ``cols``.  ``w`` pairs x m (instead of one weight per pair) gives m
     densities, one per column, from that one product.  The points are
@@ -148,16 +150,14 @@ def local_energy_density(x_grid, grid: ModeGrid,
     ``cols`` is one block's rows and products whatever the number of
     points.
     """
-    nu = params.nu_S if channel == "S" else params.nu_U
-    chirality = {"S": "left", "U": "right"}[channel]
     x = np.asarray(x_grid, dtype=float).ravel()
-    scale = math.pi * P.HBAR * params.v_g / nu
+    scale = math.pi * P.HBAR * params.v_g / params.nu_S
     i, j, w = pairs
     out = np.empty(x.shape + np.shape(w)[1:])
     step = max(1, PROFILE_BLOCK // (2 * grid.n_modes))
     for start in range(0, x.size, step):
         block = slice(start, start + step)
-        v = density_basis(grid, nu, x[block], chirality) @ cols
+        v = density_basis(grid, params.nu_S, x[block], "left") @ cols
         np.multiply((v[:, i] * v[:, j]) @ w, scale, out=out[block])
     return out
 
@@ -353,9 +353,8 @@ class ProtocolResult:
     E_B_stderr: float                  # J
     outcome_samples: np.ndarray        # V
     e_b_samples: np.ndarray            # J, per shot
-    energy_density_profile: np.ndarray  # J/m, (n_times, n_x)
+    energy_density_profile: np.ndarray  # J/m, S at t_f, (n_x,)
     profile_x: np.ndarray              # m
-    profile_times: np.ndarray          # s
     feedback_mode: str
     t_f: float                         # s, end of the interaction window
     subspace_rank: int                 # r, columns of the window basis
@@ -380,26 +379,26 @@ def interaction_window(params: P.ExperimentParams):
     return t_i, t_f
 
 
-def wrap_margin(params: P.ExperimentParams, grid: ModeGrid,
-                t: float) -> float:
-    """ring_length/2 minus the farthest 4 sigma edge at time t, metres.
+def wrap_margin(params: P.ExperimentParams, grid: ModeGrid) -> float:
+    """ring_length/2 minus the farthest 4 sigma edge at t_f, metres.
 
     The sense-window disturbance on S leaves the origin at t = 0 moving
     left, the feedback packet on U leaves b/2 - L at T moving right, both
     at v_g.  A negative margin means one of them has wrapped around the
-    ring.
+    ring by the end of the interaction window.
     """
     w, lam = sense_window(params), feedback_window(params)
-    edge_s = abs(w.center - params.v_g * t) + 4.0 * w.sigma
-    edge_u = (abs(lam.center + params.v_g * (t - params.T_delay))
+    _, t_f = interaction_window(params)
+    edge_s = abs(w.center - params.v_g * t_f) + 4.0 * w.sigma
+    edge_u = (abs(lam.center + params.v_g * (t_f - params.T_delay))
               + 4.0 * lam.sigma)
     return 0.5 * grid.ring_length - max(edge_s, edge_u)
 
 
-def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
+def run_protocol(params: P.ExperimentParams, grid: ModeGrid,
                  feedback_mode: str = "correlated", n_shots: int = 1000,
                  seed: int = 0, coupling_scale: float = 1.0,
-                 ramp_fraction: float = 0.05, profile_times=None,
+                 ramp_fraction: float = 0.05,
                  n_profile: int = 1024) -> ProtocolResult:
     """Run the full measurement-feedback protocol shot by shot.
 
@@ -429,16 +428,14 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     entries; it holds M, the measurement's predictive variance and
     back-action weight, the three vectors carried to t_f, the energy
     table and, for the last request of profile points, the profile
-    table.  S moves rigidly at v_g after t_f, so the snapshot at t is
-    the t_f profile at x + v_g (t - t_f), and one request holds every
-    snapshot's points.  The shot stage draws the outcomes u from
-    ``seed`` and forms the feedback values f: u when correlated, a copy
-    of u shuffled by the same generator when scrambled, zeros when off.
+    table.  The shot stage draws the outcomes u from ``seed`` and forms
+    the feedback values f: u when correlated, a copy of u shuffled by
+    the same generator when scrambled, zeros when off.
     Every shot energy is a quadratic form in (u, f), so every mean is a row
     of a table over (1, u^2, f^2, u f) applied to the sample moments
     m = (1, u.u/n, f.f/n, u.f/n), three dot products: E_A, E_1 and
     E_B are ``energies @ m`` and the profile is
-    ``profile_terms(points) @ m``.  The per-shot E_B is the E_B row
+    ``profile_terms(profile_x) @ m``.  The per-shot E_B is the E_B row
     applied in place, with the same arithmetic in every mode.  The
     shot-length arrays a call forms are the draws, scaled to the
     outcomes in place; f, unless it is the outcomes themselves
@@ -451,45 +448,37 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
 
     E_B_oracle is <H_U>(t_f) - <H_U>(just after displacement), averaged
     over shots; the returned profile is the shot-averaged energy density
-    of channel S at the requested times (>= t_f, default exactly t_f).
-    It agrees with the dense reference to a few 1e-15 of its maximum,
-    so samples below ~1e-14 of that maximum are rounding, and so are
-    their signs.
+    of channel S at t_f on ``n_profile`` points spread evenly over the
+    ring.  It agrees with the dense reference to a few 1e-15 of its
+    maximum, so samples below ~1e-14 of that maximum are rounding, and
+    so are their signs.
     ``subspace_rank`` is the size of Q, ``symplectic_residual`` how far
     M is from symplectic on it, and ``mirror_residual`` and
     ``reversal_residual`` how far the coupling is from the S <-> U
     mirror and the time-reversal symmetry the build relies on;
-    ``wrap_margin_m`` is the ``wrap_margin`` at the last profile time.
-    Raises ValueError for an unknown feedback mode, ``n_shots`` < 2
-    (the standard error needs two shots), ``n_profile`` < 1, a
-    ``ramp_fraction`` outside [0, 0.5], a non-finite
-    ``coupling_scale``, a non-finite profile time or one before t_f, or
-    a negative wrap margin, before any propagation.
+    ``wrap_margin_m`` is the ``wrap_margin`` at t_f.
+    Raises ValueError for an unknown feedback mode, an ``n_shots`` that
+    is not an integer >= 2 (the standard error needs two shots), an
+    ``n_profile`` that is not an integer >= 1, a ``seed`` that is not
+    an integer >= 0, a ``ramp_fraction`` outside [0, 0.5], a non-finite
+    ``coupling_scale`` or a negative wrap margin, before any
+    propagation.
     """
     if feedback_mode not in ("correlated", "scrambled", "off"):
         raise ValueError(f"unknown feedback_mode {feedback_mode!r}")
-    if n_shots < 2:
-        raise ValueError(f"n_shots must be >= 2, got {n_shots!r}")
-    if n_profile < 1:
-        raise ValueError(f"n_profile must be >= 1, got {n_profile!r}")
+    for name, value, least in (("n_shots", n_shots, 2),
+                               ("n_profile", n_profile, 1),
+                               ("seed", seed, 0)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(
+                f"{name} must be an integer >= {least}, got {value!r}")
     if not 0.0 <= ramp_fraction <= 0.5:
         raise ValueError(
             f"ramp_fraction must lie in [0, 0.5], got {ramp_fraction!r}")
     if not math.isfinite(coupling_scale):
         raise ValueError(
             f"coupling_scale must be finite, got {coupling_scale!r}")
-    if grid is None:
-        grid = default_grid(params)
-    _, t_f = interaction_window(params)
-    if profile_times is None:
-        profile_times = [t_f]
-    profile_times = np.asarray(sorted(float(t) for t in profile_times))
-    if not np.all(np.isfinite(profile_times)):
-        raise ValueError(f"profile times must be finite, got "
-                         f"{profile_times.tolist()!r}")
-    if profile_times.size and profile_times[0] < t_f - 1e-15:
-        raise ValueError("profile snapshots must be at or after t_f")
-    margin = wrap_margin(params, grid, max(profile_times, default=t_f))
+    margin = wrap_margin(params, grid)
     if margin < 0.0:
         raise ValueError(f"the ring wraps around: wrap margin "
                          f"{margin:.3g} m < 0; use a longer ring")
@@ -525,12 +514,9 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
     dev = np.subtract(e_b_samples, e_b_mean, out=scratch)
     e_b_stderr = math.sqrt(float(dev @ dev) / (n_shots - 1) / n_shots)
 
-    # shot-averaged S-channel energy density at the requested times,
-    # every snapshot's points in one request
+    # shot-averaged S-channel energy density at t_f
     half = 0.5 * grid.ring_length
     x_grid = np.linspace(-half, half, n_profile, endpoint=False)
-    points = x_grid + params.v_g * (profile_times - t_f)[:, None]
-    profiles = (st.profile_terms(points.ravel()) @ m).reshape(points.shape)
 
     return ProtocolResult(
         E_A_oracle=e_a,
@@ -539,11 +525,10 @@ def run_protocol(params: P.ExperimentParams, grid: ModeGrid | None = None,
         E_B_stderr=e_b_stderr,
         outcome_samples=upsilon,
         e_b_samples=e_b_samples,
-        energy_density_profile=profiles,
+        energy_density_profile=st.profile_terms(x_grid) @ m,
         profile_x=x_grid,
-        profile_times=profile_times,
         feedback_mode=feedback_mode,
-        t_f=t_f,
+        t_f=interaction_window(params)[1],
         subspace_rank=2 * st.window.b.shape[1],
         symplectic_residual=st.window.symplectic_residual,
         mirror_residual=st.window.mirror_residual,

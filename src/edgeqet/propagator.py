@@ -706,11 +706,8 @@ class ProtocolSetup:
         a b^T + b a^T for the u^2, f^2 and u f columns.  The density
         takes the points in blocks (``oracle.PROFILE_BLOCK``): beyond
         the table and the stacked columns a request holds one block's
-        density rows and products, however many points it has.  After
-        t_f the S channel moves freely, a rigid translation at v_g, so a
-        snapshot dt later is this profile at x + v_g dt: one request can
-        hold the points of every snapshot.  The last request is
-        memoised; another one replaces it.
+        density rows and products, however many points it has.  The
+        last request is memoised; another one replaces it.
         """
         key = x.tobytes()
         if key not in self._profiles:
@@ -731,7 +728,7 @@ class ProtocolSetup:
 # window propagator is most of an entry (b and l, 2N x r/2 and
 # 4N x r/2: 18 MB at 1024 modes, 1.4 MB at 256); the rest is three 4N
 # vectors, the 3 x 4 energy table and the last request's profile
-# table, 32 kB per snapshot at 1024 profile points.
+# table, 32 kB at 1024 profile points.
 @functools.lru_cache(maxsize=4)
 def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
                    coupling_scale: float, ramp_fraction: float,

@@ -214,8 +214,7 @@ def s_energy_density(cov, mean_second_moment, x_grid, grid, params):
 
 def run_protocol_dense(params, grid, feedback_mode="correlated",
                        n_shots=1000, seed=0, coupling_scale=1.0,
-                       ramp_fraction=0.05, n_ramp=N_RAMP, profile_times=None,
-                       n_profile=1024):
+                       ramp_fraction=0.05, n_ramp=N_RAMP, n_profile=1024):
     """Dict with the fields of ``ProtocolResult`` that carry numbers."""
     rng = np.random.default_rng(seed)
     n = grid.n_modes
@@ -271,10 +270,7 @@ def run_protocol_dense(params, grid, feedback_mode="correlated",
     e_b_samples = (e_u_cov + qaa * upsilon ** 2 + qbb * fb ** 2
                    + qab * upsilon * fb) - q_1 * fb ** 2
 
-    # shot-averaged S-channel profile at the requested times
-    if profile_times is None:
-        profile_times = [t_f]
-    profile_times = np.asarray(sorted(float(t) for t in profile_times))
+    # shot-averaged S-channel profile at t_f
     half = 0.5 * grid.ring_length
     x_grid = np.linspace(-half, half, n_profile, endpoint=False)
     m2_u = float(np.mean(upsilon * upsilon))
@@ -282,20 +278,14 @@ def run_protocol_dense(params, grid, feedback_mode="correlated",
     m2_x = float(np.mean(upsilon * fb))
     mm_after = (m2_u * np.outer(a_vec, a_vec) + m2_f * np.outer(b_vec, b_vec)
                 + m2_x * (np.outer(a_vec, b_vec) + np.outer(b_vec, a_vec)))
-    profiles = np.empty((profile_times.size, n_profile))
-    for i, t_snap in enumerate(profile_times):
-        rot = free_propagator(grid, params, t_snap - t_f)
-        cov_t = rot @ cov_after @ rot.T
-        mm_t = rot @ mm_after @ rot.T
-        profiles[i] = s_energy_density(0.5 * (cov_t + cov_t.T),
-                                       mm_t[s_sl, s_sl], x_grid, grid, params)
+    profile = s_energy_density(cov_after, mm_after[s_sl, s_sl], x_grid,
+                               grid, params)
 
     return {"E_A_oracle": float(np.mean(e_a_samples)),
             "E_B_oracle": float(np.mean(e_b_samples)),
             "E_1_oracle": q_1 * float(np.mean(fb ** 2)),
             "outcome_samples": upsilon,
             "e_b_samples": e_b_samples,
-            "energy_density_profile": profiles,
+            "energy_density_profile": profile,
             "profile_x": x_grid,
-            "profile_times": profile_times,
             "t_f": t_f}

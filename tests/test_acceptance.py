@@ -16,6 +16,7 @@ import pytest
 from edgeqet import cli
 from edgeqet import oracle as O
 from edgeqet import params as P
+from edgeqet import propagator
 from edgeqet.detector import (delta_v, detector_from_params,
                               measurement_coupling, sense_window,
                               signal_rms)
@@ -222,14 +223,13 @@ def test_c10_passivity(coupling_runs, scrambled_run, report):
 def test_c11_negative_energy_density(dip_runs, report):
     p3, corr, off = dip_runs
     x = corr.profile_x
-    diff = corr.energy_density_profile[0] - off.energy_density_profile[0]
+    diff = corr.energy_density_profile - off.energy_density_profile
     neg = np.where(diff < 0.0, diff, 0.0)
     neg_integral = float(np.trapezoid(neg, x))
     ratio = -neg_integral / corr.E_B_oracle
-    # the dip has advected with the left-moving channel by snapshot time
+    # the dip has advected with the left-moving channel by t_f
     x_dip = x[np.argmin(diff)]
-    t_snap = corr.profile_times[0]
-    advected = abs(x_dip - (-p3.v_g * t_snap)) < 5 * p3.l
+    advected = abs(x_dip - (-p3.v_g * corr.t_f)) < 5 * p3.l
     report(11, abs(ratio - 1.0) <= 0.20 and advected,
             f"negative-density integral / E_B_oracle = {ratio:.3f} "
             f"(within 20% of 1); dip rides the channel at "
@@ -239,27 +239,35 @@ def test_c11_negative_energy_density(dip_runs, report):
 def test_c12_chirality(params, grid256, report):
     """Centroid speed of the S energy lump between t_f and t_f + 4l/v_g.
 
-    run_protocol evaluates a snapshot after t_f as the t_f profile at
-    x + v_g (t - t_f), so this criterion reads v_g back by construction.
-    The independent check of that free flight is
-    test_oracle.py::test_run_protocol_matches_dense_reference, which
-    compares a later snapshot, translated the same way, against dense
-    propagation at 64 and 128 modes.
+    The t_f profile is run_protocol's.  The one 4l/v_g later is built
+    here by free flight: the setup's S columns at t_f (the moment's
+    column pairs, ``propagator._columns``), turned mode by mode by
+    ``free_rotate`` and reduced at the same points by
+    ``local_energy_density`` with the run's shot moments.  So a flight
+    at the wrong speed moves the later centroid by the wrong distance.
     """
-    _, t_f = O.interaction_window(params)
     dt = 4 * params.l / params.v_g
     r = O.run_protocol(params, grid256, feedback_mode="correlated",
                        n_shots=400, seed=11, coupling_scale=0.01,
-                       ramp_fraction=0.0, n_profile=2048,
-                       profile_times=[t_f, t_f + dt])
+                       ramp_fraction=0.0, n_profile=2048)
+    st = propagator.protocol_setup(params, grid256, 0.01, 0.0)
+    cols = np.column_stack(propagator._columns(
+        st.window, (st.a_vec, st.b_vec, st.kick_f), "S"))
+    pairs = propagator._moment_pairs(st.window.b.shape[1], st.s_pred,
+                                     st.back)
+    u = r.outcome_samples
+    moments = np.array([1.0] + 3 * [u @ u / u.size])  # correlated: f = u
     x = r.profile_x
+    later = O.local_energy_density(
+        x, grid256, params, O.free_rotate(cols, grid256, params, dt),
+        pairs) @ moments
 
     def centroid(prof):
         sel = np.abs(x - x[np.argmax(prof)]) < 4 * params.l
         return float(np.sum(x[sel] * prof[sel]) / np.sum(prof[sel]))
 
-    c0 = centroid(r.energy_density_profile[0])
-    c1 = centroid(r.energy_density_profile[1])
+    c0 = centroid(r.energy_density_profile)
+    c1 = centroid(later)
     v = (c0 - c1) / dt  # left-moving channel: centroid moves to -x
     report(12, abs(v / params.v_g - 1) < 0.01,
             f"lump centroid speed = {v:.4g} m/s vs v_g = {params.v_g:.4g} "

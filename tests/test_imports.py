@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module,
+and no module imports scipy, a test dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,20 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_every_module_loads_no_scipy():
+    """scipy is a test dependency: importing the package and every
+    module in it, in a fresh interpreter, loads no scipy module
+    (``oracle.expm`` imports scipy.linalg only when it is called)."""
+    names = ["edgeqet"] + [f"edgeqet.{p.stem}" for p in MODULES]
+    code = ("import importlib, sys\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    src = str(Path(edgeqet.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

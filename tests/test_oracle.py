@@ -81,10 +81,21 @@ def test_vacuum_energies_are_zero(params, grid):
     assert np.max(np.abs(prof)) < 1e-12 * P.HBAR * params.v_g / params.l ** 2
 
 
+def _one_shot_density(x, grid, params, cols, pairs, channel="S"):
+    """A channel's density as one product over every point (no blocks):
+    S from left-moving density rows, U from right-moving ones."""
+    i, j, w = pairs
+    nu, chirality = {"S": (params.nu_S, "left"),
+                     "U": (params.nu_U, "right")}[channel]
+    v = O.density_basis(grid, nu, x, chirality) @ cols
+    return math.pi * P.HBAR * params.v_g / nu * ((v[:, i] * v[:, j]) @ w)
+
+
 def test_local_energy_density_factored_form(params, grid):
     """A measured, displaced and freely evolved state, its normal-ordered
     moment factored by eigh: the S profile matches the dense quadratic
-    form, and on both channels the ring integral is the channel energy."""
+    form, and on both channels the ring integral is the channel energy
+    (the U density, right-moving, from the test's own product)."""
     o = O.measurement_observable(params, grid)
     dv = delta_v(detector_from_params(params))
     _, state = O.measure_gaussian(O.vacuum_state(grid), o, dv,
@@ -101,26 +112,18 @@ def test_local_energy_density_factored_form(params, grid):
         moment = (state.cov[sl, sl] - 0.5 * np.eye(2 * grid.n_modes)
                   + np.outer(mean, mean))
         weights, cols = np.linalg.eigh(moment)
-        prof = O.local_energy_density(
-            x, grid, params, cols,
-            (np.arange(weights.size), np.arange(weights.size), weights),
-            channel=channel)
+        pairs = np.arange(weights.size), np.arange(weights.size), weights
         if channel == "S":
+            prof = O.local_energy_density(x, grid, params, cols, pairs)
             want = s_energy_density(state.cov, np.outer(mean, mean), x,
                                     grid, params)
             assert np.max(np.abs(prof - want)) <= 1e-12 * np.max(
                 np.abs(want))
+        else:
+            prof = _one_shot_density(x, grid, params, cols, pairs, "U")
         energy = channel_energy(state, grid, params, channel)
         assert np.sum(prof) * grid.ring_length / n_x == pytest.approx(
             energy, rel=1e-12, abs=0.0)
-
-
-def _one_shot_density(x, grid, params, cols, pairs):
-    """The S density as one product over every point (no blocks)."""
-    i, j, w = pairs
-    v = O.density_basis(grid, params.nu_S, x, "left") @ cols
-    return math.pi * P.HBAR * params.v_g / params.nu_S * (
-        (v[:, i] * v[:, j]) @ w)
 
 
 @pytest.mark.parametrize("n_x", [1, 256, 257])
@@ -142,10 +145,9 @@ def test_blocked_density_matches_one_product(params, grid, n_x):
 
 
 def test_blocked_profile_table_over_snapshots(params, grid, monkeypatch):
-    """A run with five snapshots of 64 points (320 points, two blocks at
-    64 modes) makes one request, and its table equals one product over
-    all its points, column by column, to 1e-15 of the column's
-    maximum."""
+    """A run with 320 profile points (two blocks at 64 modes) makes one
+    request, and its table equals one product over all its points,
+    column by column, to 1e-15 of the column's maximum."""
     calls = []
     density = O.local_energy_density
     monkeypatch.setattr(O, "local_energy_density",
@@ -153,10 +155,7 @@ def test_blocked_profile_table_over_snapshots(params, grid, monkeypatch):
                             (x, c, pairs, density(x, g, p, c, pairs)))
                         or calls[-1][-1])
     propagator.protocol_setup.cache_clear()
-    _, t_f = O.interaction_window(params)
-    O.run_protocol(params, grid, n_shots=10, n_profile=64,
-                   profile_times=[t_f + j * params.l / params.v_g
-                                  for j in range(5)])
+    O.run_protocol(params, grid, n_shots=10, n_profile=320)
     (x, cols, pairs, table), = calls
     assert table.shape == (320, 4)
     want = _one_shot_density(x, grid, params, cols, pairs)
@@ -260,9 +259,8 @@ def test_packet_moves_chirally_at_vg(params, grid):
     def centroid(s, channel):
         # the covariance stays I/2: the mean alone carries the packet
         sl = channel_slice(grid, channel)
-        prof = O.local_energy_density(x, grid, params, s.mean[sl, None],
-                                      (np.arange(1), np.arange(1), [1.0]),
-                                      channel=channel)
+        prof = _one_shot_density(x, grid, params, s.mean[sl, None],
+                                 (np.arange(1), np.arange(1), [1.0]), channel)
         prof = np.clip(prof, 0.0, None)
         sel = np.abs(x - x[np.argmax(prof)]) < 4 * params.l
         return float(np.sum(x[sel] * prof[sel]) / np.sum(prof[sel]))
@@ -279,7 +277,7 @@ def test_run_protocol_basics(params, grid, run_small):
     assert r.feedback_mode == "correlated"
     assert r.outcome_samples.shape == (600,)
     assert r.e_b_samples.shape == (600,)
-    assert r.energy_density_profile.shape == (1, 256)
+    assert r.energy_density_profile.shape == (256,)
     # headline sign: correlated feedback extracts
     assert r.E_B_oracle > 0
     assert r.E_B_oracle / r.E_B_stderr > 5.0
@@ -305,8 +303,6 @@ def test_run_protocol_controls(params, grid):
     assert scram.E_B_oracle <= 2.0 * scram.E_B_stderr
     with pytest.raises(ValueError, match="feedback_mode"):
         O.run_protocol(params, grid, feedback_mode="telepathic")
-    with pytest.raises(ValueError, match="after t_f"):
-        O.run_protocol(params, grid, n_shots=2, profile_times=[0.0])
     # the ramps must fit in the window, in at least one step
     for ramp_fraction in (-0.1, 0.6, math.nan):
         with pytest.raises(ValueError, match="ramp_fraction"):
@@ -324,19 +320,19 @@ def test_run_protocol_controls(params, grid):
         O.run_protocol(params, short, n_shots=2)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_run_protocol_rejects_non_finite_profile_time(params, grid,
-                                                      monkeypatch, bad):
-    """A NaN passes both the t >= t_f and the wrap-margin check, so a
-    non-finite profile time is refused on its own, before the setup
+@pytest.mark.parametrize("name,bad", [("seed", -1), ("seed", 1.5),
+                                      ("seed", "0"), ("n_shots", 10.0),
+                                      ("n_profile", 64.5)])
+def test_run_protocol_rejects_bad_counts_and_seeds(params, grid, monkeypatch,
+                                                  name, bad):
+    """A seed that is not a non-negative integer, and an n_shots or
+    n_profile that is not an integer, are refused before the setup
     stage runs."""
     setups = []
     monkeypatch.setattr(propagator, "protocol_setup",
                         lambda *a: setups.append(a))
-    _, t_f = O.interaction_window(params)
-    for times in ([bad], [t_f, bad]):
-        with pytest.raises(ValueError, match="finite"):
-            O.run_protocol(params, grid, n_shots=2, profile_times=times)
+    with pytest.raises(ValueError, match=name):
+        O.run_protocol(params, grid, **{"n_shots": 2, name: bad})
     assert setups == []
 
 
@@ -367,7 +363,7 @@ def test_profile_integrates_to_channel_energy(params, grid, run_small):
     """Parseval-type check: the shot-averaged S profile integrates to
     the shot-averaged post-measurement S energy."""
     r = run_small
-    total = np.trapezoid(r.energy_density_profile[0], r.profile_x)
+    total = np.trapezoid(r.energy_density_profile, r.profile_x)
     # S carries E_A (measurement injection) plus O(g^2) interaction dust
     assert total == pytest.approx(r.E_A_oracle, rel=0.02, abs=0.0)
 
@@ -410,11 +406,9 @@ def test_run_protocol_matches_dense_reference(params, ramp_steps, n_modes,
     measurement and at t_f."""
     ramp_steps(n_ramp)
     grid = O.default_grid(params, n_modes=n_modes)
-    _, t_f = O.interaction_window(params)
     kwargs = dict(feedback_mode=feedback_mode, n_shots=200, seed=11,
                   coupling_scale=1.0, ramp_fraction=ramp_fraction,
-                  n_profile=128,
-                  profile_times=[t_f, t_f + 3 * params.l / params.v_g])
+                  n_profile=128)
     fast = O.run_protocol(params, grid, **kwargs)
     validate_setup(propagator.protocol_setup(params, grid, 1.0,
                                              ramp_fraction))
@@ -427,31 +421,6 @@ def test_run_protocol_matches_dense_reference(params, ramp_steps, n_modes,
         assert err <= 1e-10 * np.max(np.abs(want)), name
     e_b_scale = np.max(np.abs(ref["e_b_samples"]))
     assert abs(fast.E_B_oracle - ref["E_B_oracle"]) <= 1e-10 * e_b_scale
-
-
-def test_snapshots_are_the_t_f_profile_translated(params, grid):
-    """After t_f channel S moves freely at v_g: the snapshot j dx / v_g
-    later, dx the profile spacing, is the t_f profile rolled by j points.
-    One request for several snapshots gives what each gives cold."""
-    _, t_f = O.interaction_window(params)
-    n_profile = 64
-    dx = grid.ring_length / n_profile
-    shifts = (0, 1, 3)
-    kwargs = dict(feedback_mode="scrambled", n_shots=50, seed=6,
-                  coupling_scale=1.0, ramp_fraction=0.05, n_profile=n_profile)
-    times = [t_f + j * dx / params.v_g for j in shifts]
-    profiles = O.run_protocol(params, grid, profile_times=times,
-                              **kwargs).energy_density_profile
-    scale = np.max(np.abs(profiles[0]))
-    for j, profile in zip(shifts, profiles):
-        assert np.max(np.abs(profile - np.roll(profiles[0], -j))) <= (
-            1e-12 * scale)
-    for t, profile in zip(times, profiles):
-        propagator.protocol_setup.cache_clear()
-        single = O.run_protocol(params, grid, profile_times=[t],
-                                **kwargs).energy_density_profile
-        assert single.shape == (1, n_profile)
-        assert np.max(np.abs(single[0] - profile)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n_modes", [64, 128])
@@ -711,15 +680,11 @@ def test_run_protocol_reuses_window_propagator(params, monkeypatch):
     assert cols == []
     assert setup_calls == []
 
-    # another n_profile or snapshot set on the same setup makes one
-    # density product, which builds each point's row once (in blocks),
-    # replaces the memo's one entry and matches a cold call; repeating
-    # it makes no product
-    _, t_f = O.interaction_window(params)
-    for changes in (dict(n_profile=96),
-                    dict(profile_times=[t_f + 2 * params.l / params.v_g]),
-                    dict(profile_times=[t_f + k * 0.1 * params.l / params.v_g
-                                        for k in range(10)])):
+    # another n_profile on the same setup makes one density product,
+    # which builds each point's row once (in blocks), replaces the
+    # memo's one entry and matches a cold call; repeating it makes no
+    # product
+    for changes in (dict(n_profile=96), dict(n_profile=640)):
         run()
         st = propagator.protocol_setup(params, grid, 0.3, 0.05)
         before = next(iter(st._profiles))
