@@ -10,7 +10,6 @@ across modules.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,17 +64,37 @@ def window_derivative_l2(w: WindowProfile, order: int) -> float:
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
-@functools.cache
+# Weideman's scale L = sqrt(N / sqrt(2)) for N = _FADDEEVA_TERMS, and
+# the coefficients of the polynomial p in _faddeeva, highest degree
+# first: a_N .. a_1 of the length-4N FFT of exp(-t^2) (L^2 + t^2) at
+# t = L tan(theta/2), divided by 4N, as numpy's FFT gives them.  Written
+# out so that no command loads numpy.fft;
+# tests/test_chiral_field.py rebuilds them by that FFT.
+_WEIDEMAN_SCALE = math.sqrt(_FADDEEVA_TERMS / math.sqrt(2.0))
+_WEIDEMAN_COEFFS = np.array([
+    -3.700743415417188e-17, 3.908097080905041e-17, 8.913045359641251e-17,
+    4.336469876763116e-17, 2.10357809007448e-17, 7.068313479639792e-20,
+    3.859105048166247e-16, 7.253797548522926e-16, -1.8792328220691556e-15,
+    -5.239158595095343e-15, 9.527536360754516e-15, 4.2342555584235587e-14,
+    -3.1933415962846563e-14, -3.227757310972546e-13, -9.65501738984251e-14,
+    2.2154187772000165e-12, 3.4253340904418414e-12, -1.1935451266839411e-11,
+    -4.386586767527037e-11, 2.162200234796574e-11, 3.8794220773032034e-10,
+    5.775289855479109e-10, -2.015659927316155e-09, -9.596254713078844e-09,
+    -6.3868099289015055e-09, 6.927000636026076e-08, 2.654949200687094e-07,
+    1.949433746724146e-07, -1.9445657790098968e-06, -9.475638240450828e-06,
+    -1.905446161911202e-05, 1.7506316371117585e-05, 0.0003078691364088904,
+    0.0014864991251956183, 0.005125813548225686, 0.014546837792237402,
+    0.03586136998337668, 0.07895589553470005, 0.1578633044338047,
+    0.2897998907960481, 0.49225702391399057, 0.7780624191484228,
+    1.149220464539778, 1.5913084691178003, 2.0707599716742915,
+    2.5370484874446904, 2.9304498956237564, 3.194064589395071])
+_WEIDEMAN_COEFFS.flags.writeable = False
+
+
 def _weideman_coefficients():
     """Scale L and the coefficients, highest degree first, of the
-    polynomial p in :func:`_faddeeva`, from one length-4N FFT of
-    exp(-t^2) (L^2 + t^2) at t = L tan(theta/2)."""
-    n = _FADDEEVA_TERMS
-    scale = math.sqrt(n / math.sqrt(2.0))
-    t = scale * np.tan(0.5 * math.pi * np.arange(1 - 2 * n, 2 * n) / (2 * n))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (scale ** 2 + t * t)))
-    a = np.fft.fft(np.fft.fftshift(f)).real / (4 * n)
-    return scale, a[n:0:-1]
+    polynomial p in :func:`_faddeeva` (``_WEIDEMAN_COEFFS``)."""
+    return _WEIDEMAN_SCALE, _WEIDEMAN_COEFFS
 
 
 def _faddeeva(z):

@@ -34,12 +34,14 @@ checks this symmetry too (``_reversal_residual``), chains the first
 half's steps in time order on the S-half columns [b; 0], each step
 applied as soon as it is built and then dropped, and finishes M in
 closed form from X^-1 = Omega^-1 X^T Omega (``_second_half``).
-Every step reads an interval inside the window's, so its basis is
-taken inside the window basis (``_step_basis``): the build makes one
-SVD of 2N-row density samples, whatever its number of steps.  Ramp
-steps share their duration, so they share the short step's basis and
-each doubling level's, which live while the ramp's steps are built; the
-steps themselves are built one at a time.
+Each step basis, the window's and each doubling level's, comes from its
+own density samples, which are symmetric about the middle of their
+interval: turned by the midpoint, their cos and sin rows split, so the
+basis takes two SVDs of N-row blocks instead of one of the 2N-row
+samples (``_step_basis``).  Ramp steps share their duration, so they
+share the short step's basis and each doubling level's, which live
+while the ramp's steps are built; the steps themselves are built one at
+a time.
 
 The same module holds the setup stage of ``oracle.run_protocol``
 (``protocol_setup``): the window propagator together with everything
@@ -71,10 +73,13 @@ from .oracle import (ModeGrid, StepInstability, _conditioning,
 #: factors: directions below SVD_CUT times the largest singular value are
 #: dropped.  It is the one approximation the window propagator adds to
 #: the discretization.  The singular values of the window's density
-#: samples decay geometrically to ~4e-15 and then sit on a rounding
-#: plateau (at 256 modes, 28 values from 2.5e-15 to 1e-15 after the
-#: 112th); a cut at 1e-14 keeps the decay and drops the plateau, and
-#: held-out density vectors still lie in the basis to a few 1e-15.
+#: samples, those of its cos and sin blocks together (``_step_basis``),
+#: decay geometrically to ~4e-15 and then sit on a rounding plateau (at
+#: 256 modes, 56 kept in each block, and after the 112th 4.4e-15 and 53
+#: values from 1.5e-15 down to 1.4e-16); a cut at 1e-14 keeps the decay
+#: and drops the plateau, and density vectors between the samples still
+#: lie in the basis to about the rounding of their own phases k x
+#: (9.8e-15 at 256 modes, 3.9e-14 at 1024).
 SVD_CUT = 1e-14
 
 #: Bound on the relative mirror residual ||K^T - R(b/v) K R(b/v)|| / ||K||
@@ -169,8 +174,8 @@ def _samples(grid: ModeGrid, length: float) -> int:
     return min(math.ceil(0.5 * grid.k[-1] * length) + 40, 2 * grid.n_modes)
 
 
-def _step_basis(grid: ModeGrid, params: P.ExperimentParams, tau: float,
-                window: np.ndarray | None = None) -> np.ndarray:
+def _step_basis(grid: ModeGrid, params: P.ExperimentParams,
+                tau: float) -> np.ndarray:
     """B_tau, 2N x r/2 orthonormal: the S block of Q_tau, which spans
     all the coupling reads during a step of length tau, in terms of the
     state at the start of the step.
@@ -184,23 +189,33 @@ def _step_basis(grid: ModeGrid, params: P.ExperimentParams, tau: float,
     the S density samples D at ``_samples`` Chebyshev points, cut at
     SVD_CUT.
 
-    ``window``, the basis of a step at least as long (the window's),
-    already spans the samples, since [0, b + v tau] lies inside its
-    interval: B is then ``window`` @ U with U the SVD basis of
-    window^T D, cut at SVD_CUT.  Its singular values are those of D (the
-    window is orthonormal), so the cut keeps the same rank, and the SVD
-    is of an r/2 x m matrix instead of 2N x m.
+    The points are symmetric about the midpoint c of the interval, and
+    u(c + s) is u(s) turned per mode by k c, the free flight R(-c/v).
+    Each pair of points c +- s gives, in that frame, sqrt(2) a cos(k s)
+    in the cos rows alone and sqrt(2) a sin(k s) in the sin rows alone
+    (a the mode amplitudes; an odd m's midpoint gives a alone), so
+    D = R(-c/v) diag(C, S) V with V orthogonal and C and S N-row
+    blocks of about m/2 columns.  The singular values of D are those of
+    C and S together, so B is R(-c/v) diag(U_C, U_S) from the two
+    N-row SVDs, each cut at SVD_CUT times the larger top value: a
+    quarter of the flops of one SVD of D.
     """
+    n = grid.n_modes
     length = params.b + params.v_g * tau
     m = _samples(grid, length)
-    x = 0.5 * length * (1.0 - np.cos(np.pi * (np.arange(m) + 0.5) / m))
-    d = density_basis(grid, 1.0, x, "left").T
-    if window is not None:
-        d = window.T @ d
-    u, sv, _ = np.linalg.svd(d, full_matrices=False)
+    # the offsets s >= 0 from c, ending at s = 0 when m is odd
+    s = 0.5 * length * np.sin(0.5 * np.pi / m * np.arange(m - 1, -1, -2))
+    d = density_basis(grid, 1.0, s, "left").T
+    d[:, :m // 2] *= math.sqrt(2.0)
+    blocks = [np.linalg.svd(block, full_matrices=False)[:2]
+              for block in (d[:n], d[n:, :m // 2])]
     del d
-    u = u[:, sv > SVD_CUT * sv[0]]
-    return u if window is None else window @ u
+    cut = SVD_CUT * max(sv[0] for _, sv in blocks)
+    u_c, u_s = (u[:, sv > cut] for u, sv in blocks)
+    b = np.zeros((2 * n, u_c.shape[1] + u_s.shape[1]))
+    b[:n, :u_c.shape[1]] = u_c
+    b[n:, u_c.shape[1]:] = u_s
+    return free_rotate(b, grid, params, -0.5 * length / params.v_g, out=b)
 
 
 def _mirror_blocks(grid: ModeGrid, params: P.ExperimentParams):
@@ -356,16 +371,13 @@ def ramp_schedule(t_i: float, t_f: float, ramp_fraction: float):
 
 
 def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
-                      dt: float, scales, window: np.ndarray):
+                      dt: float, scales):
     """Yields (b, l), exp(dt A_scale) held as (b, l) for each of
     ``scales`` in turn, that is R(dt) + [l, Pi l] Q^T with Q = Q_dt
     given by its S block b (``_step_basis``) and l (4N x r_b) the
     deviation E Q - R Q on the S-half columns [b; 0] of Q (``_apply``).
     The next scale is built when the next one is asked for, so a caller
     that drops each l before asking holds one step at a time.
-    ``window``, the window's basis, already built, is longer than any
-    step of the half window: every level's basis is taken inside it
-    (``_step_basis``), so the build makes one SVD of 2N-row samples.
 
     A = Omega (hw + hw + scale K) / hbar, with K = f_s f_u^T from
     ``factors`` = (f_s, f_u, ||K||_1 bound).  One ``expm_action`` per
@@ -378,10 +390,12 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
     E(2h) Q_2h - R(2h) Q_2h are E(h) L + l G with L = l P0 the
     deviation E(h) Q_2h - R(h) Q_2h of those columns after one step,
     P0 = B_h^T B_2h and G = B_h^T R(h) B_2h: one ``_apply`` of E(h)
-    to L with G added to its coefficient of l.  The scales share the
-    short step's columns and every level's (B_2h, P0, G), built by the
-    first scale and held until the last drops each after its use: a
-    group of one scale holds one level at a time.
+    to L with G added to its coefficient of l.  B_h and every B_2h come
+    from their own samples (``_step_basis``, two N-row SVDs each).  The
+    scales share the short step's columns and every level's
+    (B_2h, P0, G), built by the first scale and held until the last
+    drops each after its use: a group of one scale holds one level at a
+    time.
     """
     f_s, f_u, k_norm = factors
     n = grid.n_modes
@@ -400,7 +414,7 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
             return _omega_times(gx)
         return apply
 
-    b = _step_basis(grid, params, h, window)
+    b = _step_basis(grid, params, h)
     q_s = np.zeros((4 * n, b.shape[1]))
     q_s[:2 * n] = b
     rq_s = free_rotate(q_s, grid, params, h)
@@ -414,7 +428,7 @@ def _step_propagators(grid: ModeGrid, params: P.ExperimentParams, factors,
             del b, q_s, rq_s
         for d in range(k):
             if d == len(levels):         # the first scale builds the level
-                b2 = _step_basis(grid, params, 2.0 * t, window)
+                b2 = _step_basis(grid, params, 2.0 * t)
                 levels.append((b2, b_h.T @ b2,
                                b_h.T @ free_rotate(b2, grid, params, t)))
             b2, p0, g = levels[d]
@@ -504,14 +518,14 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     """The propagator over the interaction window, on the coupling's
     subspace.
 
-    b is the S block of Q_(t_f - t_i) (``_step_basis``), the one basis
-    built from the full density samples: every step's basis is taken
-    inside it.  Only the first half X of the ``ramp_schedule`` is built,
-    the ramp-up steps and half the plateau, in time order: each group
-    of steps that share a duration costs one ``expm_action`` per scale
-    (``_step_propagators``), and each step is applied to the S-half
-    columns [b; 0] as soon as it is built, in O(N r r_step)
-    (``_apply``), and dropped before the next is built.  The second
+    b is the S block of Q_(t_f - t_i) (``_step_basis``); every step
+    builds its own basis from its own samples.  Only the first half X
+    of the ``ramp_schedule`` is built, the ramp-up steps and half the
+    plateau, in time order: each group of steps that share a duration
+    costs one ``expm_action`` per scale (``_step_propagators``), and
+    each step is applied to the S-half columns [b; 0] as soon as it is
+    built, in O(N r r_step) (``_apply``), and dropped before the next
+    is built.  The second
     half comes in closed form (``_second_half``): the coupling is
     invariant under Theta and the schedule is symmetric in time, so
     M = Theta X^-1 Theta X.  No 4N x 4N matrix is formed, and no U-half
@@ -569,7 +583,7 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
         for dt, group in itertools.groupby(first, key=lambda step: step[0]):
             scales = [scale * coupling_scale for _, scale in group]
             for b, l in _step_propagators(grid, params, (f_s, f_u, k_norm),
-                                          dt, scales, window):
+                                          dt, scales):
                 if mq is None:
                     mq = np.zeros((2 * n2, r))
                     mq[:n2] = window
@@ -699,28 +713,29 @@ class ProtocolSetup:
 
         It is the density reduction of the moment's pair table
         (``_moment_pairs``) on the S columns [a, b, kick, rq, l, l']
-        (``_columns``, 1.5 r + 3 columns for Q's r), stacked for the
-        request and dropped after it: the covariance part
+        (``_columns``, 1.5 r + 3 columns for Q's r), passed as
+        ``_columns``' list of blocks: the covariance part
         rq l^T + l rq^T + l l^T + l' l'^T over two, the conditioning
         terms -s_pred a a^T + back kick kick^T, and a a^T, b b^T and
         a b^T + b a^T for the u^2, f^2 and u f columns.  The density
-        takes the points in blocks (``oracle.PROFILE_BLOCK``): beyond
-        the table and the stacked columns a request holds one block's
-        density rows and products, however many points it has.  The
-        last request is memoised; another one replaces it.
+        takes the points in blocks (``oracle.PROFILE_BLOCK``) and
+        multiplies each block's rows by each column block: beyond the
+        table a request holds rq and the turned deviation (2N x r/2
+        each, dropped after it) and one block's density rows and
+        products, however many points it has.  The last request is
+        memoised; another one replaces it.
         """
-        key = x.tobytes()
-        if key not in self._profiles:
+        table = self._profiles.get(x.tobytes())
+        if table is None:
             m = self.window
-            cols = np.column_stack(_columns(
-                m, (self.a_vec, self.b_vec, self.kick_f), "S"))
             table = O.local_energy_density(
-                x, m.grid, m.params, cols,
+                x, m.grid, m.params,
+                _columns(m, (self.a_vec, self.b_vec, self.kick_f), "S"),
                 _moment_pairs(m.b.shape[1], self.s_pred, self.back))
             table.flags.writeable = False
             self._profiles.clear()
-            self._profiles[key] = table
-        return self._profiles[key]
+            self._profiles[x.tobytes()] = table
+        return table
 
 
 # A scan over feedback modes and a few coupling strengths on one grid

@@ -259,7 +259,7 @@ def test_c12_chirality(params, grid256, report):
     moments = np.array([1.0] + 3 * [u @ u / u.size])  # correlated: f = u
     x = r.profile_x
     later = O.local_energy_density(
-        x, grid256, params, O.free_rotate(cols, grid256, params, dt),
+        x, grid256, params, [O.free_rotate(cols, grid256, params, dt)],
         pairs) @ moments
 
     def centroid(prof):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from edgeqet.chiral_field import (WindowProfile, _moment, quad_form_vacuum,
+from edgeqet.chiral_field import (WindowProfile, _moment,
+                                  _weideman_coefficients, quad_form_vacuum,
                                   window_derivative_l2)
 from quad_reference import (CorrelatorKernel, fourier_abs,
                             quad_form_vacuum_position_space,
@@ -138,3 +139,17 @@ def test_quad_form_scaling(params):
     assert quad_form_vacuum(params.nu_S, 0.0, window, order=1) > base
     with pytest.raises(ValueError, match="eps_uv"):
         quad_form_vacuum(params.nu_S, -1e-9, window, order=1)
+
+
+def test_weideman_coefficients_are_the_fft_construction():
+    """The written-out scale and coefficients are, bit for bit, those of
+    Weideman's construction: one length-4N FFT of exp(-t^2) (L^2 + t^2)
+    at t = L tan(theta/2), N = 48 terms, highest degree first."""
+    n = 48
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(0.5 * math.pi * np.arange(1 - 2 * n, 2 * n) / (2 * n))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale ** 2 + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (4 * n)
+    got_scale, coeffs = _weideman_coefficients()
+    assert got_scale == scale
+    assert np.array_equal(coeffs, a[n:0:-1])

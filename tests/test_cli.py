@@ -125,6 +125,15 @@ def test_commands_load_no_numpy_polynomial(tmp_path):
             == "[0, 0, 0] []")
 
 
+def test_commands_load_no_numpy_fft(tmp_path):
+    """Weideman's Faddeeva coefficients are written out
+    (``chiral_field._WEIDEMAN_COEFFS``), so budget, sweep and simulate
+    never import numpy.fft."""
+    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
+                ["simulate", "--modes", "16", "--shots", "50"]]
+    assert _loaded_after(tmp_path, commands, "numpy.fft") == "[0, 0, 0] []"
+
+
 # budget -----------------------------------------------------------------
 
 def test_budget_artifacts(tmp_path, capsys):
