@@ -18,11 +18,10 @@ from .params import (ExperimentParams, FastDetectorWarning, ParamFileError,
                      thermal_energy, validate)
 from .chiral_field import WindowProfile
 from .detector import RCDetector, delta_v, signal_rms
-from .energetics import (ConvergenceFailure, EnergyBudget, QuadResult,
-                         compute_EA, compute_EB, compute_E1,
-                         current_from_energy_density, eb_order_estimate,
-                         energy_budget, energy_density_from_current,
-                         fit_scaling_exponent)
+from .energetics import (ConvergenceFailure, EnergyBudget, compute_EA,
+                         compute_EB, compute_E1, current_from_energy_density,
+                         eb_order_estimate, energy_budget,
+                         energy_density_from_current)
 from .oracle import ModeGrid, ProtocolResult, default_grid, run_protocol
 
 __version__ = "0.1.0"
@@ -30,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceFailure", "EnergyBudget", "ExperimentParams",
     "FastDetectorWarning", "ModeGrid", "ParamFileError", "ProtocolResult",
-    "QuadResult", "RCDetector", "RegimeWarning", "ValidationError",
-    "WindowProfile", "compute_EA", "compute_EB", "compute_E1",
+    "RCDetector", "RegimeWarning", "ValidationError", "WindowProfile",
+    "compute_EA", "compute_EB", "compute_E1",
     "current_from_energy_density", "default_grid", "default_paper_params",
     "delta_v", "eb_order_estimate", "energy_budget",
-    "energy_density_from_current", "fit_scaling_exponent", "run_protocol",
-    "signal_rms", "thermal_energy", "validate",
+    "energy_density_from_current", "run_protocol", "signal_rms",
+    "thermal_energy", "validate",
 ]

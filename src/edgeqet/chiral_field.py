@@ -91,12 +91,6 @@ _WEIDEMAN_COEFFS = np.array([
 _WEIDEMAN_COEFFS.flags.writeable = False
 
 
-def _weideman_coefficients():
-    """Scale L and the coefficients, highest degree first, of the
-    polynomial p in :func:`_faddeeva` (``_WEIDEMAN_COEFFS``)."""
-    return _WEIDEMAN_SCALE, _WEIDEMAN_COEFFS
-
-
 def _faddeeva(z):
     """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
 
@@ -105,10 +99,10 @@ def _faddeeva(z):
     Z = (L + iz) / (L - iz), exact to rounding on and above the real
     axis.
     """
-    scale, coeffs = _weideman_coefficients()
     iz = 1j * np.asarray(z)
-    d = scale - iz
-    return (2.0 * np.polyval(coeffs, (scale + iz) / d) / d ** 2
+    d = _WEIDEMAN_SCALE - iz
+    return (2.0 * np.polyval(_WEIDEMAN_COEFFS, (_WEIDEMAN_SCALE + iz) / d)
+            / d ** 2
             + 1.0 / (math.sqrt(math.pi) * d))
 
 

@@ -18,7 +18,9 @@ bit-exactly: replay with ``--set`` for every ``params`` entry not
 listed in ``derived``.  The wall-clock duration lives only in the
 manifest, never in data files.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
+Exit codes: 0 success, 1 validation/usage error, 2 numerical failure
+(any ArithmeticError included, and a NaN or an infinity bound for a
+data file).
 """
 
 from __future__ import annotations
@@ -150,6 +152,14 @@ def _load(args):
     return given, _resolve(given)
 
 
+def _finite(name: str, value):
+    """``value``, or FloatingPointError naming ``name`` if it is a NaN or
+    an infinity: no data file may hold one."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{name} is not finite ({value!r})")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,20 +196,21 @@ def cmd_budget(args) -> int:
     given, params = _load(args)
     t0 = time.perf_counter()
     budget = energy_budget(params, rel_tol=args.tol)
-    # the budget has passed its checks before the output directory exists
-    out = _out_dir(args)
     rows = []
     for key, value in budget.as_dict().items():
         si_unit, scale, disp_unit, ref = _QUANTITIES[key]
         if value is None:       # a ratio to a zero E_B
             rows.append([key, "", si_unit, "", disp_unit, "", "", ""])
             continue
-        value = _clean(value)
+        value = _finite(key, _clean(value))
         lo = ref / 10.0 if ref else ""
         hi = ref * 10.0 if ref else ""
         in_band = (lo <= value <= hi) if ref else ""
         rows.append([key, float(value), si_unit,
-                     float(value * scale), disp_unit, lo, hi, in_band])
+                     _finite(f"{key} in {disp_unit}", float(value * scale)),
+                     disp_unit, lo, hi, in_band])
+    # every value has passed its checks before the output directory exists
+    out = _out_dir(args)
     _write_csv(out / "budget.csv",
                ["quantity", "value_si", "si_unit", "value_display",
                 "display_unit", "band_lo_si", "band_hi_si", "in_band"],
@@ -243,17 +254,19 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep grid must be strictly monotone")
 
     t0 = time.perf_counter()
+    header = [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"]
     rows = []
     for v in values:
         p = _resolve(P.read_inputs(None, {**given, key: v}))
         e_b = compute_EB(p, rel_tol=args.tol)
-        rows.append([float(v), float(e_b), float(e_b.error_estimate),
-                     float(eb_order_estimate(p))])
+        row = [float(v), float(e_b), float(e_b.error_estimate),
+               float(eb_order_estimate(p))]
+        for name, cell in zip(header[1:], row[1:]):
+            _finite(f"{name} at {key} = {v!r}", cell)
+        rows.append(row)
     # every point has passed its checks before the output directory exists
     out = _out_dir(args)
-    _write_csv(out / "sweep.csv",
-               [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"],
-               zip(*rows))
+    _write_csv(out / "sweep.csv", header, zip(*rows))
 
     slope, stderr = loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     if slope is not None:
@@ -466,11 +479,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, P.ParamFileError, P.ValidationError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceFailure, StepInstability,
+    except (ArithmeticError, ConvergenceFailure, StepInstability,
             DegenerateObservable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 E_1, extracted energy E_B (a 3-D integral whose inner convolution of
 the measured window with the regularized cubic pole is done exactly by
 the Faddeeva function, evaluated in numpy by Weideman's rational
-expansion, plus its order-of-magnitude estimate), scaling-law fits,
+expansion, plus its order-of-magnitude estimate), the log-log slope fit,
 and the current to energy-density conversion for channel U.
 """
 
@@ -26,17 +26,9 @@ _EB_START_NODES = 16
 _EB_MAX_NODES = 512
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error_estimate: float
-    subdivisions_used: int
-    converged: bool
-    n_evals: int = 0
-
-
 class ConvergenceFailure(RuntimeError):
-    """A quadrature exhausted its budget before reaching tolerance."""
+    """A quadrature exhausted its budget before reaching tolerance; the
+    partial :class:`Estimate` is ``result``."""
 
     def __init__(self, message, result=None):
         super().__init__(message)
@@ -44,21 +36,29 @@ class ConvergenceFailure(RuntimeError):
 
 
 class Estimate(float):
-    """A float that also carries ``error_estimate``, the absolute error
-    estimate of the quadrature that produced it, and ``n_evals``, the
-    integrand evaluations it took.  Arithmetic on it gives a plain
-    float."""
+    """A quadrature's result: a float that also carries
+    ``error_estimate``, its absolute error estimate, ``n_evals``, the
+    integrand evaluations it took, and ``subdivisions_used``, the
+    refinements it made.  ``value`` is the float itself; arithmetic on
+    it gives a plain float."""
 
-    __slots__ = ("error_estimate", "n_evals")
+    __slots__ = ("error_estimate", "n_evals", "subdivisions_used")
 
-    def __new__(cls, value: float, error_estimate: float, n_evals: int):
+    def __new__(cls, value: float, error_estimate: float, n_evals: int,
+                subdivisions_used: int):
         self = super().__new__(cls, value)
         self.error_estimate = error_estimate
         self.n_evals = n_evals
+        self.subdivisions_used = subdivisions_used
         return self
 
+    @property
+    def value(self) -> float:
+        return float(self)
+
     def __getnewargs__(self):
-        return float(self), self.error_estimate, self.n_evals
+        return (float(self), self.error_estimate, self.n_evals,
+                self.subdivisions_used)
 
 
 def feedback_window(params: P.ExperimentParams) -> WindowProfile:
@@ -230,8 +230,8 @@ def _eb_rule(params: P.ExperimentParams, eps: float, causal: bool,
 
 
 def _eb_integral(params: P.ExperimentParams, rel_tol: float, eps: float,
-                 causal: bool = True) -> QuadResult:
-    """The extracted-energy weight integral by node doubling.
+                 causal: bool = True) -> Estimate:
+    """E_B in joules from the weight integral by node doubling.
 
     Evaluates :func:`_eb_rule` at n = _EB_START_NODES and doubles n
     until two successive rules agree to ``rel_tol``; the error estimate
@@ -251,13 +251,17 @@ def _eb_integral(params: P.ExperimentParams, rel_tol: float, eps: float,
         doublings += 1
         n_evals += 2 * n ** 3
         if math.isfinite(value) and err <= rel_tol * abs(value):
-            return QuadResult(value, err, doublings, True, n_evals)
+            break
+    prefactor = _eb_prefactor(params)
+    result = Estimate(-prefactor * value, abs(prefactor * err), n_evals,
+                      doublings)
+    if math.isfinite(value) and err <= rel_tol * abs(value):
+        return result
     reason = (f"non-finite rule value {value!r}" if not math.isfinite(value)
               else f"doubling difference {err:.3g} above {rel_tol:.3g} "
                    "relative")
     raise ConvergenceFailure(
-        f"E_B quadrature: {reason} at {n} x {n} x {2 * n} nodes",
-        QuadResult(value, err, doublings, False, n_evals))
+        f"E_B quadrature: {reason} at {n} x {n} x {2 * n} nodes", result)
 
 
 def compute_EB(params: P.ExperimentParams,
@@ -269,12 +273,13 @@ def compute_EB(params: P.ExperimentParams,
     ``rel_tol``; the sign convention is that a positive value means the
     stated feedback polarity extracts energy.  The result is an
     :class:`Estimate` whose ``error_estimate`` is the node-doubling
-    difference in joules and whose ``n_evals`` counts the tensor nodes
-    of every rule evaluated.
+    difference in joules, whose ``n_evals`` counts the tensor nodes of
+    every rule evaluated and whose ``subdivisions_used`` counts the
+    doublings.
     The result changes sign with L: the underlying kernel (a Gaussian
     smoothed against an odd cubic pole) oscillates before settling onto
-    its ~1/L^5 tail, so extraction at the default L = 2l turns into
-    injection by L = 5l.
+    its ~1/L^5 tail, so at the default parameters extraction at L = 2l
+    turns into injection at L = 4.3455l.
 
     Requires L >= 2l, where the pole regularization is demonstrably
     stable.
@@ -292,10 +297,7 @@ def compute_EB(params: P.ExperimentParams,
         raise ValueError(
             f"L = {params.L:.3g} < 2l = {2 * params.l:.3g}: regularization "
             "validity not established")
-    res = _eb_integral(params, rel_tol, params.eps_uv)
-    prefactor = _eb_prefactor(params)
-    return Estimate(-prefactor * res.value,
-                    abs(prefactor * res.error_estimate), res.n_evals)
+    return _eb_integral(params, rel_tol, params.eps_uv)
 
 
 def loglog_slope(x, y):
@@ -313,26 +315,6 @@ def loglog_slope(x, y):
         return float(np.polyfit(logx, logy, 1)[0]), None
     coeffs, cov = np.polyfit(logx, logy, 1, cov=True)
     return float(coeffs[0]), math.sqrt(cov[0, 0])
-
-
-def fit_scaling_exponent(params: P.ExperimentParams, L_values,
-                         rel_tol: float = 1e-4) -> float:
-    """Least-squares slope of log |E_B| versus log L over the distinct
-    ``L_values`` (at least 4, each >= 2l), in increasing order.
-
-    E_B is fitted on magnitudes because it changes sign over the usual
-    L grid; raises ValueError where it vanishes.
-    """
-    L_values = sorted(set(float(L) for L in L_values))
-    if len(L_values) < 4:
-        raise ValueError("need at least 4 distinct L values")
-    if min(L_values) < 2.0 * params.l:
-        raise ValueError("all L values must be >= 2l")
-    slope, _ = loglog_slope(L_values, [
-        compute_EB(params.replace(L=L), rel_tol=rel_tol) for L in L_values])
-    if slope is None:
-        raise ValueError("E_B vanished at a grid point; slope undefined")
-    return slope
 
 
 def energy_density_from_current(j: float, params: P.ExperimentParams) -> float:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from edgeqet.detector import sense_window
-from edgeqet.energetics import ConvergenceFailure, QuadResult, feedback_window
+from edgeqet.energetics import ConvergenceFailure, Estimate, feedback_window
 from quad_reference import _GAUSS_IDX, _WG, _WK, _XK
 
 
@@ -55,7 +55,7 @@ def _nd_panel(f, lo, hi):
     return kron, float(axis_errors.sum()), axis_errors
 
 
-def integrate_nd(f, bounds, rel_tol, max_subdivisions=2000) -> QuadResult:
+def integrate_nd(f, bounds, rel_tol, max_subdivisions=2000) -> Estimate:
     """Adaptive subdivision of boxes, splitting the axis that dominates
     the embedded-rule error of the worst cell.
 
@@ -77,12 +77,12 @@ def integrate_nd(f, bounds, rel_tol, max_subdivisions=2000) -> QuadResult:
         total = sum(c.value for c in ordered)
         total_err = sum(c.error for c in ordered)
         if total_err <= rel_tol * abs(total):
-            return QuadResult(total, total_err, subdivisions, True, n_evals)
+            return Estimate(total, total_err, n_evals, subdivisions)
         if subdivisions >= max_subdivisions:
             raise ConvergenceFailure(
                 f"{dim}-D quadrature: error {total_err:.3g} above tolerance "
                 f"after {subdivisions} subdivisions",
-                QuadResult(total, total_err, subdivisions, False, n_evals))
+                Estimate(total, total_err, n_evals, subdivisions))
         while True:
             neg_err, idx = heapq.heappop(heap)
             if idx in cells and -neg_err == cells[idx].error:
@@ -105,7 +105,7 @@ def integrate_nd(f, bounds, rel_tol, max_subdivisions=2000) -> QuadResult:
 
 
 def eb_integral_4d(params, rel_tol, eps, causal=True,
-                   max_subdivisions=20000) -> QuadResult:
+                   max_subdivisions=20000) -> Estimate:
     """The E_B weight integral over (x, y, tau, xbar), all by quadrature.
 
     Same axes and weight as the production 3-D form, plus the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from edgeqet.chiral_field import WindowProfile, window_derivative_l2
-from edgeqet.energetics import ConvergenceFailure, QuadResult
+from edgeqet.energetics import ConvergenceFailure, Estimate
 
 # 15-point Kronrod extension of the 7-point Gauss rule, nodes ascending.
 _XK = np.array([
@@ -83,7 +83,7 @@ def _gk_panel(f, lo, hi):
     return k, abs(k - g)
 
 
-def integrate_1d(f, spec: IntegrationSpec) -> QuadResult:
+def integrate_1d(f, spec: IntegrationSpec) -> Estimate:
     """Adaptive bisection with the embedded G7/K15 pair."""
     (lo, hi), = spec.bounds
     value, err = _gk_panel(f, lo, hi)
@@ -97,12 +97,12 @@ def integrate_1d(f, spec: IntegrationSpec) -> QuadResult:
         total = sum(c[2] for c in sorted(cells.values(), key=lambda c: c[0]))
         total_err = sum(c[3] for c in cells.values())
         if total_err <= _tolerance(spec, total):
-            return QuadResult(total, total_err, subdivisions, True, n_evals)
+            return Estimate(total, total_err, n_evals, subdivisions)
         if subdivisions >= spec.max_subdivisions:
             raise ConvergenceFailure(
                 f"1-D quadrature: error {total_err:.3g} above tolerance "
                 f"{_tolerance(spec, total):.3g} after {subdivisions} subdivisions",
-                QuadResult(total, total_err, subdivisions, False, n_evals))
+                Estimate(total, total_err, n_evals, subdivisions))
         while True:
             neg_err, idx = heapq.heappop(heap)
             if idx in cells and -neg_err == cells[idx][3]:

@@ -21,7 +21,7 @@ from edgeqet.detector import (delta_v, detector_from_params,
                               measurement_coupling, sense_window,
                               signal_rms)
 from edgeqet.energetics import (compute_EA, compute_EB, compute_E1,
-                                fit_scaling_exponent)
+                                loglog_slope)
 from edgeqet.chiral_field import window_derivative_l2
 from dense_reference import channel_energy, displace_feedback
 from quad_reference import IntegrationSpec, integrate_1d
@@ -154,15 +154,17 @@ def test_c06_separation_scaling_slope(params, report):
     expected -5 +- 0.3 by the envelope estimate.
 
     Known-unattainable: the first-order extraction integral is
-    non-monotonic and changes sign near L = 4.5l (its exact inner
-    kernel oscillates before settling onto the ~L^-5 tail, which only
-    begins around L = 7l where the sign has flipped).  The fit below is
-    done on log|E_B| so it is well-defined; the measured slope is
-    reported and the band asserted as stated, failing honestly.
+    non-monotonic and changes sign at L = 4.3455l (its exact inner
+    kernel oscillates before settling onto the ~L^-5 tail: the local
+    log-log slope is -5.87 over 8l..10l and nears -5 only past 15l).
+    The fit below is done on log|E_B| so it is well-defined; the
+    measured slope is reported and the band asserted as stated, failing
+    honestly.
     """
     t0 = time.perf_counter()
     ls = [3 * params.l, 4 * params.l, 5 * params.l, 6 * params.l]
-    slope = fit_scaling_exponent(params, ls, rel_tol=1e-4)
+    slope, _ = loglog_slope(
+        ls, [compute_EB(params.replace(L=L), rel_tol=1e-4) for L in ls])
     runtime = time.perf_counter() - t0
     assert runtime < 120.0
     report(6, abs(slope - (-5.0)) <= 0.3,

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from edgeqet.chiral_field import (WindowProfile, _moment,
-                                  _weideman_coefficients, quad_form_vacuum,
+from edgeqet.chiral_field import (_WEIDEMAN_COEFFS, _WEIDEMAN_SCALE,
+                                  WindowProfile, _moment, quad_form_vacuum,
                                   window_derivative_l2)
 from quad_reference import (CorrelatorKernel, fourier_abs,
                             quad_form_vacuum_position_space,
@@ -150,6 +150,5 @@ def test_weideman_coefficients_are_the_fft_construction():
     t = scale * np.tan(0.5 * math.pi * np.arange(1 - 2 * n, 2 * n) / (2 * n))
     f = np.concatenate(([0.0], np.exp(-t * t) * (scale ** 2 + t * t)))
     a = np.fft.fft(np.fft.fftshift(f)).real / (4 * n)
-    got_scale, coeffs = _weideman_coefficients()
-    assert got_scale == scale
-    assert np.array_equal(coeffs, a[n:0:-1])
+    assert _WEIDEMAN_SCALE == scale
+    assert np.array_equal(_WEIDEMAN_COEFFS, a[n:0:-1])

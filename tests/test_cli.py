@@ -195,6 +195,25 @@ def test_budget_non_finite_rule_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["budget", "--set", "l=1e-300"],
+    ["simulate", "--modes", "16", "--shots", "10", "--set", "C=1e-300"],
+    ["simulate", "--modes", "16", "--shots", "10",
+     "--set", "lambda_amp=1e200"],
+    ["budget", "--set", "R=1e300"],
+    ["sweep", "--set", "R=1e300", "--values", "2e-5,3e-5"],
+    ["budget", "--set", "temperature=1e307"],
+], ids=["budget-l", "simulate-C", "simulate-lambda", "budget-R", "sweep-R",
+        "budget-temperature"])
+def test_arithmetic_failures_exit_2_with_no_file(tmp_path, capsys, argv):
+    """A division by zero, an overflow or a non-finite value bound for a
+    data file is a numerical failure: exit 2 before --out exists."""
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_budget_set_route_matches_file_route(tmp_path):
     # eps_uv = l/100 is derived the same way from a file and from --set
     par = tmp_path / "run.par"

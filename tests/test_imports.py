@@ -1,8 +1,11 @@
 """Every name a module of the package imports is used in that module,
-and no module imports scipy, a test dependency."""
+every exported function is used outside its own module, and no module
+imports scipy, a test dependency."""
 
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +62,33 @@ def test_importing_every_module_loads_no_scipy():
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def names_read(source: str) -> set:
+    """The names and attribute names that expressions of ``source``
+    read."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_exported_function_has_a_caller():
+    """No public API only tests use: each function in ``edgeqet.__all__``
+    is read by a package module other than ``__init__`` and the one that
+    defines it, or named in the benchmark's scripts (perfbench/*.py)."""
+    read_by = {path.stem: names_read(path.read_text(encoding="utf-8"))
+               for path in MODULES}
+    perfbench = Path(edgeqet.__file__).resolve().parents[2] / "perfbench"
+    bench_text = "\n".join(p.read_text(encoding="utf-8")
+                           for p in sorted(perfbench.glob("*.py")))
+    uncalled = []
+    for name in edgeqet.__all__:
+        fn = getattr(edgeqet, name)
+        if not inspect.isfunction(fn):
+            continue
+        home = fn.__module__.rpartition(".")[2]
+        if not (any(name in names for stem, names in read_by.items()
+                    if stem != home)
+                or re.search(rf"\b{name}\b", bench_text)):
+            uncalled.append(name)
+    assert uncalled == []

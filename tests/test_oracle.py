@@ -13,8 +13,7 @@ from edgeqet import params as P
 from edgeqet import oracle as O
 from edgeqet import propagator
 from edgeqet.detector import delta_v, detector_from_params, signal_rms
-from edgeqet.energetics import (_eb_integral, _eb_prefactor, compute_EA,
-                                compute_E1)
+from edgeqet.energetics import _eb_integral, compute_EA, compute_E1
 
 from dense_reference import (channel_energy, channel_slice,
                              displace_feedback, free_propagator,
@@ -516,13 +515,13 @@ def test_scrambled_feedback_is_a_permutation_of_the_outcomes(params, grid,
 def test_gain_entry_meets_first_order_closed_form(params):
     """The correlation gain, the E_B row's uf entry times s_pred, is
     first order in the coupling: per unit g at g = 0.01 (sudden, 64
-    modes) it equals the closed form, -_eb_prefactor times
-    ``_eb_integral`` at eps = 0, to 1e-4 (4.9e-6 measured, from the
+    modes) it equals the closed form, E_B from ``_eb_integral`` at
+    eps = 0, to 1e-4 (4.9e-6 measured, from the
     window's 4 sigma edge and the ring's periodic images)."""
     g = 0.01
     st = propagator.protocol_setup(params, O.default_grid(params, 64), g,
                                    0.0)
-    closed = -_eb_prefactor(params) * _eb_integral(params, 1e-8, 0.0).value
+    closed = _eb_integral(params, 1e-8, 0.0)
     assert st.energies[2, 3] * st.s_pred / g == pytest.approx(
         closed, rel=1e-4, abs=0.0)
 
