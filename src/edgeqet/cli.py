@@ -11,16 +11,17 @@ convert    convert between edge current and energy density
 Each command reads ``--params`` and ``--set`` once; the parameters,
 every sweep point and the manifest come from that one read.  Only the
 file-producing commands (budget, sweep, simulate) take ``--out`` and
-``--tol``.  Each writes a ``manifest.json`` (``_write_manifest``)
-holding the fully resolved inputs (parameters, regulators, tolerances,
-grid, seed, tool version) so that any result can be reproduced
-bit-exactly: replay with ``--set`` for every ``params`` entry not
-listed in ``derived``.  The wall-clock duration lives only in the
-manifest, never in data files.
+``--tol``.  Each hands its files to one writer (``_write_outputs``),
+which checks every float in them, creates ``--out`` only if all are
+finite, and writes a ``manifest.json`` last, holding the fully
+resolved inputs (parameters, regulators, tolerances, grid, seed, tool
+version) so that any result can be reproduced bit-exactly: replay with
+``--set`` for every ``params`` entry not listed in ``derived``.  The
+wall-clock duration lives only in the manifest, never in data files.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numerical failure
-(any ArithmeticError included, and a NaN or an infinity bound for a
-data file).
+Exit codes: 0 success, 1 validation/usage error (any ValueError),
+2 numerical failure (any ArithmeticError, a NaN or an infinity bound
+for a file among them).
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ import numpy as np
 
 from . import __version__
 from . import params as P
-from .energetics import (ConvergenceFailure, compute_EA, compute_EB,
-                         compute_E1, energy_budget, eb_order_estimate,
-                         current_from_energy_density,
+from .energetics import (compute_EA, compute_EB, compute_E1, energy_budget,
+                         eb_order_estimate, current_from_energy_density,
                          energy_density_from_current, loglog_slope)
-from .oracle import (DegenerateObservable, StepInstability, default_grid,
-                     run_protocol)
+from .oracle import default_grid, run_protocol
 
 
 class UsageError(ValueError):
@@ -152,33 +151,59 @@ def _load(args):
     return given, _resolve(given)
 
 
-def _finite(name: str, value):
-    """``value``, or FloatingPointError naming ``name`` if it is a NaN or
-    an infinity: no data file may hold one."""
-    if not math.isfinite(value):
-        raise FloatingPointError(f"{name} is not finite ({value!r})")
-    return value
+def _nonfinite(value):
+    """The keys down to the first NaN or infinity in ``value`` (a float,
+    a float array, or dicts and sequences of them), or None if it holds
+    none.  An array is checked in one pass, and searched only if it
+    fails; None, text, bools and ints are skipped."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)) or (
+            isinstance(value, np.ndarray) and not np.isfinite(value).all()):
+        items = enumerate(value)
+    else:
+        nonfinite = isinstance(value, float) and not math.isfinite(value)
+        return [] if nonfinite else None
+    for key, item in items:
+        if (path := _nonfinite(item)) is not None:
+            return [key, *path]
+    return None
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_outputs(args, command, params, given, t0, files, **extra):
+    """Write ``files``, {name: JSON payload or (CSV header, columns)},
+    into ``--out`` in order, then ``manifest.json``: everything needed
+    to reproduce them bit-exactly (``extra`` included) and the
+    wall-clock time since ``t0``.  ``derived`` lists the params entries
+    that followed other inputs instead of being ``given``; a replay
+    leaves them out so that they follow again.
 
-
-def _write_manifest(out: Path, command, params, given, args, t0, **extra):
-    """Write ``manifest.json``: everything needed to reproduce the
-    command's outputs bit-exactly, and the wall-clock time since ``t0``.
-    ``derived`` lists the params entries that followed other inputs
-    instead of being ``given``; a replay leaves them out so that they
-    follow again."""
-    _write_json(out / "manifest.json", {
+    Every float of every file is checked first: a NaN or an infinity
+    raises FloatingPointError naming the file and the key, or the
+    column and the row's first cell, before ``--out`` exists."""
+    manifest = {
         "command": command, "version": __version__,
         "params": params.as_dict(),
         "derived": [k for k in P.DERIVED_FIELDS if k not in given],
         "eps_uv": params.eps_uv, "omega_c": params.omega_c,
-        "rel_tol": args.tol, **extra,
-        "duration_s": time.perf_counter() - t0})
+        "rel_tol": args.tol, **extra}
+    for name, data in {**files, "manifest.json": manifest}.items():
+        table = isinstance(data, tuple)
+        path = _nonfinite(dict(zip(*data)) if table else data)
+        if path is not None:
+            where = (f"{path[0]} at {data[0][0]} = "
+                     f"{_clean(data[1][0][path[1]])!r}" if table
+                     else ".".join(map(str, path)))
+            raise FloatingPointError(f"{name} {where} is not finite")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        if isinstance(data, tuple):
+            _write_csv(out / name, *data)
+        else:
+            _write_json(out / name, data)
+    _write_json(out / "manifest.json",
+                {**manifest, "duration_s": time.perf_counter() - t0})
 
 
 # Subcommands -----------------------------------------------------------
@@ -202,28 +227,23 @@ def cmd_budget(args) -> int:
         if value is None:       # a ratio to a zero E_B
             rows.append([key, "", si_unit, "", disp_unit, "", "", ""])
             continue
-        value = _finite(key, _clean(value))
+        value = _clean(value)
         lo = ref / 10.0 if ref else ""
         hi = ref * 10.0 if ref else ""
         in_band = (lo <= value <= hi) if ref else ""
-        rows.append([key, float(value), si_unit,
-                     _finite(f"{key} in {disp_unit}", float(value * scale)),
+        rows.append([key, float(value), si_unit, float(value * scale),
                      disp_unit, lo, hi, in_band])
-    # every value has passed its checks before the output directory exists
-    out = _out_dir(args)
-    _write_csv(out / "budget.csv",
-               ["quantity", "value_si", "si_unit", "value_display",
-                "display_unit", "band_lo_si", "band_hi_si", "in_band"],
-               zip(*rows))
-    _write_json(out / "budget.json",
-                {"budget": {k: _clean(v) for k, v in
-                            budget.as_dict().items()},
-                 "si_units": {k: q[0] for k, q in _QUANTITIES.items()},
-                 "order_bands": {k: [_clean(q[3] / 10.0),
-                                     _clean(q[3] * 10.0)]
-                                 for k, q in _QUANTITIES.items()
-                                 if q[3] is not None}})
-    _write_manifest(out, "budget", params, given, args, t0)
+    _write_outputs(args, "budget", params, given, t0, {
+        "budget.csv": (["quantity", "value_si", "si_unit", "value_display",
+                        "display_unit", "band_lo_si", "band_hi_si",
+                        "in_band"], list(zip(*rows))),
+        "budget.json": {"budget": {k: _clean(v) for k, v in
+                                   budget.as_dict().items()},
+                        "si_units": {k: q[0] for k, q in _QUANTITIES.items()},
+                        "order_bands": {k: [_clean(q[3] / 10.0),
+                                            _clean(q[3] * 10.0)]
+                                        for k, q in _QUANTITIES.items()
+                                        if q[3] is not None}}})
 
     print(f"{'quantity':24s} {'value':>12s} {'unit':6s} {'order band':>24s} ok")
     for key, value, _, disp, unit, lo, hi, ok in rows:
@@ -259,14 +279,8 @@ def cmd_sweep(args) -> int:
     for v in values:
         p = _resolve(P.read_inputs(None, {**given, key: v}))
         e_b = compute_EB(p, rel_tol=args.tol)
-        row = [float(v), float(e_b), float(e_b.error_estimate),
-               float(eb_order_estimate(p))]
-        for name, cell in zip(header[1:], row[1:]):
-            _finite(f"{name} at {key} = {v!r}", cell)
-        rows.append(row)
-    # every point has passed its checks before the output directory exists
-    out = _out_dir(args)
-    _write_csv(out / "sweep.csv", header, zip(*rows))
+        rows.append([float(v), float(e_b), float(e_b.error_estimate),
+                     float(eb_order_estimate(p))])
 
     slope, stderr = loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     if slope is not None:
@@ -275,10 +289,9 @@ def cmd_sweep(args) -> int:
     else:
         fit = {"slope": None, "status": "not-computable",
                "n_points": len(rows)}
-    _write_json(out / "fit.json", fit)
-
-    _write_manifest(out, "sweep", params, given, args, t0,
-                    sweep={"key": key, "values": values})
+    _write_outputs(args, "sweep", params, given, t0,
+                   {"sweep.csv": (header, list(zip(*rows))), "fit.json": fit},
+                   sweep={"key": key, "values": values})
     slope_txt = (f"slope = {fit['slope']:.4f}" if fit.get("slope") is not None
                  else "slope not computable")
     print(f"swept {key} over {len(values)} points; {slope_txt}")
@@ -311,13 +324,6 @@ def cmd_simulate(args) -> int:
         seed=args.seed, coupling_scale=args.coupling_scale,
         ramp_fraction=args.ramp_fraction, n_profile=args.profile_points)
 
-    out = _out_dir(args)
-    _write_csv(out / "shots.csv", ["shot", "outcome_V", "E_B_J"],
-               [np.arange(args.shots), result.outcome_samples,
-                result.e_b_samples])
-    _write_csv(out / "profile.csv", ["x_m", "eps_S_J_per_m_t0"],
-               [result.profile_x, result.energy_density_profile])
-
     stderr = float(result.E_B_stderr)
     # zero spread (e.g. no coupling and no feedback): not computable
     significance = (float(result.E_B_oracle) / stderr if stderr > 0
@@ -339,10 +345,15 @@ def cmd_simulate(args) -> int:
         "reversal_residual": _clean(result.reversal_residual),
         "wrap_margin_m": _clean(result.wrap_margin_m),
     }
-    _write_json(out / "summary.json", summary)
-
-    _write_manifest(
-        out, "simulate", params, given, args, t0,
+    _write_outputs(
+        args, "simulate", params, given, t0, {
+            "shots.csv": (["shot", "outcome_V", "E_B_J"],
+                          [np.arange(args.shots), result.outcome_samples,
+                           result.e_b_samples]),
+            "profile.csv": (["x_m", "eps_S_J_per_m_t0"],
+                            [result.profile_x,
+                             result.energy_density_profile]),
+            "summary.json": summary},
         grid={"n_modes": grid.n_modes, "ring_length": grid.ring_length},
         seed=args.seed, shots=args.shots, feedback=args.feedback,
         coupling_scale=args.coupling_scale, ramp_fraction=args.ramp_fraction,
@@ -482,8 +493,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ArithmeticError, ConvergenceFailure, StepInstability,
-            DegenerateObservable) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

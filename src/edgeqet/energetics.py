@@ -26,9 +26,10 @@ _EB_START_NODES = 16
 _EB_MAX_NODES = 512
 
 
-class ConvergenceFailure(RuntimeError):
-    """A quadrature exhausted its budget before reaching tolerance; the
-    partial :class:`Estimate` is ``result``."""
+class ConvergenceFailure(ArithmeticError):
+    """A quadrature exhausted its budget before reaching tolerance: a
+    numerical failure, so an ArithmeticError (CLI exit 2).  The partial
+    :class:`Estimate` is ``result``."""
 
     def __init__(self, message, result=None):
         super().__init__(message)

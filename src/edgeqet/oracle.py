@@ -40,12 +40,14 @@ N_QUAD = 96
 PROFILE_BLOCK = 2 ** 15
 
 
-class DegenerateObservable(RuntimeError):
-    """Measured observable has (numerically) no variance."""
+class DegenerateObservable(ArithmeticError):
+    """Measured observable has (numerically) no variance: a numerical
+    failure, so an ArithmeticError (CLI exit 2)."""
 
 
-class StepInstability(RuntimeError):
-    """The propagation failed one of its numerical checks."""
+class StepInstability(ArithmeticError):
+    """The propagation failed one of its numerical checks: a numerical
+    failure, so an ArithmeticError (CLI exit 2)."""
 
 
 def _is_count(value, least: int) -> bool:

@@ -129,7 +129,10 @@ def _coupling_factors(params: P.ExperimentParams, grid: ModeGrid):
     u_s, u_u, kernel = _coupling_nodes(params, grid)
     q_s, r_s = np.linalg.qr(u_s.T)
     q_u, r_u = np.linalg.qr(u_u.T)
-    w, sv, vt = np.linalg.svd(r_s @ kernel @ r_u.T)
+    block = r_s @ kernel @ r_u.T
+    if not np.isfinite(block).all():
+        raise FloatingPointError("coupling block is not finite")
+    w, sv, vt = np.linalg.svd(block)
     keep = sv > SVD_CUT * sv[0]
     return q_s @ (w[:, keep] * sv[keep]), q_u @ vt[keep].T
 
@@ -530,9 +533,9 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     invariant under Theta and the schedule is symmetric in time, so
     M = Theta X^-1 Theta X.  No 4N x 4N matrix is formed, and no U-half
     column: M commutes with the S <-> U mirror Pi (``_mirror``), so
-    they follow from the S half.  A free window (``coupling_scale`` 0)
-    is one free rotation by span whatever the ramp, so it gives l = 0
-    exactly.
+    they follow from the S half.  A free window (``coupling_scale`` 0,
+    or a span that rounds to 0) is one free rotation by span whatever
+    the ramp, so it gives l = 0 exactly.
 
     Both symmetries are checked first, from the coupling factors: a
     ``mirror_residual`` above MIRROR_TOL or a ``reversal_residual``
@@ -567,9 +570,9 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
                  np.max(np.abs(f_s) @ np.abs(f_u).sum(0)))
     window = _step_basis(grid, params, span)
     n2, r = window.shape
-    if coupling_scale == 0.0:
-        # free flight alone: one rotation by span, not a chain of them,
-        # gives R(span) [b; 0] exactly
+    if coupling_scale == 0.0 or span == 0.0:
+        # free flight alone, or no time to couple: one rotation by span,
+        # not a chain of them, gives R(span) [b; 0] exactly
         mq = np.zeros((2 * n2, r))
         mq[:n2] = free_rotate(window, grid, params, span)
     else:

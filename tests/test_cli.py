@@ -2,11 +2,13 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,15 +205,93 @@ def test_budget_non_finite_rule_exit_code(tmp_path, capsys):
     ["budget", "--set", "R=1e300"],
     ["sweep", "--set", "R=1e300", "--values", "2e-5,3e-5"],
     ["budget", "--set", "temperature=1e307"],
+    ["simulate", "--modes", "16", "--shots", "10",
+     "--set", "lambda_amp=1e150"],
+    ["simulate", "--modes", "16", "--shots", "10",
+     "--set", "nu_U=8.607115273020353e+203",
+     "--set", "eps_r=1.5589702774136118e-246"],
 ], ids=["budget-l", "simulate-C", "simulate-lambda", "budget-R", "sweep-R",
-        "budget-temperature"])
+        "budget-temperature", "simulate-nan-shots", "simulate-coupling-svd"])
 def test_arithmetic_failures_exit_2_with_no_file(tmp_path, capsys, argv):
-    """A division by zero, an overflow or a non-finite value bound for a
-    data file is a numerical failure: exit 2 before --out exists."""
+    """A division by zero, an overflow, a non-finite value bound for a
+    data file or a coupling block that overflows before its SVD is a
+    numerical failure: exit 2 before --out exists."""
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _assert_finite_outputs(out):
+    """Every number in the CSV and JSON files in ``out`` is finite."""
+    def finite(text):
+        assert math.isfinite(float(text)), (path.name, text)
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_float=finite,
+                       parse_constant=finite)
+            continue
+        for row in csv.reader(path.open(encoding="utf-8")):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path.name, row)
+
+
+def test_simulate_zero_span_window_is_free(tmp_path):
+    """A coupling region so short that t_f - t_i rounds to 0 leaves no
+    ramp step: the window is free flight, E_B is 0 and the files are
+    finite."""
+    out = tmp_path / "out"
+    assert run(["simulate", "--modes", "16", "--shots", "10", "--set",
+                "b=9.386200860721212e-59", "--out", str(out)]) == 0
+    _assert_finite_outputs(out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["E_B_oracle_J"] == 0.0
+    assert summary["symplectic_residual"] == 0.0
+
+
+_FUZZ_COMMANDS = (["budget"], ["sweep", "--values", "2e-5,3e-5"],
+                  ["simulate", "--modes", "16", "--shots", "10"])
+_FUZZ_SPECIAL = ("0", "-0", "nan", "inf", "-inf", "abc")
+
+
+def _fuzz_value(rng) -> str:
+    """A ``--set`` value: one draw in four is 0, a NaN, an infinity or
+    text, the rest log-uniform over +-300 decades with either sign."""
+    if rng.random() < 0.25:
+        return _FUZZ_SPECIAL[rng.integers(len(_FUZZ_SPECIAL))]
+    return repr(float(rng.choice([-1.0, 1.0])
+                      * 10.0 ** rng.uniform(-300.0, 300.0)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fuzzed_overrides_meet_the_exit_code_contract(tmp_path, capsys,
+                                                      seed):
+    """30 draws per seed of 1 to 3 ``--set`` overrides of any parameter,
+    cycling budget, sweep and simulate in-process: exit 0, 1 or 2 and
+    no exception; no --out on 1 or 2; on 0 every number written is
+    finite.  (About 1 s for the five seeds on one thread.)"""
+    fields = [f.name for f in dataclasses.fields(P.ExperimentParams)]
+    rng = np.random.default_rng(seed)
+    for i in range(30):
+        keys = rng.choice(fields, rng.integers(1, 4), replace=False)
+        out = tmp_path / str(i)
+        argv = (_FUZZ_COMMANDS[i % 3]
+                + [a for key in keys
+                   for a in ("--set", f"{key}={_fuzz_value(rng)}")]
+                + ["--out", str(out)])
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = run(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code:
+            assert not out.exists(), argv
+        else:
+            _assert_finite_outputs(out)
 
 
 def test_budget_set_route_matches_file_route(tmp_path):
@@ -526,6 +606,33 @@ def test_write_json_refuses_non_finite(tmp_path):
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "x.json", {"v": bad})
     assert not (tmp_path / "x.json").exists()
+
+
+def test_write_outputs_checks_every_float_before_out_exists(tmp_path):
+    """The one writer refuses a NaN in a CSV float array, in a CSV list
+    cell or in a nested JSON value, naming file and column or key,
+    before --out exists; None, text, bools and ints pass."""
+    args = argparse.Namespace(out=str(tmp_path / "out"), tol=1e-4)
+    params = P.default_paper_params()
+    header = ["x", "y"]
+    good = {"a.csv": (header, [np.arange(3), np.array([1.0, 2.0, 3.0])]),
+            "b.csv": (header, [["p", "q"], [None, True]]),
+            "c.json": {"k": [1, {"m": None, "n": "text", "o": False}]}}
+    for files, message in (
+            ({"a.csv": (header, [np.arange(3),
+                                 np.array([1.0, math.nan, 3.0])])},
+             "a.csv y at x = 1 is not finite"),
+            ({"b.csv": (header, [["p", "q"], [2, -math.inf]])},
+             "b.csv y at x = 'q' is not finite"),
+            ({"c.json": {"k": [1, {"m": None, "n": math.nan}]}},
+             "c.json k.1.n is not finite")):
+        with pytest.raises(FloatingPointError, match=message):
+            cli._write_outputs(args, "test", params, {}, 0.0,
+                               {**good, **files})
+        assert not (tmp_path / "out").exists()
+    cli._write_outputs(args, "test", params, {}, 0.0, good)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "a.csv", "b.csv", "c.json", "manifest.json"]
 
 
 def _write_csv_by_rows(path, header, rows):
