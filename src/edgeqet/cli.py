@@ -373,20 +373,23 @@ def cmd_convert(args) -> int:
                         ("--energy-density", args.energy_density)):
         if value is not None and not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value!r}")
+    # the result converted back is compared with the input, so an
+    # underflow to 0 either way is a mismatch
     if args.current is not None:
         j = args.current
         eps = energy_density_from_current(j, params)
+        # eps grows as j^2, so the round trip gives |j|
+        check = "|j|", abs(j), current_from_energy_density(eps, params), "A"
     else:
         eps = args.energy_density
         j = current_from_energy_density(eps, params)
+        check = "eps", eps, energy_density_from_current(j, params), "J/m"
+    name, given, back, unit = check
     eps_disp = eps / P.E_CHARGE * 1e6 / 1e6  # J/m -> ueV/um
     print(f"current         j   = {j:.6g} A ({j * 1e9:.6g} nA)")
     print(f"energy density  eps = {eps:.6g} J/m ({eps_disp:.6g} ueV/um)")
-    # eps grows as j^2, so the round trip gives |j|
-    round_trip = current_from_energy_density(
-        energy_density_from_current(j, params), params)
-    ok = math.isclose(round_trip, abs(j), rel_tol=1e-12, abs_tol=1e-30)
-    print(f"round trip: |j| = {round_trip:.6g} A "
+    ok = math.isclose(back, given, rel_tol=1e-12)
+    print(f"round trip: {name} = {back:.6g} {unit} "
           f"({'consistent' if ok else 'MISMATCH'})")
     return 0 if ok else 2
 

@@ -57,5 +57,5 @@ def measurement_coupling(params: P.ExperimentParams) -> float:
     """e v_g R / (2 dV), the length-dimension coupling of the pointer."""
     dv = delta_v(detector_from_params(params))
     if dv <= 0:
-        raise ValueError("delta_v must be positive")
+        raise FloatingPointError(f"delta_v is {dv:g} V, not positive")
     return P.E_CHARGE * params.v_g * params.R / (2.0 * dv)

@@ -211,10 +211,9 @@ def _coupling_nodes(params: P.ExperimentParams, grid: ModeGrid):
     joules.  The window propagator relies on the mirror symmetry this
     gives, K^T = R(b/v) K R(b/v) with R the free flight: the nodes are
     symmetric about b/2, the kernel depends on |x - y| only and nu_S,
-    nu_U enter as a constant factor (``propagator._mirror_residual``
-    checks it); and on the time-reversal symmetry, which needs the
-    kernel invariant under (x, y) -> (b - x, b - y)
-    (``propagator._reversal_residual``).
+    nu_U enter as a constant factor; and on the time-reversal symmetry,
+    which needs the kernel invariant under (x, y) -> (b - x, b - y).
+    ``propagator._coupling`` checks both.
     """
     xq, wq = _gauss_legendre(N_QUAD, 0.0, params.b)
     f_kernel = 1.0 / np.sqrt((xq[:, None] - xq[None, :]) ** 2 + params.d ** 2)

@@ -19,8 +19,8 @@ the U-half columns is Pi of the deviation l of the S-half columns, and
 every propagator the build makes, each step and M itself, is held in
 one form, (b, l), with E = R(T) + [l, Pi l] Q^T, and applied by one
 routine (``_apply``).  The build checks the symmetry first, from the
-coupling's factors (``_mirror_residual``), and refuses a coupling that
-breaks it.
+coupling's factors (``_coupling``), and refuses a coupling that breaks
+it.
 
 The coupled Hamiltonian has a second symmetry, antisymplectic: Theta,
 time reversal p -> -p combined with the mirror x -> b - x of each
@@ -30,10 +30,11 @@ symmetric about b/2 and the kernel is invariant under
 Theta E Theta = E^-1, and since the coupling schedule is symmetric in
 time, M = Theta X^-1 Theta X with X the first half of the window, the
 ramp-up steps and half the plateau.  So only X is built: the build
-checks this symmetry too (``_reversal_residual``), chains the first
-half's steps in time order on the S-half columns [b; 0], each step
-applied as soon as it is built and then dropped, and finishes M in
-closed form from X^-1 = Omega^-1 X^T Omega (``_second_half``).
+checks this symmetry too, under the same tolerance (``_coupling``),
+chains the first half's steps in time order on the S-half columns
+[b; 0], each step applied as soon as it is built and then dropped, and
+finishes M in closed form from X^-1 = Omega^-1 X^T Omega
+(``_second_half``).
 Each step basis, the window's and each doubling level's, comes from its
 own density samples, which are symmetric about the middle of their
 interval: turned by the midpoint, their cos and sin rows split, so the
@@ -82,23 +83,19 @@ from .oracle import (ModeGrid, StepInstability, _conditioning,
 #: (9.8e-15 at 256 modes, 3.9e-14 at 1024).
 SVD_CUT = 1e-14
 
-#: Bound on the relative mirror residual ||K^T - R(b/v) K R(b/v)|| / ||K||
-#: of the coupling (``_mirror_residual``), above which the window
-#: propagator refuses to take the U-half deviation from the S half.  The
-#: default parameters give 1e-15 at 64 modes and 3e-14 at 1024 (the
-#: rounding of the turn b/v); a channel-dependent velocity or kernel
-#: gives O(1).
-MIRROR_TOL = 1e-11
-
-#: Bound on the relative time-reversal residual
-#: ||Theta_S K Theta_U - K|| / ||K|| of the coupling
-#: (``_reversal_residual``), above which the window propagator refuses
-#: to take the second half of the window from the first.  The default
-#: parameters give 1.3e-15 at 64 modes and 2.8e-14 at 1024 (the rounding
-#: of the turn b/v); a kernel that is not invariant under
-#: (x, y) -> (b - x, b - y) gives O(0.1) even when it keeps the mirror
-#: (0.49 at 32 modes for the Coulomb kernel times 1 + 0.3 sign(x - y)).
-REVERSAL_TOL = 1e-11
+#: Bound on the two relative symmetry residuals of the coupling
+#: (``_coupling``), above which the window propagator is refused: the
+#: mirror residual ||K^T - R(b/v) K R(b/v)|| / ||K||, which lets it take
+#: the U-half deviation from the S half, and the time-reversal residual
+#: ||Theta_S K Theta_U - K|| / ||K||, which lets it take the second half
+#: of the window from the first.  The default parameters give 1e-15 and
+#: 1.3e-15 at 64 modes and 3e-14 and 2.8e-14 at 1024 (the rounding of
+#: the turn b/v); a channel-dependent velocity or kernel gives a mirror
+#: residual of O(1), and a kernel that is not invariant under
+#: (x, y) -> (b - x, b - y) a reversal residual of O(0.1) even when it
+#: keeps the mirror (0.49 at 32 modes for the Coulomb kernel times
+#: 1 + 0.3 sign(x - y)).
+SYMMETRY_TOL = 1e-11
 
 #: Bound on ``symplectic_residual`` above which the window propagator is
 #: refused.  Stable couplings give at most 1.1e-14 (16 to 512 modes,
@@ -117,24 +114,6 @@ N_RAMP = 5
 # near e^theta and cancel: with m up to 55 the symplectic residual at
 # 256 modes rose from 4e-15 to 1e-13.
 _THETA = {10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54}
-
-
-def _coupling_factors(params: P.ExperimentParams, grid: ModeGrid):
-    """(f_s, f_u), 2N x rho each, with the coupling block K = f_s f_u^T.
-
-    K has numerical rank far below 2N (13 of 512 at 256 modes); the
-    factors keep the singular values above SVD_CUT, so applying the
-    coupling costs O(N rho) per vector instead of O(N^2).
-    """
-    u_s, u_u, kernel = _coupling_nodes(params, grid)
-    q_s, r_s = np.linalg.qr(u_s.T)
-    q_u, r_u = np.linalg.qr(u_u.T)
-    block = r_s @ kernel @ r_u.T
-    if not np.isfinite(block).all():
-        raise FloatingPointError("coupling block is not finite")
-    w, sv, vt = np.linalg.svd(block)
-    keep = sv > SVD_CUT * sv[0]
-    return q_s @ (w[:, keep] * sv[keep]), q_u @ vt[keep].T
 
 
 def _doublings(norm: float) -> int:
@@ -231,7 +210,7 @@ def _mirror_blocks(grid: ModeGrid, params: P.ExperimentParams):
     its own inverse, it commutes with free flight, and
     Pi [B; 0] = [0; B_U] (``_step_basis``).  It commutes with every
     coupled generator as long as K^T = R(b/v) K R(b/v)
-    (``_mirror_residual``), so the U-half deviation of every propagator
+    (``_coupling``), so the U-half deviation of every propagator
     the build makes is Pi of its S-half deviation l.
     """
     n2 = 2 * grid.n_modes
@@ -283,23 +262,6 @@ def _product_norm(a: np.ndarray, c: np.ndarray) -> float:
                                 @ np.linalg.qr(c, mode="r").T))
 
 
-def _mirror_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
-                     params: P.ExperimentParams) -> float:
-    """||K^T - R(b/v) K R(b/v)||_F / ||K||_F for K = f_s f_u^T.
-
-    Zero when Pi commutes with the coupling: the Gauss-Legendre nodes on
-    [0, b] are symmetric, the kernel depends on |x - y| only and
-    nu_S / nu_U enters K as a constant factor.  The difference is
-    [f_u, R f_s] [f_s, -R^T f_u]^T, R = R(b/v), with R f_s and R^T f_u
-    the halves of Pi [f_s; f_u] (``_mirror``).
-    """
-    n2 = f_s.shape[0]
-    turned = _mirror(np.vstack([f_s, f_u]), grid, params)
-    rot_u, rot_s = turned[:n2], turned[n2:]
-    return (_product_norm(np.hstack([f_u, rot_s]), np.hstack([f_s, -rot_u]))
-            / _product_norm(f_s, f_u))
-
-
 def _reverse(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
              t: float, omega: bool = False,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -313,8 +275,8 @@ def _reverse(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
     since rho(b - x) of a state is rho(x) of its image.  Theta is
     orthogonal, its own inverse and antisymplectic
     (Theta Omega Theta = -Omega); it keeps the free Hamiltonian, and
-    the coupling when ``_reversal_residual`` is zero.  Omega T swaps x
-    and p with a sign, x -> -p and p -> -x.
+    the coupling when its ``reversal`` residual (``_coupling``) is
+    zero.  Omega T swaps x and p with a sign, x -> -p and p -> -x.
     """
     n = grid.n_modes
     out = free_rotate(a, grid, params, t, out=out)
@@ -327,22 +289,60 @@ def _reverse(a: np.ndarray, grid: ModeGrid, params: P.ExperimentParams,
     return out
 
 
-def _reversal_residual(f_s: np.ndarray, f_u: np.ndarray, grid: ModeGrid,
-                       params: P.ExperimentParams) -> float:
-    """||Theta_S K Theta_U - K||_F / ||K||_F for K = f_s f_u^T.
+def _coupling(params: P.ExperimentParams, grid: ModeGrid):
+    """(f_s, f_u, k_norm, mirror, reversal): the coupling block
+    K = f_s f_u^T with 2N x rho factors, a bound k_norm on ||K||_1 and
+    ||K^T||_1, and K's relative residuals under the two symmetries the
+    window propagator's build relies on.
 
-    Zero when Theta (``_reverse``) maps the coupling onto itself: the
-    nodes on [0, b] are symmetric and the kernel is invariant under
-    (x, y) -> (b - x, b - y).  The mirror check does not imply it: a
-    kernel times (1 + c sign(x - y)) keeps the mirror and breaks this.
-    The difference is [Theta_S f_s, f_s] [Theta_U f_u, -f_u]^T (Theta is
-    symmetric).
+    K has numerical rank far below 2N (13 of 512 at 256 modes); the
+    factors keep the singular values above SVD_CUT, so applying the
+    coupling costs O(N rho) per vector instead of O(N^2).  A block that
+    is not finite raises FloatingPointError before its SVD.
+
+    ``mirror`` is ||K^T - R K R||_F / ||K||_F, R = R(b/v): zero when Pi
+    (``_mirror``) commutes with the coupling, as the Gauss-Legendre
+    nodes on [0, b] are symmetric, the kernel depends on |x - y| only
+    and nu_S / nu_U enters K as a constant factor.  The difference is
+    [f_u, R f_s] [f_s, -R^T f_u]^T, with R f_s and R^T f_u the halves of
+    Pi [f_s; f_u].  ``reversal`` is ||Theta_S K Theta_U - K||_F / ||K||_F:
+    zero when Theta (``_reverse``) maps the coupling onto itself, as the
+    nodes are symmetric and the kernel is invariant under
+    (x, y) -> (b - x, b - y).  The mirror does not imply it: a kernel
+    times (1 + c sign(x - y)) keeps the mirror and breaks this.  The
+    difference is [Theta_S f_s, f_s] [Theta_U f_u, -f_u]^T (Theta is
+    symmetric).  A residual above SYMMETRY_TOL, or NaN, raises
+    StepInstability, the mirror's first.
     """
+    u_s, u_u, kernel = _coupling_nodes(params, grid)
+    q_s, r_s = np.linalg.qr(u_s.T)
+    q_u, r_u = np.linalg.qr(u_u.T)
+    block = r_s @ kernel @ r_u.T
+    if not np.isfinite(block).all():
+        raise FloatingPointError("coupling block is not finite")
+    w, sv, vt = np.linalg.svd(block)
+    keep = sv > SVD_CUT * sv[0]
+    f_s, f_u = q_s @ (w[:, keep] * sv[keep]), q_u @ vt[keep].T
+    del u_s, u_u, q_s, q_u          # N_QUAD x 2N each, freed before the checks
+    k_norm = max(np.max(np.abs(f_u) @ np.abs(f_s).sum(0)),
+                 np.max(np.abs(f_s) @ np.abs(f_u).sum(0)))
+    k_f = _product_norm(f_s, f_u)
+    rot_u, rot_s = np.split(_mirror(np.vstack([f_s, f_u]), grid, params), 2)
+    mirror = _product_norm(np.hstack([f_u, rot_s]),
+                           np.hstack([f_s, -rot_u])) / k_f
+    if not mirror <= SYMMETRY_TOL:
+        raise StepInstability(
+            f"coupling breaks the S <-> U mirror: residual {mirror:.3g} "
+            f"> {SYMMETRY_TOL:g}")
     turn = params.b / params.v_g
-    return (_product_norm(
+    reversal = _product_norm(
         np.hstack([_reverse(f_s, grid, params, turn), f_s]),
-        np.hstack([_reverse(f_u, grid, params, -turn), -f_u]))
-        / _product_norm(f_s, f_u))
+        np.hstack([_reverse(f_u, grid, params, -turn), -f_u])) / k_f
+    if not reversal <= SYMMETRY_TOL:
+        raise StepInstability(
+            f"coupling breaks time reversal with x -> b - x: residual "
+            f"{reversal:.3g} > {SYMMETRY_TOL:g}")
+    return f_s, f_u, k_norm, mirror, reversal
 
 
 def _omega_form(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -492,13 +492,12 @@ class WindowPropagator:
     M a.  ``symplectic_residual`` is max |mq^T Omega mq - q^T Omega q|
     over Q's columns, zero for a symplectic M and at most
     SYMPLECTIC_TOL; ``mirror_residual`` is how far the coupling is from
-    the S <-> U mirror symmetry that gives the U half
-    (``_mirror_residual``), at most MIRROR_TOL, and ``reversal_residual``
-    how far it is from the time-reversal symmetry that gives the second
-    half of the window (``_reversal_residual``), at most REVERSAL_TOL.
-    b and l are read-only:
-    ``protocol_setup`` memoises the propagator with the rest of a run's
-    setup and shares it between calls.
+    the S <-> U mirror symmetry that gives the U half, and
+    ``reversal_residual`` how far it is from the time-reversal symmetry
+    that gives the second half of the window, each at most SYMMETRY_TOL
+    (``_coupling``).  b and l are read-only: ``protocol_setup``
+    memoises the propagator with the rest of a run's setup and shares
+    it between calls.
     """
 
     b: np.ndarray
@@ -537,9 +536,9 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     or a span that rounds to 0) is one free rotation by span whatever
     the ramp, so it gives l = 0 exactly.
 
-    Both symmetries are checked first, from the coupling factors: a
-    ``mirror_residual`` above MIRROR_TOL or a ``reversal_residual``
-    above REVERSAL_TOL raises StepInstability before any step is built,
+    Both symmetries are checked first, with the coupling's factors
+    (``_coupling``): a ``mirror_residual`` or ``reversal_residual``
+    above SYMMETRY_TOL raises StepInstability before any step is built,
     and so does a ``symplectic_residual`` above SYMPLECTIC_TOL or NaN:
     M is then not symplectic to working precision.  Pi is symplectic
     and commutes with M, so the residual's U-U block repeats its S-S
@@ -554,20 +553,7 @@ def window_propagator(params: P.ExperimentParams, grid: ModeGrid,
     """
     t_i, t_f = interaction_window(params)
     span = t_f - t_i
-    f_s, f_u = _coupling_factors(params, grid)
-    mirror = _mirror_residual(f_s, f_u, grid, params)
-    if not mirror <= MIRROR_TOL:
-        raise StepInstability(
-            f"coupling breaks the S <-> U mirror: residual {mirror:.3g} "
-            f"> {MIRROR_TOL:g}")
-    reversal = _reversal_residual(f_s, f_u, grid, params)
-    if not reversal <= REVERSAL_TOL:
-        raise StepInstability(
-            f"coupling breaks time reversal with x -> b - x: residual "
-            f"{reversal:.3g} > {REVERSAL_TOL:g}")
-    # ||K||_1 and ||K^T||_1 bounded through the factors
-    k_norm = max(np.max(np.abs(f_u) @ np.abs(f_s).sum(0)),
-                 np.max(np.abs(f_s) @ np.abs(f_u).sum(0)))
+    f_s, f_u, k_norm, mirror, reversal = _coupling(params, grid)
     window = _step_basis(grid, params, span)
     n2, r = window.shape
     if coupling_scale == 0.0 or span == 0.0:

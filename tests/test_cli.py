@@ -210,12 +210,15 @@ def test_budget_non_finite_rule_exit_code(tmp_path, capsys):
     ["simulate", "--modes", "16", "--shots", "10",
      "--set", "nu_U=8.607115273020353e+203",
      "--set", "eps_r=1.5589702774136118e-246"],
+    ["simulate", "--modes", "16", "--shots", "10", "--set", "omega_c=1e-200"],
 ], ids=["budget-l", "simulate-C", "simulate-lambda", "budget-R", "sweep-R",
-        "budget-temperature", "simulate-nan-shots", "simulate-coupling-svd"])
+        "budget-temperature", "simulate-nan-shots", "simulate-coupling-svd",
+        "simulate-delta-v"])
 def test_arithmetic_failures_exit_2_with_no_file(tmp_path, capsys, argv):
     """A division by zero, an overflow, a non-finite value bound for a
-    data file or a coupling block that overflows before its SVD is a
-    numerical failure: exit 2 before --out exists."""
+    data file, a coupling block that overflows before its SVD or a
+    detector noise dV that underflows to 0 is a numerical failure:
+    exit 2 before --out exists."""
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
@@ -486,8 +489,8 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert summary["E_B_oracle_J"] != 0.0
     assert summary["subspace_rank"] > 0
     assert 0.0 <= summary["symplectic_residual"] < 1e-12
-    assert 0.0 <= summary["mirror_residual"] <= propagator.MIRROR_TOL
-    assert 0.0 <= summary["reversal_residual"] <= propagator.REVERSAL_TOL
+    assert 0.0 <= summary["mirror_residual"] <= propagator.SYMMETRY_TOL
+    assert 0.0 <= summary["reversal_residual"] <= propagator.SYMMETRY_TOL
     assert summary["wrap_margin_m"] > 0.0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 3 and manifest["shots"] == 60
@@ -697,6 +700,17 @@ def test_convert_density_to_current(capsys):
     assert run(["convert", "--energy-density", "2.15107e-19"]) == 0
     out = capsys.readouterr().out
     assert "1e-08 A" in out or "9.99" in out
+
+
+@pytest.mark.parametrize("flag, value, line", [
+    ("--current", "1e-150", "round trip: |j| = 0 A (MISMATCH)"),
+    ("--energy-density", "1e-300", "round trip: eps = 0 J/m (MISMATCH)"),
+], ids=["current", "energy-density"])
+def test_convert_underflow_is_a_mismatch(capsys, flag, value, line):
+    # the inverse underflows to 0: j = 1e-150 A gives eps = 2e-303 J/m,
+    # whose j is 0, and eps = 1e-300 J/m gives j = 0
+    assert run(["convert", f"{flag}={value}"]) == 2
+    assert line in capsys.readouterr().out
 
 
 def test_convert_requires_exactly_one_flag(capsys):

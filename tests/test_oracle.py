@@ -1241,9 +1241,9 @@ def test_mirror_commutes_with_coupled_generator(params, n_modes, changes):
         pax = O._omega_times(g @ mirror(x)) / P.HBAR
         assert np.max(np.abs(mirror(ax) - pax)) <= 1e-12 * np.max(
             np.abs(ax))
-    f_s, f_u = propagator._coupling_factors(p, grid)
-    assert propagator._mirror_residual(f_s, f_u, grid, p) <= 1e-13
-    assert propagator._reversal_residual(f_s, f_u, grid, p) <= 1e-13
+    *_, mirror_residual, reversal_residual = propagator._coupling(p, grid)
+    assert mirror_residual <= 1e-13
+    assert reversal_residual <= 1e-13
 
 
 def test_free_window_gives_rotated_basis_bit_for_bit(params, grid):
@@ -1345,8 +1345,10 @@ def test_broken_time_reversal_is_refused(params, monkeypatch):
     """A kernel times 1 + 0.3 sign(x - y) keeps the S <-> U mirror
     (residual ~1e-15) but not Theta: on the dense reference at 32 modes
     with the 5% ramp, M = Theta M^-1 Theta then fails by 6.7% of
-    max|M - R| (M - R is the coupling's part of M), and the build raises StepInstability before any step
-    is built."""
+    max|M - R| (M - R is the coupling's part of M).  With the symmetry
+    tolerance lifted, ``_coupling`` reads both residuals; at the real
+    one it raises StepInstability, and so does the build, before any
+    step is built."""
     grid = O.default_grid(params, n_modes=32)
     nodes = O._coupling_nodes
     xq = np.polynomial.legendre.leggauss(O.N_QUAD)[0]
@@ -1357,13 +1359,17 @@ def test_broken_time_reversal_is_refused(params, monkeypatch):
         return u_s, u_u, kernel * (1.0 + 0.3 * sign)
     monkeypatch.setattr(O, "_coupling_nodes", skewed)
     monkeypatch.setattr(propagator, "_coupling_nodes", skewed)
-    f_s, f_u = propagator._coupling_factors(params, grid)
-    assert propagator._mirror_residual(f_s, f_u, grid, params) <= 1e-13
-    assert propagator._reversal_residual(f_s, f_u, grid, params) >= 0.1
+    with monkeypatch.context() as mp:
+        mp.setattr(propagator, "SYMMETRY_TOL", math.inf)
+        *_, mirror, reversal = propagator._coupling(params, grid)
+    assert mirror <= 1e-13
+    assert reversal >= 0.1
     whole, _, m = _reversal_defects(params, grid, 0.05)
     t_i, t_f = O.interaction_window(params)
     r = free_propagator(grid, params, t_f - t_i)
     assert whole >= 0.01 * np.max(np.abs(m - r))
+    with pytest.raises(O.StepInstability, match="time reversal"):
+        propagator._coupling(params, grid)
     monkeypatch.setattr(propagator, "_step_propagators",
                         lambda *a: pytest.fail("step built"))
     with pytest.raises(O.StepInstability, match="time reversal"):
