@@ -47,6 +47,10 @@ class UsageError(ValueError):
     """Bad command-line input (maps to exit code 1)."""
 
 
+# Rows of a CSV file formatted at a time: simulate's default 1000 shots,
+# and perfbench's 4000, are one chunk.
+_CSV_CHUNK_ROWS = 4096
+
 _MEV = 1e3 / P.E_CHARGE
 _UEV = 1e6 / P.E_CHARGE
 
@@ -117,12 +121,15 @@ def _csv_cells(column):
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` (float arrays or sequences of
     cells) under ``header``, one row per index, in csv.writer's default
-    format (comma-separated, CRLF line ends).  Each row goes to the
-    file as it is formatted, so the text is never held whole."""
+    format (comma-separated, CRLF line ends).  Rows are formatted and
+    written _CSV_CHUNK_ROWS at a time, so memory stays bounded by one
+    chunk whatever the row count."""
+    columns = list(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_csv_field, header)) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n"
-                      for row in zip(*map(_csv_cells, columns)))
+        for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            cells = [_csv_cells(c[lo:lo + _CSV_CHUNK_ROWS]) for c in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def _parse_overrides(pairs):

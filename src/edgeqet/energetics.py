@@ -24,6 +24,9 @@ from .detector import delta_v, detector_from_params, measurement_coupling, \
 # gets twice as many), and the most that node doubling may reach.
 _EB_START_NODES = 16
 _EB_MAX_NODES = 512
+# Newton's method in theta stops after a step below this: the error
+# squares with each step, so the theta it leaves is at rounding level.
+_NEWTON_TOL = 1e-11
 
 
 class ConvergenceFailure(ArithmeticError):
@@ -122,47 +125,36 @@ def _eb_prefactor(params: P.ExperimentParams) -> float:
             / (16.0 * math.pi ** 3 * params.epsilon * dv))
 
 
-def _legval(x: np.ndarray, c) -> np.ndarray:
-    """sum_k c[k] P_k(x), len(c) >= 2, by Clenshaw's recurrence in the
-    order of numpy's ``legval``."""
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
-                  c0 + c1 * x * ((2 * nd - 1) / nd))
-    return c0 + c1 * x
-
-
 def _leggauss(n: int):
-    """(t, w), the n-point Gauss-Legendre rule on [-1, 1], n >= 2, step
-    for step as numpy's ``leggauss`` builds it, so with its bits, and
-    without importing ``numpy.polynomial``: the eigenvalues of the
-    symmetric companion matrix of P_n, one Newton step on P_n, and
-    weights 1/(P_n-1 P_n') scaled to their maxima, symmetrised and
-    normalised to sum 2.  P_n' is the series sum (2k + 1) P_k over
-    k = n - 1, n - 3, ..., as numpy's ``legder`` gives it."""
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    c = [0.0] * n + [1.0]
-    der = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0
-           for k in range(n)]
-    dy = _legval(x, c)
-    df = _legval(x, der)
-    x -= dy / df
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
+    """(t, w), the n-point Gauss-Legendre rule on [-1, 1], n >= 2, by
+    Newton's method in theta, t = cos(theta) (Hale & Townsend, SIAM J.
+    Sci. Comput. 35, A652 (2013)), with no linear algebra: P_n and
+    P_n-1 by the three-term recurrence, starting from
+    theta_i = pi (i + 3/4) / (n + 1/2), i = n - 1, ..., 0 (so t ascends),
+    stepping until the largest step is below _NEWTON_TOL; the weights
+    are 2 / (dP_n/dtheta)^2 at the final theta, and t and w are then
+    symmetrised.  In theta the end nodes are as well conditioned as the
+    middle ones, so the end weights keep their relative accuracy."""
+    theta = math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)
+    step = np.inf
+    while True:
+        t = np.cos(theta)
+        p_prev, p = np.ones(n), t
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+        dp = n * (t * p - p_prev) / np.sin(theta)   # dP_n/dtheta
+        if np.abs(step).max() <= _NEWTON_TOL:
+            break
+        step = p / dp
+        theta = theta - step
+    w = 2.0 / dp ** 2
+    return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
 
 @functools.cache
 def _legendre_rule(n: int):
-    """(t, w), the n-point Gauss-Legendre rule on [-1, 1] (``_leggauss``),
-    as read-only arrays.
+    """(t, w), the n-point Gauss-Legendre rule on [-1, 1] (``_leggauss``,
+    no LAPACK call), as read-only arrays.
 
     Every E_B rule and the oracle's coupling nodes take their rule from
     here, so each n is built once per process; ``cache_clear()``
@@ -303,19 +295,24 @@ def compute_EB(params: P.ExperimentParams,
 
 def loglog_slope(x, y):
     """(slope, stderr): the least-squares slope of log |y| versus log x
-    over the points in the order given, and its standard error.
+    over the points in the order given, and its standard error, in
+    closed form on centred logs: slope = sum(dx dy) / sum(dx^2), stderr
+    the square root of the residual variance over n - 2 divided by
+    sum(dx^2), as ``np.polyfit(..., cov=True)`` gives them.
 
-    Both are None below 2 points, with a zero y or with an x <= 0 (not
-    computable); stderr is None at exactly 2 points.
+    Both are None below 2 points, with a zero y, with an x <= 0 or with
+    every x equal (not computable); stderr is None at exactly 2 points.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if len(x) < 2 or np.any(y == 0.0) or x.min() <= 0:
+    if len(x) < 2 or np.any(y == 0.0) or x.min() <= 0 or x.min() == x.max():
         return None, None
-    logx, logy = np.log(x), np.log(np.abs(y))
-    if len(x) == 2:
-        return float(np.polyfit(logx, logy, 1)[0]), None
-    coeffs, cov = np.polyfit(logx, logy, 1, cov=True)
-    return float(coeffs[0]), math.sqrt(cov[0, 0])
+    dx, dy = np.log(x), np.log(np.abs(y))
+    dx, dy = dx - dx.mean(), dy - dy.mean()
+    sxx = dx @ dx
+    slope = float(dx @ dy / sxx)
+    resid = dy - slope * dx
+    return slope, (math.sqrt(resid @ resid / (len(x) - 2) / sxx)
+                   if len(x) > 2 else None)
 
 
 def energy_density_from_current(j: float, params: P.ExperimentParams) -> float:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -134,6 +135,37 @@ def test_commands_load_no_numpy_fft(tmp_path):
     commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
                 ["simulate", "--modes", "16", "--shots", "50"]]
     assert _loaded_after(tmp_path, commands, "numpy.fft") == "[0, 0, 0] []"
+
+
+def test_budget_and_sweep_make_no_lapack_call(tmp_path, monkeypatch):
+    """The Gauss-Legendre rules (``energetics._leggauss``) and the slope
+    fit (``energetics.loglog_slope``) use no numpy.linalg: with every
+    LAPACK entry point raising and the rules rebuilt, budget and sweep
+    write the same files as without."""
+    from numpy.linalg import _umath_linalg
+    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5,4e-5"]]
+
+    def outputs(tag):
+        files = {}
+        for argv in commands:
+            energetics._legendre_rule.cache_clear()
+            out = tmp_path / tag / argv[0]
+            assert run([*argv, "--out", str(out)]) == 0
+            for path in out.iterdir():
+                files[argv[0], path.name] = path.read_bytes()
+            manifest = json.loads(files.pop((argv[0], "manifest.json")))
+            del manifest["duration_s"]
+            files[argv[0], "manifest.json"] = manifest
+        return files
+
+    expected = outputs("plain")
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+    for name in dir(_umath_linalg):
+        if callable(getattr(_umath_linalg, name)):
+            monkeypatch.setattr(_umath_linalg, name, lapack)
+    assert outputs("no-lapack") == expected
 
 
 # budget -----------------------------------------------------------------
@@ -675,6 +707,40 @@ def test_write_csv_columns_match_rows_byte_for_byte(tmp_path):
     _write_csv_by_rows(tmp_path / "rows.csv", header + ["c", "d"], rows)
     assert ((tmp_path / "cols.csv").read_bytes()
             == (tmp_path / "rows.csv").read_bytes())
+
+
+def test_write_csv_chunks_keep_bytes_and_bound_memory(tmp_path,
+                                                     monkeypatch):
+    """Rows formatted a chunk at a time give csv.writer's bytes across
+    chunk edges, and the writer's peak allocation stays within a few
+    chunks' worth of text, not the whole file's."""
+    n = 23
+    ints = np.arange(n) - 11
+    floats = np.where(ints % 3 == 0, -0.0, ints / 7.0)
+    text = [f'say "{i}", twice' if i % 4 else str(i) for i in range(n)]
+    header = ["i", "x", "note"]
+    rows = [[int(i), float(x), t] for i, x, t in zip(ints, floats, text)]
+    _write_csv_by_rows(tmp_path / "rows.csv", header, rows)
+    for chunk_rows in (5, 23, 4096):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        cli._write_csv(tmp_path / "cols.csv", header, [ints, floats, text])
+        assert ((tmp_path / "cols.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+    monkeypatch.undo()
+
+    n_chunks = 8
+    n = n_chunks * cli._CSV_CHUNK_ROWS
+    rng = np.random.default_rng(7)
+    columns = [np.arange(n), rng.normal(size=n), 1e-24 * rng.normal(size=n)]
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "big.csv", ["shot", "a", "b"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = (tmp_path / "big.csv").stat().st_size / n_chunks
+    # about 2.4 chunks of text; formatting every row at once is ~18
+    assert peak < 4 * chunk_bytes
 
 
 # convert ----------------------------------------------------------------

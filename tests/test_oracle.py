@@ -13,7 +13,8 @@ from edgeqet import params as P
 from edgeqet import oracle as O
 from edgeqet import propagator
 from edgeqet.detector import delta_v, detector_from_params, signal_rms
-from edgeqet.energetics import _eb_integral, compute_EA, compute_E1
+from edgeqet.energetics import _eb_integral, _leggauss, compute_EA, \
+    compute_E1
 
 from dense_reference import (channel_energy, channel_slice,
                              displace_feedback, free_propagator,
@@ -1117,7 +1118,7 @@ def test_window_propagator_invariants_ramped_at_256_modes(params,
 def test_coupling_nodes_match_direct_rule(params, grid):
     """The coupling's 96-point rule, shared with E_B, gives the same
     bits as a rule built afresh and mapped onto [0, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(96)
+    nodes, weights = _leggauss(96)
     xq = 0.5 * params.b * (nodes + 1.0)
     wq = 0.5 * params.b * weights
     u_s, u_u, kernel = O._coupling_nodes(params, grid)
