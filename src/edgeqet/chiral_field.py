@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Terms of Weideman's rational expansion of the Faddeeva function; 48
-# give full double precision for Im z >= 0.
-_FADDEEVA_TERMS = 48
 # Depth of the continued fraction for the moments above x = 1; 400 terms
 # give the moment ratios to rounding for every x >= 1.
 _MOMENT_CF_TERMS = 400
@@ -64,13 +61,13 @@ def window_derivative_l2(w: WindowProfile, order: int) -> float:
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
-# Weideman's scale L = sqrt(N / sqrt(2)) for N = _FADDEEVA_TERMS, and
-# the coefficients of the polynomial p in _faddeeva, highest degree
+# The coefficients of the polynomial p in _faddeeva, highest degree
 # first: a_N .. a_1 of the length-4N FFT of exp(-t^2) (L^2 + t^2) at
-# t = L tan(theta/2), divided by 4N, as numpy's FFT gives them.  Written
-# out so that no command loads numpy.fft;
-# tests/test_chiral_field.py rebuilds them by that FFT.
-_WEIDEMAN_SCALE = math.sqrt(_FADDEEVA_TERMS / math.sqrt(2.0))
+# t = L tan(theta/2), divided by 4N, as numpy's FFT gives them, for
+# N = 48 terms (full double precision for Im z >= 0).  Written out so
+# that no command loads numpy.fft; tests/test_chiral_field.py rebuilds
+# them by that FFT.  The table fixes N, and with it Weideman's scale
+# L = sqrt(N / sqrt(2)).
 _WEIDEMAN_COEFFS = np.array([
     -3.700743415417188e-17, 3.908097080905041e-17, 8.913045359641251e-17,
     4.336469876763116e-17, 2.10357809007448e-17, 7.068313479639792e-20,
@@ -89,6 +86,7 @@ _WEIDEMAN_COEFFS = np.array([
     1.149220464539778, 1.5913084691178003, 2.0707599716742915,
     2.5370484874446904, 2.9304498956237564, 3.194064589395071])
 _WEIDEMAN_COEFFS.flags.writeable = False
+_WEIDEMAN_SCALE = math.sqrt(len(_WEIDEMAN_COEFFS) / math.sqrt(2.0))
 
 
 def _faddeeva(z):

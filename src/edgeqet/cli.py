@@ -306,14 +306,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.shots < 2:
-        raise UsageError(f"--shots must be at least 2 (the standard error "
-                         f"needs two shots), got {args.shots}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, "
-                         f"got {args.seed}")
-    if args.modes < 1:
-        raise UsageError(f"--modes must be at least 1, got {args.modes}")
     given, params = _load(args)
     t0 = time.perf_counter()
     grid = default_grid(params, n_modes=args.modes)
@@ -411,6 +403,17 @@ def _rel_tol(text: str) -> float:
     return value
 
 
+def _count(least: int):
+    """The argparse type of an integer option that is at least ``least``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {text!r}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     # every command reads the parameters; only the file-producing ones
     # take an output directory and a quadrature tolerance
@@ -447,11 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[producing],
                            help="run the Gaussian protocol oracle")
-    p_sim.add_argument("--shots", type=int, default=1000,
+    p_sim.add_argument("--shots", type=_count(2), default=1000,
                        help="shots to draw, at least 2 (default 1000)")
-    p_sim.add_argument("--seed", type=int, default=0,
+    p_sim.add_argument("--seed", type=_count(0), default=0,
                        help="seed of the outcome draws, >= 0 (default 0)")
-    p_sim.add_argument("--modes", type=int, default=256,
+    p_sim.add_argument("--modes", type=_count(1), default=256,
                        help="momentum modes per channel, at least 1 "
                             "(default 256)")
     p_sim.add_argument("--feedback", default="correlated",
@@ -469,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the coupling ramps up, and again down, in "
                             "[0, 0.5]; 0 switches it suddenly "
                             "(default 0.05)")
-    p_sim.add_argument("--profile-points", type=int, default=512,
+    p_sim.add_argument("--profile-points", type=_count(1), default=512,
                        dest="profile_points",
                        help="points of the energy-density profile, at "
                             "least 1 (default 512)")

@@ -248,17 +248,20 @@ def measurement_observable(params: P.ExperimentParams,
 
 
 def _conditioning(sigma: np.ndarray, o: np.ndarray, pointer_sd: float):
-    """Rank-2 factors (s, kick) of a Gaussian pointer measurement.
+    """The Gaussian pointer measurement's update (s, gain, kick, back).
 
-    sigma = Cov.o is the observable's covariance column, s = o.Cov.o +
-    pointer_sd^2 the predictive variance of the outcome and kick =
-    Omega.o the pointer's back-action direction; the posterior
-    covariance is Cov - sigma sigma^T / s + kick kick^T / (4 pointer_sd^2).
+    sigma = Cov.o is the observable's covariance column; s = o.Cov.o +
+    pointer_sd^2 is the predictive variance of the outcome, gain =
+    sigma / s the posterior mean per unit outcome, kick = Omega.o the
+    pointer's back-action direction and back = 1/(4 pointer_sd^2) its
+    weight, exactly 0 for an infinite pointer_sd.  The posterior
+    covariance is Cov - gain sigma^T + back kick kick^T.
     """
     var_o = float(o @ sigma)
     if not np.isfinite(var_o) or var_o <= 0.0:
         raise DegenerateObservable(f"observable variance {var_o!r}")
-    return var_o + pointer_sd ** 2, _omega_times(o)
+    s = var_o + pointer_sd ** 2
+    return s, sigma / s, _omega_times(o), 1.0 / (4.0 * pointer_sd ** 2)
 
 
 def measure_gaussian(state: GaussianState, observable: np.ndarray,
@@ -266,22 +269,20 @@ def measure_gaussian(state: GaussianState, observable: np.ndarray,
     """One Gaussian pointer measurement of O = observable . R.
 
     Returns (outcome, posterior).  The outcome follows the exact
-    predictive law N(o.m, o.Cov.o + pointer_sd^2); conditioning updates
-    mean and covariance, and the pointer momentum kick adds the
-    back-action term along Omega.o.
+    predictive law N(o.m, s) with s = o.Cov.o + pointer_sd^2.  The
+    posterior applies ``_conditioning``'s update: its mean is m + gain
+    (outcome - o.m), its covariance Cov - gain sigma^T + back kick kick^T.
     """
     o = np.asarray(observable, dtype=float)
     sigma_o = state.cov @ o
-    s, kick = _conditioning(sigma_o, o, pointer_sd)
+    s, gain, kick, back = _conditioning(sigma_o, o, pointer_sd)
     prior_mean = float(o @ state.mean)
     if outcome is None:
         if rng is None:
             raise ValueError("provide either rng or outcome")
         outcome = prior_mean + math.sqrt(s) * rng.standard_normal()
-    mean = state.mean + sigma_o * ((outcome - prior_mean) / s)
-    cov = state.cov - np.outer(sigma_o, sigma_o) / s
-    if np.isfinite(pointer_sd):
-        cov = cov + np.outer(kick, kick) / (4.0 * pointer_sd ** 2)
+    mean = state.mean + gain * (outcome - prior_mean)
+    cov = state.cov - np.outer(gain, sigma_o) + back * np.outer(kick, kick)
     cov = 0.5 * (cov + cov.T)
     return float(outcome), GaussianState(mean, cov)
 

@@ -98,9 +98,11 @@ SVD_CUT = 1e-14
 SYMMETRY_TOL = 1e-11
 
 #: Bound on ``symplectic_residual`` above which the window propagator is
-#: refused.  Stable couplings give at most 1.1e-14 (16 to 512 modes,
-#: |coupling_scale| <= 1, any ramp) and 2.5e-14 at coupling_scale 10;
-#: at 64 modes coupling_scale 20 gives 3.7e-6 and 100 gives 1.5e31.
+#: refused.  Stable couplings, sudden or with a 5% ramp, give at most
+#: 1.3e-14 at 16 to 512 modes and 1.9e-14 at 1024 for |coupling_scale|
+#: <= 1; coupling_scale 10 gives 3.7e-14 at 64 modes and 4.0e-13,
+#: 2.7e-13 and 4.6e-13 at 256, 512 and 1024.  Sudden at 64 modes,
+#: coupling_scale 20 gives 4.0e-6 and 100 gives 3.0e31.
 SYMPLECTIC_TOL = 1e-10
 
 #: Equal steps of each ramp of the coupling (``ramp_schedule``): it rises
@@ -746,17 +748,19 @@ def protocol_setup(params: P.ExperimentParams, grid: ModeGrid,
     propagators and profile tables.  The arguments are positional-only
     with no defaults: ``lru_cache`` keys on how they are passed, so
     this keeps one key per setup.
+
+    The measurement at t = 0 is ``oracle._conditioning``'s update on the
+    vacuum prior (Cov = I/2, so sigma = o/2): the setup keeps its s and
+    back, and carries its gain and kick, with the feedback displacement,
+    through the window to t_f.
     """
     t_i, _ = interaction_window(params)
     hw2 = np.tile(grid.mode_energies(params.v_g), 2)
 
     # measurement conditioning at t = 0 (vacuum prior, Cov = I/2)
     o = O.measurement_observable(params, grid)
-    dv = delta_v(detector_from_params(params))
-    sigma = 0.5 * o
-    s_pred, kick = _conditioning(sigma, o, dv)
-    back = 1.0 / (4.0 * dv ** 2)             # weight of the back-action term
-    gain = sigma / s_pred                    # posterior mean per unit outcome
+    s_pred, gain, kick, back = _conditioning(
+        0.5 * o, o, delta_v(detector_from_params(params)))
     d_unit = O.feedback_displacement(params, grid)
 
     # the measurement response turns freely from t = 0 to t_i, the

@@ -78,63 +78,64 @@ def test_every_exported_name_resolves():
         assert getattr(edgeqet, name) is not None, name
 
 
-def test_import_loads_no_scipy_submodules():
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """The modules one fresh interpreter has loaded: ``import`` right
+    after importing edgeqet.cli, ``commands`` after it then runs budget,
+    sweep and a small simulate through cli.main, whose exit codes are
+    ``codes``."""
+    out = str(tmp_path_factory.mktemp("probe"))
+    src = str(Path(edgeqet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
+                ["simulate", "--modes", "32", "--shots", "50"]]
+    code = ("import sys, edgeqet.cli; loaded = sorted(sys.modules); "
+            "import json, warnings; warnings.simplefilter('ignore'); "
+            f"codes = [edgeqet.cli.main(a + ['--out', {out!r}]) "
+            f"for a in {commands!r}]; "
+            "print(json.dumps({'import': loaded, 'codes': codes, "
+            "'commands': sorted(sys.modules)}))")
+    stdout = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True, text=True,
+                            timeout=120).stdout
+    return json.loads(stdout.splitlines()[-1])
+
+
+def _commands_loaded(loaded_modules, package):
+    """The modules of ``package`` (a dotted prefix) loaded once the
+    probe's commands have run; each of them must have succeeded."""
+    assert loaded_modules["codes"] == [0, 0, 0]
+    return [m for m in loaded_modules["commands"]
+            if (m + ".").startswith(package + ".")]
+
+
+def test_import_loads_no_scipy_submodules(loaded_modules):
     """scipy.linalg loads at first use, not at import; scipy.special
     never loads (the Faddeeva function is evaluated in numpy); the
     window propagator loads with the first run_protocol call, so
     commands that never simulate do not compile it."""
-    src = str(Path(edgeqet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, edgeqet.cli; "
-            "print([m for m in ('scipy.linalg', 'scipy.special', "
-            "'edgeqet.propagator') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert not {"scipy.linalg", "scipy.special", "edgeqet.propagator"} & set(
+        loaded_modules["import"])
 
 
-def _loaded_after(tmp_path, commands, package):
-    """The last stdout line of a fresh interpreter that runs
-    ``commands`` through cli.main: their exit codes and the sorted
-    modules of ``package`` (a dotted prefix) then loaded."""
-    src = str(Path(edgeqet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, warnings; from edgeqet import cli; "
-            "warnings.simplefilter('ignore'); "
-            f"codes = [cli.main(a + ['--out', {str(tmp_path)!r}]) "
-            f"for a in {commands!r}]; "
-            "print(codes, sorted(m for m in sys.modules "
-            f"if (m + '.').startswith({package + '.'!r})))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    return out.splitlines()[-1]
-
-
-def test_commands_load_no_scipy(tmp_path):
+def test_commands_load_no_scipy(loaded_modules):
     """budget, sweep and simulate run without importing any scipy
     module: only oracle.expm and oracle.evolve need scipy.linalg."""
-    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
-                ["simulate", "--modes", "32", "--shots", "50"]]
-    assert _loaded_after(tmp_path, commands, "scipy") == "[0, 0, 0] []"
+    assert _commands_loaded(loaded_modules, "scipy") == []
 
 
-def test_commands_load_no_numpy_polynomial(tmp_path):
+def test_commands_load_no_numpy_polynomial(loaded_modules):
     """The Gauss-Legendre rules are built in house
     (``energetics._leggauss``), so budget, sweep and simulate never
     import numpy.polynomial."""
-    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
-                ["simulate", "--modes", "16", "--shots", "50"]]
-    assert (_loaded_after(tmp_path, commands, "numpy.polynomial")
-            == "[0, 0, 0] []")
+    assert _commands_loaded(loaded_modules, "numpy.polynomial") == []
 
 
-def test_commands_load_no_numpy_fft(tmp_path):
+def test_commands_load_no_numpy_fft(loaded_modules):
     """Weideman's Faddeeva coefficients are written out
     (``chiral_field._WEIDEMAN_COEFFS``), so budget, sweep and simulate
     never import numpy.fft."""
-    commands = [["budget"], ["sweep", "--values", "2e-5,3e-5"],
-                ["simulate", "--modes", "16", "--shots", "50"]]
-    assert _loaded_after(tmp_path, commands, "numpy.fft") == "[0, 0, 0] []"
+    assert _commands_loaded(loaded_modules, "numpy.fft") == []
 
 
 def test_budget_and_sweep_make_no_lapack_call(tmp_path, monkeypatch):
@@ -568,10 +569,11 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize("option, value, message", [
     ("--tol", "0", "--tol"), ("--tol", "-1", "--tol"),
     ("--tol", "nan", "--tol"), ("--tol", "2", "--tol"),
-    ("--profile-points", "0", "n_profile"),
+    ("--profile-points", "0", "--profile-points"),
     ("--coupling-scale", "nan", "coupling_scale"),
     ("--coupling-scale", "inf", "coupling_scale"),
     ("--modes", "0", "--modes"), ("--modes", "-3", "--modes"),
+    ("--seed", "1.5", "invalid count value"),
     # compute_EB refuses L < 2l; the oracle alone would run
     ("--set", "L=1.5e-5", "< 2l"),
 ])

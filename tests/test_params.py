@@ -1,5 +1,6 @@
 """Parameter defaults, validation, and parameter-file parsing."""
 
+import dataclasses
 import math
 import re
 
@@ -58,6 +59,20 @@ def test_validate_collects_all_violations(params):
     joined = " ".join(exc.value.violations)
     assert "v_g" in joined and "nu_S" in joined and "T_delay_ratio" in joined
     assert len(exc.value.violations) == 3
+
+
+def test_parameter_tables_cover_every_field():
+    """A field missing from PARAM_UNITS cannot be set from a file or
+    --set; one missing from both bound tuples is never validated."""
+    fields = dataclasses.fields(P.ExperimentParams)
+    names = [f.name for f in fields]
+    assert sorted(P.PARAM_UNITS) == sorted(names)
+    for name in names:
+        bounds = (name in P._POSITIVE_FIELDS) + (
+            name in P._NON_NEGATIVE_FIELDS)
+        assert bounds == (name != "T_delay_ratio"), name
+    assert sorted(P.DERIVED_FIELDS) == sorted(
+        f.name for f in fields if f.default is None)
 
 
 def test_thermal_energy():
