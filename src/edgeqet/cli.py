@@ -11,13 +11,18 @@ convert    convert between edge current and energy density
 Each command reads ``--params`` and ``--set`` once; the parameters,
 every sweep point and the manifest come from that one read.  Only the
 file-producing commands (budget, sweep, simulate) take ``--out`` and
-``--tol``.  Each hands its files to one writer (``_write_outputs``),
-which checks every float in them, creates ``--out`` only if all are
-finite, and writes a ``manifest.json`` last, holding the fully
-resolved inputs (parameters, regulators, tolerances, grid, seed, tool
-version) so that any result can be reproduced bit-exactly: replay with
-``--set`` for every ``params`` entry not listed in ``derived``.  The
-wall-clock duration lives only in the manifest, never in data files.
+``--tol``.  Each hands its raw results to one writer
+(``_write_outputs``), which writes them and a ``manifest.json`` last,
+holding the fully resolved inputs (parameters, regulators,
+tolerances, grid, seed, tool version) so that any result can be
+reproduced bit-exactly: replay with ``--set`` for every ``params``
+entry not listed in ``derived``.  The wall-clock duration lives only
+in the manifest, never in data files.
+
+One rule writes a number, and only the writer applies it: every
+number in every file, the manifest included, is checked for
+finiteness and written with -0.0 folded to 0.0, before ``--out``
+exists.
 
 Exit codes: 0 success, 1 validation/usage error (any ValueError),
 2 numerical failure (any ArithmeticError, a NaN or an infinity bound
@@ -78,29 +83,40 @@ _QUANTITIES = {
 }
 
 
-def _clean(v):
-    """JSON-safe scalar; folds -0.0 to 0.0 for stable output bytes."""
-    if isinstance(v, (np.floating, float)):
-        return float(v) + 0.0
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
+def _clean(value, *keys):
+    """``value`` (a scalar, a float array, or dicts, lists and tuples of
+    them) as it is written: every float and numpy scalar a Python
+    number, -0.0 folded to 0.0.  A NaN or an infinity raises
+    FloatingPointError whose args are the keys down to it.  An array is
+    only checked, in one pass, and searched only if it fails; the CSV
+    writer folds it a chunk at a time."""
+    if isinstance(value, dict):
+        return {k: _clean(v, *keys, k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_clean(v, *keys, i) for i, v in enumerate(value))
+    if isinstance(value, np.ndarray):
+        finite = np.isfinite(value).all()
+        return value if finite else _clean(list(value), *keys)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if not isinstance(value, float):
+        return value
+    if not math.isfinite(value):
+        raise FloatingPointError(*keys)
+    return value + 0.0
 
 
 def _write_json(path: Path, payload: dict):
     """Write ``payload`` as JSON; a NaN or infinity raises ValueError
     before the file is opened."""
-    text = json.dumps(payload, indent=2, default=_clean, allow_nan=False)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def _csv_field(v) -> str:
-    """One CSV cell as csv.writer writes it: a float as its repr with
-    -0.0 folded to 0.0, text quoted when it holds a comma, a quote or a
-    line break."""
-    if isinstance(v, float):
-        return repr(_clean(v))
+    """One CSV cell as csv.writer writes it: text quoted when it holds a
+    comma, a quote or a line break (a float's str is its repr)."""
     text = str(v)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
@@ -158,25 +174,6 @@ def _load(args):
     return given, _resolve(given)
 
 
-def _nonfinite(value):
-    """The keys down to the first NaN or infinity in ``value`` (a float,
-    a float array, or dicts and sequences of them), or None if it holds
-    none.  An array is checked in one pass, and searched only if it
-    fails; None, text, bools and ints are skipped."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, (list, tuple)) or (
-            isinstance(value, np.ndarray) and not np.isfinite(value).all()):
-        items = enumerate(value)
-    else:
-        nonfinite = isinstance(value, float) and not math.isfinite(value)
-        return [] if nonfinite else None
-    for key, item in items:
-        if (path := _nonfinite(item)) is not None:
-            return [key, *path]
-    return None
-
-
 def _write_outputs(args, command, params, given, t0, files, **extra):
     """Write ``files``, {name: JSON payload or (CSV header, columns)},
     into ``--out`` in order, then ``manifest.json``: everything needed
@@ -185,25 +182,31 @@ def _write_outputs(args, command, params, given, t0, files, **extra):
     that followed other inputs instead of being ``given``; a replay
     leaves them out so that they follow again.
 
-    Every float of every file is checked first: a NaN or an infinity
-    raises FloatingPointError naming the file and the key, or the
-    column and the row's first cell, before ``--out`` exists."""
+    Every number of every file, the manifest included, passes
+    ``_clean`` first: a NaN or an infinity raises FloatingPointError
+    naming the file and the key, or the column and the row's first
+    cell, before ``--out`` exists.  Returns ``files`` as they passed."""
     manifest = {
         "command": command, "version": __version__,
         "params": params.as_dict(),
         "derived": [k for k in P.DERIVED_FIELDS if k not in given],
         "eps_uv": params.eps_uv, "omega_c": params.omega_c,
         "rel_tol": args.tol, **extra}
-    for name, data in {**files, "manifest.json": manifest}.items():
-        table = isinstance(data, tuple)
-        path = _nonfinite(dict(zip(*data)) if table else data)
-        if path is not None:
-            where = (f"{path[0]} at {data[0][0]} = "
-                     f"{_clean(data[1][0][path[1]])!r}" if table
-                     else ".".join(map(str, path)))
+    files = {**files, "manifest.json": manifest}
+    for name, data in files.items():
+        try:
+            files[name] = _clean(data)
+        except FloatingPointError as exc:
+            if isinstance(data, tuple):     # keys: columns, column, row
+                (header, columns), (_, col, row) = data, exc.args
+                first = np.asarray(columns[0][row]).item()
+                where = f"{header[col]} at {header[0]} = {first!r}"
+            else:
+                where = ".".join(map(str, exc.args))
             raise FloatingPointError(f"{name} {where} is not finite")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = files.pop("manifest.json")
     for name, data in files.items():
         if isinstance(data, tuple):
             _write_csv(out / name, *data)
@@ -211,6 +214,7 @@ def _write_outputs(args, command, params, given, t0, files, **extra):
             _write_json(out / name, data)
     _write_json(out / "manifest.json",
                 {**manifest, "duration_s": time.perf_counter() - t0})
+    return files
 
 
 # Subcommands -----------------------------------------------------------
@@ -234,26 +238,25 @@ def cmd_budget(args) -> int:
         if value is None:       # a ratio to a zero E_B
             rows.append([key, "", si_unit, "", disp_unit, "", "", ""])
             continue
-        value = _clean(value)
         lo = ref / 10.0 if ref else ""
         hi = ref * 10.0 if ref else ""
         in_band = (lo <= value <= hi) if ref else ""
         rows.append([key, float(value), si_unit, float(value * scale),
                      disp_unit, lo, hi, in_band])
-    _write_outputs(args, "budget", params, given, t0, {
+    written = _write_outputs(args, "budget", params, given, t0, {
         "budget.csv": (["quantity", "value_si", "si_unit", "value_display",
                         "display_unit", "band_lo_si", "band_hi_si",
                         "in_band"], list(zip(*rows))),
-        "budget.json": {"budget": {k: _clean(v) for k, v in
-                                   budget.as_dict().items()},
+        "budget.json": {"budget": budget.as_dict(),
                         "si_units": {k: q[0] for k, q in _QUANTITIES.items()},
-                        "order_bands": {k: [_clean(q[3] / 10.0),
-                                            _clean(q[3] * 10.0)]
+                        "order_bands": {k: [q[3] / 10.0, q[3] * 10.0]
                                         for k, q in _QUANTITIES.items()
                                         if q[3] is not None}}})
 
+    # the table printed is the one written, -0.0 folded
     print(f"{'quantity':24s} {'value':>12s} {'unit':6s} {'order band':>24s} ok")
-    for key, value, _, disp, unit, lo, hi, ok in rows:
+    for key, value, _, disp, unit, lo, hi, ok in zip(
+            *written["budget.csv"][1]):
         if disp == "":
             print(f"{key:24s} {'n/a':>12s} {unit:6s}")
         elif lo == "":
@@ -313,10 +316,10 @@ def cmd_simulate(args) -> int:
     # parameters (compute_EB refuses L < 2l): they raise before the
     # output directory exists
     closed_forms = {
-        "compute_EA_J": _clean(compute_EA(params)),
-        "compute_E1_J": _clean(compute_E1(params)),
-        "scaled_compute_EB_J": _clean(
-            args.coupling_scale * compute_EB(params, rel_tol=args.tol)),
+        "compute_EA_J": compute_EA(params),
+        "compute_E1_J": compute_E1(params),
+        "scaled_compute_EB_J":
+            args.coupling_scale * compute_EB(params, rel_tol=args.tol),
     }
     result = run_protocol(
         params, grid, feedback_mode=args.feedback, n_shots=args.shots,
@@ -331,18 +334,18 @@ def cmd_simulate(args) -> int:
         "feedback_mode": result.feedback_mode,
         "n_shots": args.shots, "n_modes": args.modes, "seed": args.seed,
         "coupling_scale": args.coupling_scale,
-        "E_B_oracle_J": _clean(result.E_B_oracle),
-        "E_B_stderr_J": _clean(stderr),
-        "E_B_significance_sigma": _clean(significance),
-        "E_A_oracle_J": _clean(result.E_A_oracle),
-        "E_1_oracle_J": _clean(result.E_1_oracle),
+        "E_B_oracle_J": result.E_B_oracle,
+        "E_B_stderr_J": stderr,
+        "E_B_significance_sigma": significance,
+        "E_A_oracle_J": result.E_A_oracle,
+        "E_1_oracle_J": result.E_1_oracle,
         **closed_forms,
-        "profile_times_s": [_clean(result.t_f)],
+        "profile_times_s": [result.t_f],
         "subspace_rank": result.subspace_rank,
-        "symplectic_residual": _clean(result.symplectic_residual),
-        "mirror_residual": _clean(result.mirror_residual),
-        "reversal_residual": _clean(result.reversal_residual),
-        "wrap_margin_m": _clean(result.wrap_margin_m),
+        "symplectic_residual": result.symplectic_residual,
+        "mirror_residual": result.mirror_residual,
+        "reversal_residual": result.reversal_residual,
+        "wrap_margin_m": result.wrap_margin_m,
     }
     _write_outputs(
         args, "simulate", params, given, t0, {

@@ -1,11 +1,13 @@
 """Command-line interface: artifacts, exit codes, and reproducibility."""
 
 import argparse
+import ast
 import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -542,30 +544,6 @@ def test_simulate_feedback_choice_errors():
     assert run(["simulate", "--feedback", "telepathic"]) == 1
 
 
-def test_simulate_rejects_ramp_past_half_window(tmp_path, capsys):
-    # ramps longer than half the window would leave a negative plateau
-    assert run(["simulate", "--ramp-fraction", "0.6", "--modes", "16",
-                "--out", str(tmp_path)]) == 1
-    assert "ramp_fraction" in capsys.readouterr().err
-    assert not (tmp_path / "summary.json").exists()
-
-
-@pytest.mark.parametrize("shots", ["0", "1"])
-def test_simulate_needs_two_shots(tmp_path, capsys, shots):
-    assert run(["simulate", "--shots", shots, "--modes", "16",
-                "--out", str(tmp_path)]) == 1
-    assert "--shots" in capsys.readouterr().err
-    assert not (tmp_path / "summary.json").exists()
-
-
-def test_simulate_rejects_negative_seed(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(["simulate", "--seed", "-1", "--modes", "16",
-                "--out", str(out)]) == 1
-    assert "--seed" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("option, value, message", [
     ("--tol", "0", "--tol"), ("--tol", "-1", "--tol"),
     ("--tol", "nan", "--tol"), ("--tol", "2", "--tol"),
@@ -573,7 +551,10 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     ("--coupling-scale", "nan", "coupling_scale"),
     ("--coupling-scale", "inf", "coupling_scale"),
     ("--modes", "0", "--modes"), ("--modes", "-3", "--modes"),
-    ("--seed", "1.5", "invalid count value"),
+    ("--shots", "0", "--shots"), ("--shots", "1", "--shots"),
+    ("--seed", "-1", "--seed"), ("--seed", "1.5", "invalid count value"),
+    # a ramp longer than half the window would leave a negative plateau
+    ("--ramp-fraction", "0.6", "ramp_fraction"),
     # compute_EB refuses L < 2l; the oracle alone would run
     ("--set", "L=1.5e-5", "< 2l"),
 ])
@@ -672,6 +653,35 @@ def test_write_outputs_checks_every_float_before_out_exists(tmp_path):
         "a.csv", "b.csv", "c.json", "manifest.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--modes", "16", "--shots", "4", "--coupling-scale", "-0.0",
+     "--feedback", "off"],
+    ["sweep", "--sweep", "lambda_amp", "--values=-0.0,1"],
+    ["budget", "--set", "lambda_amp=-0.0"],
+], ids=["simulate", "sweep", "budget"])
+def test_no_negative_zero_in_any_file(tmp_path, capsys, argv):
+    """A -0.0 given or computed is written as 0.0 in every file, the
+    manifest included, and printed without its sign."""
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    negative_zero = re.compile(r"(?<![\w.])-0(\.0+)?(?![\w.])")
+    for path in out.iterdir():
+        assert not negative_zero.search(path.read_text()), path.name
+    assert not negative_zero.search(capsys.readouterr().out)
+
+
+def test_only_the_writer_cleans_numbers():
+    """The commands hand _write_outputs raw results: _clean is named
+    only in itself and in the writer, so a new output key needs no call
+    of its own."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    users = {f.name for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef)
+             and any(isinstance(n, ast.Name) and n.id == "_clean"
+                     for n in ast.walk(f))}
+    assert users == {"_clean", "_write_outputs"}
+
+
 def _write_csv_by_rows(path, header, rows):
     """The value-by-value CSV writer that the column writer replaces."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -701,11 +711,13 @@ def test_write_csv_columns_match_rows_byte_for_byte(tmp_path):
             == (tmp_path / "rows.csv").read_bytes())
     assert b"-0.0" not in (tmp_path / "cols.csv").read_bytes()
     # mixed cells, as budget.csv has them (text, empty, bools, numpy
-    # floats), and text that csv.writer quotes
-    rows = [["E_A", np.float64(-0.0), "J", "", True],
+    # floats) after the writer's _clean pass, and text that csv.writer
+    # quotes
+    rows = [["E_A", np.float64(-0.0), "J", "", np.True_],
             ["a,b", 1.5e-300, "µeV", -3.0, False],
             ['say "hi"', 2, "two\nlines", "cr\r", True]]
-    cli._write_csv(tmp_path / "cols.csv", header + ["c", "d"], zip(*rows))
+    cli._write_csv(tmp_path / "cols.csv", header + ["c", "d"],
+                   cli._clean(list(zip(*rows))))
     _write_csv_by_rows(tmp_path / "rows.csv", header + ["c", "d"], rows)
     assert ((tmp_path / "cols.csv").read_bytes()
             == (tmp_path / "rows.csv").read_bytes())
