@@ -24,9 +24,11 @@ number in every file, the manifest included, is checked for
 finiteness and written with -0.0 folded to 0.0, before ``--out``
 exists.
 
-Exit codes: 0 success, 1 validation/usage error (any ValueError),
+Exit codes: 0 success, 1 usage or validation error (a command line
+argparse refuses while parsing, naming the flag, or any ValueError),
 2 numerical failure (any ArithmeticError, a NaN or an infinity bound
-for a file among them).
+for a file among them).  No command body checks its options: each
+option's type does, and the library checks parameters and protocol.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ from .energetics import (compute_EA, compute_EB, compute_E1, energy_budget,
                          eb_order_estimate, current_from_energy_density,
                          energy_density_from_current, loglog_slope)
 from .oracle import default_grid, run_protocol
-
-
-class UsageError(ValueError):
-    """Bad command-line input (maps to exit code 1)."""
 
 
 # Rows of a CSV file formatted at a time: simulate's default 1000 shots,
@@ -148,19 +146,6 @@ def _write_csv(path: Path, header, columns):
             fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
-def _parse_overrides(pairs):
-    overrides = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--set expects KEY=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        try:
-            overrides[key.strip()] = float(value)
-        except ValueError:
-            raise UsageError(f"--set {key}: not a number: {value!r}")
-    return overrides
-
-
 def _resolve(given: dict) -> P.ExperimentParams:
     """Validated parameters from the given values (one call site, so a
     validation warning shows once per command)."""
@@ -170,7 +155,7 @@ def _resolve(given: dict) -> P.ExperimentParams:
 def _load(args):
     """(given, params): the parameter values given by ``--params`` and
     ``--set``, read once, and the validated parameters they resolve to."""
-    given = P.read_inputs(args.params, _parse_overrides(args.set))
+    given = P.read_inputs(args.params, dict(args.set or ()))
     return given, _resolve(given)
 
 
@@ -271,18 +256,7 @@ def cmd_budget(args) -> int:
 
 def cmd_sweep(args) -> int:
     given, params = _load(args)
-    key = args.sweep
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"--values must be comma-separated numbers: "
-                         f"{args.values!r}")
-    if not values:
-        raise UsageError("--values is empty")
-    diffs = np.diff(values)
-    if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise UsageError("sweep grid must be strictly monotone")
-
+    key, values = args.sweep, args.values
     t0 = time.perf_counter()
     header = [key, "E_B_J", "E_B_error_J", "E_B_order_estimate_J"]
     rows = []
@@ -369,12 +343,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_convert(args) -> int:
     _, params = _load(args)
-    if (args.current is None) == (args.energy_density is None):
-        raise UsageError("pass exactly one of --current / --energy-density")
-    for flag, value in (("--current", args.current),
-                        ("--energy-density", args.energy_density)):
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {value!r}")
     # the result converted back is compared with the input, so an
     # underflow to 0 either way is a mismatch
     if args.current is not None:
@@ -397,6 +365,39 @@ def cmd_convert(args) -> int:
 
 
 # Parser ----------------------------------------------------------------
+
+def _override(text: str) -> tuple:
+    """The argparse type of ``--set``: KEY=VALUE as (key, number); the
+    key and the value's domain are the library's to check."""
+    key, _, value = text.partition("=")
+    try:
+        return key.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects KEY=VALUE with a numeric VALUE, got {text!r}")
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _grid(text: str) -> list:
+    """The argparse type of ``sweep --values``: a non-empty, strictly
+    monotone, comma-separated list of finite numbers."""
+    values = [_finite(v) for v in text.split(",") if v.strip()]
+    steps = list(zip(values, values[1:]))
+    if not values or not (all(a < b for a, b in steps)
+                          or all(a > b for a, b in steps)):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-empty, strictly monotone list, got {text!r}")
+    return values
+
 
 def _rel_tol(text: str) -> float:
     value = float(text)
@@ -423,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", metavar="FILE",
                         help="parameter file (key = value [unit] lines)")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+    common.add_argument("--set", action="append", type=_override,
+                        metavar="KEY=VALUE",
                         help="override one parameter (repeatable)")
     producing = argparse.ArgumentParser(add_help=False, parents=[common])
     producing.add_argument("--out", default=".", metavar="DIR",
@@ -440,16 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate", parents=[common],
-                   help="check parameters and print the resolved set")
+                   help="check parameters and print the resolved set"
+                   ).set_defaults(func=cmd_validate)
     sub.add_parser("budget", parents=[producing],
-                   help="compute the full energy budget")
+                   help="compute the full energy budget"
+                   ).set_defaults(func=cmd_budget)
 
     p_sweep = sub.add_parser("sweep", parents=[producing],
                              help="sweep a parameter and fit the E_B slope")
     p_sweep.add_argument("--sweep", default="L", metavar="KEY",
                          help="parameter to sweep (default L)")
-    p_sweep.add_argument("--values", required=True, metavar="V1,V2,...",
-                         help="comma-separated grid (strictly monotone)")
+    p_sweep.add_argument("--values", required=True, type=_grid,
+                         metavar="V1,V2,...",
+                         help="comma-separated grid of finite numbers "
+                              "(strictly monotone)")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", parents=[producing],
                            help="run the Gaussian protocol oracle")
@@ -479,22 +486,16 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="profile_points",
                        help="points of the energy-density profile, at "
                             "least 1 (default 512)")
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_conv = sub.add_parser("convert", parents=[common],
                             help="convert current <-> energy density")
-    p_conv.add_argument("--current", type=float, metavar="A")
-    p_conv.add_argument("--energy-density", type=float, metavar="J_PER_M",
+    p_conv.set_defaults(func=cmd_convert)
+    one_of = p_conv.add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--current", type=_finite, metavar="A")
+    one_of.add_argument("--energy-density", type=_finite, metavar="J_PER_M",
                         dest="energy_density")
     return parser
-
-
-_HANDLERS = {
-    "validate": cmd_validate,
-    "budget": cmd_budget,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "convert": cmd_convert,
-}
 
 
 def main(argv=None) -> int:
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; the contract here is 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return _HANDLERS[args.command](args)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

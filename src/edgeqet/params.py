@@ -155,21 +155,23 @@ def default_paper_params() -> ExperimentParams:
 def validate(params: ExperimentParams) -> ExperimentParams:
     """Check every invariant; returns the params unchanged if they hold.
 
-    Non-positive physical inputs raise :class:`ValidationError` listing
-    every violation.  The fast-detector condition (RC << l/v_g) and the
-    L >= 2l regularization regime are surfaced as warnings, because the
-    quoted experimental defaults themselves sit outside the fast-detector
+    A physical input that is not finite, or not > 0 (not >= 0 for
+    lambda_amp and temperature), raises :class:`ValidationError` listing
+    every violation, one per field, each naming the rule it broke.  The
+    fast-detector condition (RC << l/v_g) and the L >= 2l
+    regularization regime are surfaced as warnings, because the quoted
+    experimental defaults themselves sit outside the fast-detector
     condition and the estimates are order-of-magnitude only.
     """
     violations = []
-    for name in _POSITIVE_FIELDS:
+    for name in _POSITIVE_FIELDS + _NON_NEGATIVE_FIELDS:
         value = getattr(params, name)
-        if not (value > 0) or not math.isfinite(value):
-            violations.append(f"NonPositiveParameter: {name} = {value!r}")
-    for name in _NON_NEGATIVE_FIELDS:
-        value = getattr(params, name)
-        if value < 0 or not math.isfinite(value):
-            violations.append(f"NonPositiveParameter: {name} = {value!r}")
+        if not math.isfinite(value):
+            violations.append(f"{name} = {value!r} is not finite")
+        elif name in _POSITIVE_FIELDS and not value > 0:
+            violations.append(f"{name} = {value!r} is not > 0")
+        elif value < 0:
+            violations.append(f"{name} = {value!r} is not >= 0")
     if not (0 < params.T_delay_ratio < 1):
         violations.append(
             f"T_delay_ratio must be in (0, 1), got {params.T_delay_ratio!r}")

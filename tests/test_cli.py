@@ -392,28 +392,26 @@ def test_sweep_single_point_not_computable(tmp_path, capsys):
     assert "not computable" in capsys.readouterr().out
 
 
-def test_sweep_usage_errors(tmp_path, capsys):
-    assert run(["sweep", "--out", str(tmp_path), "--sweep", "L",
-                "--values", "4e-5,3e-5,5e-5"]) == 1  # not monotone
-    capsys.readouterr()
-    assert run(["sweep", "--out", str(tmp_path), "--sweep", "warp",
-                "--values", "1,2"]) == 1
-    assert "unknown override key 'warp'" in capsys.readouterr().err
-    assert run(["sweep", "--out", str(tmp_path), "--sweep", "L",
-                "--values", "4e-5,fast"]) == 1
-    capsys.readouterr()
+_BAD_SWEEPS = [
+    # the grid is refused while parsing, --values named
+    ("L", "abc", "--values"), ("L", "", "--values"),
+    ("L", "3e-5,2e-5,4e-5", "--values"), ("L", "4e-5,3e-5,5e-5", "--values"),
+    ("L", "4e-5,fast", "--values"), ("L", "2e-5,nan", "--values"),
+    ("L", "inf", "--values"),
+    # the library refuses the key and each point's parameters
+    ("warp", "1,2", "unknown override key 'warp'"),
+    ("L", "1e-5,2e-5", "< 2l"),         # L < 2l at the first point
+]
 
 
-@pytest.mark.parametrize("key, values", [
-    ("L", "abc"), ("L", ""), ("L", "3e-5,2e-5,4e-5"), ("warp", "1,2"),
-    ("L", "1e-5,2e-5"),                 # L < 2l at the first point
-])
+@pytest.mark.parametrize("key, values, message", _BAD_SWEEPS,
+                         ids=[f"{k}-{v}" for k, v, _ in _BAD_SWEEPS])
 def test_sweep_rejects_bad_values_before_writing(tmp_path, capsys, key,
-                                                 values):
+                                                 values, message):
     out = tmp_path / "new"
     assert run(["sweep", "--out", str(out), "--sweep", key,
                 "--values", values]) == 1
-    assert "error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -682,6 +680,19 @@ def test_only_the_writer_cleans_numbers():
     assert users == {"_clean", "_write_outputs"}
 
 
+def test_only_the_parser_refuses_a_command_line():
+    """argparse is the one place a command line is refused: no command
+    body raises, and cli defines no exception of its own."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                and f.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for f in commands:
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(f)), f.name
+    assert "UsageError" not in {n.name for n in ast.walk(tree)
+                                if isinstance(n, ast.ClassDef)}
+
+
 def _write_csv_by_rows(path, header, rows):
     """The value-by-value CSV writer that the column writer replaces."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -795,9 +806,16 @@ def test_convert_underflow_is_a_mismatch(capsys, flag, value, line):
 
 def test_convert_requires_exactly_one_flag(capsys):
     assert run(["convert"]) == 1
+    captured = capsys.readouterr()
+    assert "one of the arguments --current --energy-density is required" \
+        in captured.err
+    assert "round trip" not in captured.out
     assert run(["convert", "--current", "1e-8",
                 "--energy-density", "1e-17"]) == 1
-    assert "exactly one" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert ("argument --energy-density: not allowed with argument --current"
+            in captured.err)
+    assert "round trip" not in captured.out
 
 
 @pytest.mark.parametrize("flag", ["--current", "--energy-density"])
@@ -806,5 +824,5 @@ def test_convert_rejects_non_finite(capsys, flag, value):
     # "--current -inf" would parse "-inf" as an option; "=" passes it on
     assert run(["convert", f"{flag}={value}"]) == 1
     captured = capsys.readouterr()
-    assert f"{flag} must be finite" in captured.err
+    assert f"argument {flag}: not a finite number: '{value}'" in captured.err
     assert "round trip" not in captured.out

@@ -61,6 +61,19 @@ def test_validate_collects_all_violations(params):
     assert len(exc.value.violations) == 3
 
 
+@pytest.mark.parametrize("field, value, phrase", [
+    ("nu_S", 0.0, "is not > 0"), ("d", -0.0, "is not > 0"),
+    ("v_g", math.nan, "is not finite"), ("eps_uv", math.inf, "is not finite"),
+    ("lambda_amp", -1.0, "is not >= 0"),
+    ("temperature", math.inf, "is not finite"),
+])
+def test_validate_names_the_broken_rule(params, field, value, phrase):
+    """One violation per field, saying which rule its value broke."""
+    with pytest.raises(P.ValidationError) as exc:
+        P.validate(params.replace(**{field: value}))
+    assert exc.value.violations == [f"{field} = {value!r} {phrase}"]
+
+
 def test_parameter_tables_cover_every_field():
     """A field missing from PARAM_UNITS cannot be set from a file or
     --set; one missing from both bound tuples is never validated."""
